@@ -196,8 +196,9 @@ def heavy_hitters(ds: rd.Dataset, col: str, k: int = 10,
     cands = sorted({c for p in parts for c in p["cands"]})
     est = cm_query(cm, pd.Series(cands))
     if two_pass and len(cands):
-        ranked = np.sort(est)[::-1]
-        threshold = int(ranked[min(k, len(ranked)) - 1])
+        # under k candidates, any value may still belong to the top k
+        threshold = (int(np.sort(est)[::-1][k - 1]) if len(cands) >= k
+                     else 0)
         cm_ref = ray.put(cm)
 
         def rescan(batch: pa.Table) -> pa.Table:
@@ -215,7 +216,10 @@ def heavy_hitters(ds: rd.Dataset, col: str, k: int = 10,
             top = (pd.DataFrame({"v": s[keep].to_numpy(), "e": e[keep]})
                    .sort_values(["e", "v"], ascending=[False, True])
                    .head(k))
-            return pa.Table.from_pydict({"v": top["v"].tolist()})
+            # typed like the input, also when no row is kept (an
+            # untyped empty column is null-typed)
+            return pa.table({"v": pa.array(top["v"].tolist(),
+                                           batch.schema.field(col).type)})
 
         extra = ds.select_columns([col]).map_batches(
             rescan, batch_format="pyarrow", zero_copy_batch=True).take_all()

@@ -109,10 +109,15 @@ def _batched_hook_block(hook, t: pa.Table) -> "list[dict]":
 
 
 @ray.remote
-def _write_block(t: pa.Table, path: str) -> int:
-    """Worker-side checkpoint write of one fetched block (payloads never
-    transit the driver; multi-node deployments point checkpoint_dir at
-    shared storage, same contract as the turbo sink)."""
+def _write_parts(path: str, *parts: pa.Table) -> int:
+    """Worker-side checkpoint write of one parquet file from one or more
+    block parts (payloads never transit the driver; multi-node
+    deployments point checkpoint_dir at shared storage, same contract as
+    the turbo sink).  The parts are top-level arguments, so Ray resolves
+    them before the task starts and the worker never blocks in
+    ``ray.get``."""
+    tables = [t for t in parts if t.num_rows] or list(parts[:1])
+    t = pa.concat_tables(tables, promote_options="default")
     pq.write_table(t, path)
     return t.num_rows
 
@@ -163,13 +168,13 @@ def _adopt_frontier_block(block, n_buckets: int):
     """Worker-side adoption of one turbo-output block into the bucketed
     frontier store: strip the in-band ``__meta`` counters and partition
     the admitted rows by host bucket.  Streaming generator: the FIRST
-    yield is ``(counters, [(bucket, n_rows, host_counts, seq_min,
-    seq_max)])`` and each later yield is one bucket part table, in meta
-    order.  Yielded values are task returns OWNED BY THE DRIVER — the
-    previous worker-side ``ray.put`` left the part refs owned by a
-    transient worker process, so an idle-worker reap or node loss
-    silently dropped queued rows with OwnerDiedError (round-3 advice
-    #1; ``ray.put`` objects are not lineage-reconstructable).  The
+    yield is ``(counters, [(bucket, n_rows, seq_min, seq_max)])`` and
+    each later yield is one bucket part table, in meta order.  Yielded
+    values are task returns OWNED BY THE DRIVER — the previous
+    worker-side ``ray.put`` left the part refs owned by a transient
+    worker process, so an idle-worker reap or node loss silently
+    dropped queued rows with OwnerDiedError (round-3 advice #1;
+    ``ray.put`` objects are not lineage-reconstructable).  The
     driver still never sees the rows themselves — it ``ray.get``\\ s
     only the thin meta yield."""
     from ..stages.turbo import META_COL, merge_meta_blobs
@@ -191,10 +196,8 @@ def _adopt_frontier_block(block, n_buckets: int):
              for h in hosts), dtype=np.int32, count=len(hosts))
         for b in np.unique(assign):
             part = block.filter(pa.array(assign == b))
-            hc = {e["values"]: e["counts"]
-                  for e in pc.value_counts(part.column("host")).to_pylist()}
             seqs = part.column("seq")
-            meta.append((int(b), part.num_rows, hc,
+            meta.append((int(b), part.num_rows,
                          pc.min(seqs).as_py(), pc.max(seqs).as_py()))
             tables.append(part)
     yield counters, meta
@@ -236,24 +239,30 @@ def _update_frontier_block(block, seq: int, flat: dict):
 
 
 @ray.remote(num_returns=4)
-def _bucket_dequeue(refs: list, budget: int):
-    """Worker-side politeness dequeue of ONE host bucket: all of a
-    host's rows live in exactly one bucket (rows were hash-partitioned
-    by host on add), so the per-host oldest-``budget`` cut needs NO
-    cross-bucket shuffle — the round-1 salted groupby's whole-frontier
-    exchange becomes B independent tasks.  Returns (wave, remainder,
-    remainder_rows, remainder_seq_range); the driver keeps the
-    remainder as a ref and never pulls it."""
-    tables = [t for t in ray.get(list(refs)) if t.num_rows]
+def _bucket_cut(budget: int, cutoff: "int | None", *parts: pa.Table):
+    """Worker-side cut of ONE host bucket: the oldest ``budget`` rows
+    per host (0 = no per-host cap) with ``seq <= cutoff`` (None = no
+    seq cap).  All of a host's rows live in exactly one bucket (rows
+    are hash-partitioned by host on add), so neither cut needs a
+    cross-bucket shuffle.  The parts are top-level arguments: Ray
+    resolves them before the task starts, so the worker never blocks in
+    ``ray.get`` (a blocked worker hands its CPU back and the raylet may
+    start a spare worker for it).  Returns (wave, remainder,
+    remainder_rows, remainder_seq_range); the remainder is a task
+    return, so its ref is owned by the driver, which never pulls it."""
+    tables = [t for t in parts if t.num_rows]
     if not tables:
         empty = FRONTIER_SCHEMA.empty_table()
         return empty, empty, 0, (0, 0)
     t = pa.concat_tables(tables, promote_options="default")
     t = t.take(pc.sort_indices(t, sort_keys=[("seq", "ascending")]))
-    import pandas as _pd
-
-    rank = t.select(["host"]).to_pandas().groupby("host").cumcount()
-    take = pa.array((rank < budget).to_numpy())
+    take = np.ones(t.num_rows, dtype=bool)
+    if cutoff is not None:
+        take &= t.column("seq").to_numpy() <= cutoff
+    if budget:
+        rank = t.select(["host"]).to_pandas().groupby("host").cumcount()
+        take &= rank.to_numpy() < budget
+    take = pa.array(take)
     wave = t.filter(take)
     rem = t.filter(pc.invert(take))
     rng = ((pc.min(rem.column("seq")).as_py(), pc.max(rem.column("seq")).as_py())
@@ -261,36 +270,42 @@ def _bucket_dequeue(refs: list, budget: int):
     return wave, rem, rem.num_rows, rng
 
 
+@ray.remote
+def _head_seqs(w: int, *parts: pa.Table) -> np.ndarray:
+    """The ``w`` smallest seqs of one bucket's parts (thin: int64 only)."""
+    seqs = [t.column("seq").to_numpy() for t in parts if t.num_rows]
+    return np.sort(np.concatenate(seqs))[:w] if seqs else np.zeros(0, np.int64)
+
+
+#: a budget-0 dequeue with ``max_wave_rows=0`` pulls the WHOLE frontier
+#: to the driver; past this many rows that is a scale foot-gun, so the
+#: dequeue refuses with guidance instead of silently OOMing the driver
+GATHER_GUARD_ROWS = 1_000_000
+
+
 class _DatasetFrontier:
     """Object-store-resident queued frontier (``frontier_backend="dataset"``).
 
     The driver holds only block ObjectRefs (hash-partitioned by host
-    into ``n_buckets`` ref lists) + per-block row counts + a per-host
-    row Counter; the queued rows themselves live in — and spill from —
-    the Ray object store.  Budget dequeues run one `_bucket_dequeue`
-    task per bucket (a host's rows never leave their bucket, so no
-    global shuffle); budget-0 dequeues use the two-pass global-oldest
-    cutoff.  The salted `politeness_dequeue_ds` groupby operator
-    remains the fallback for externally-supplied (un-bucketed)
-    frontiers."""
-
-    #: per-block seq range when unknown (adopted foreign blocks): every
-    #: point-update probe must consider the block
-    SEQ_RANGE_UNKNOWN = (-(1 << 62), 1 << 62)
+    into ``n_buckets`` ref lists) + per-block row counts and seq
+    ranges; the queued rows themselves live in — and spill from — the
+    Ray object store.  Every dequeue keeps that layout: a budget cut
+    runs one `_bucket_cut` task per bucket (a host's rows never leave
+    their bucket, so no global shuffle); a ``max_wave_rows`` cut finds
+    the global seq cutoff from thin per-bucket seq heads and cuts only
+    the buckets whose blocks straddle it; a whole-frontier dequeue is
+    one ``ray.get`` of the refs.  Remainders stay in their buckets as
+    driver-owned refs and are never gathered."""
 
     def __init__(self, n_buckets: int = 16):
         self.n_buckets = n_buckets
         self.buckets: list[list] = [[] for _ in range(n_buckets)]
         self.bucket_rows: list[list[int]] = [[] for _ in range(n_buckets)]
         # (min_seq, max_seq) per block, parallel to buckets/bucket_rows:
-        # point updates probe only the covering block(s), not every block
-        # (round-3 verdict #4)
+        # point updates probe only the covering block(s), and a
+        # max_wave_rows cut only touches blocks straddling its cutoff
         self.bucket_seq: list[list[tuple[int, int]]] = [[] for _ in range(n_buckets)]
-        self.host_counts: dict[str, int] = {}
         self._host_bucket_cache: dict[str, int] = {}
-        # flat = bucket identity unknown (blocks adopted via set_blocks):
-        # budget dequeues must use the salted groupby fallback
-        self.flat = False
 
     @property
     def refs(self) -> list:
@@ -313,113 +328,99 @@ class _DatasetFrontier:
             self._host_bucket_cache[host] = b
         return b
 
+    def _append(self, b: int, ref, n: int, rng: tuple[int, int]) -> None:
+        self.buckets[b].append(ref)
+        self.bucket_rows[b].append(n)
+        self.bucket_seq[b].append(rng)
+
     def adopt_parts(self, parts: list) -> None:
         """Adopt worker-bucketed frontier parts: ``(bucket, ref, n_rows,
-        host_counts, seq_min, seq_max)`` tuples assembled from
+        seq_min, seq_max)`` tuples assembled from
         ``_adopt_frontier_block``'s yields — the rows stay in the object
         store; the driver records refs + counts + seq ranges only
         (the turbo-path ingestion; `add_table` remains for driver-side
         row sources: seeds, manual enqueues, checkpoint load)."""
-        dest = 0 if self.flat else None  # flat store: bucket identity moot
-        for b, ref, n, hc, smin, smax in parts:
-            tb = dest if dest is not None else b
-            self.buckets[tb].append(ref)
-            self.bucket_rows[tb].append(n)
-            self.bucket_seq[tb].append((smin, smax))
-            for h, c in hc.items():
-                self.host_counts[h] = self.host_counts.get(h, 0) + c
+        for b, ref, n, smin, smax in parts:
+            self._append(b, ref, n, (smin, smax))
 
     def add_table(self, t: pa.Table) -> None:
         if t.num_rows == 0:
             return
-
-        def _rng(part: pa.Table) -> tuple[int, int]:
+        hosts = t.column("host").to_pylist()
+        assign = np.fromiter((self._bucket_of(h) for h in hosts),
+                             dtype=np.int32, count=len(hosts))
+        for b in np.unique(assign):
+            part = t.filter(pa.array(assign == b))
             s = part.column("seq")
-            return (pc.min(s).as_py(), pc.max(s).as_py())
+            self._append(int(b), ray.put(part), part.num_rows,
+                         (pc.min(s).as_py(), pc.max(s).as_py()))
 
-        if self.flat:
-            # bucket invariant already lost: keep everything in one pool
-            self.buckets[0].append(ray.put(t))
-            self.bucket_rows[0].append(t.num_rows)
-            self.bucket_seq[0].append(_rng(t))
-        else:
-            hosts = t.column("host").to_pylist()
-            assign = np.fromiter((self._bucket_of(h) for h in hosts),
-                                 dtype=np.int32, count=len(hosts))
-            for b in np.unique(assign):
-                part = t.filter(pa.array(assign == b))
-                self.buckets[int(b)].append(ray.put(part))
-                self.bucket_rows[int(b)].append(part.num_rows)
-                self.bucket_seq[int(b)].append(_rng(part))
-        for e in pc.value_counts(t.column("host")).to_pylist():
-            self.host_counts[e["values"]] = (
-                self.host_counts.get(e["values"], 0) + e["counts"])
+    def _run_cuts(self, cuts: dict, tables: list) -> pa.Table:
+        """Finish per-bucket ``_bucket_cut`` tasks: each bucket's
+        remainder joins the blocks it kept; the waves join ``tables``.
+        Returns the seq-sorted wave."""
+        items = list(cuts.items())
+        outs = ray.get([r for _, c in items for r in (c[0], c[2], c[3])])
+        for k, (b, c) in enumerate(items):
+            wave, nrem, rng = outs[3 * k:3 * k + 3]
+            tables.append(wave)
+            if nrem:
+                self._append(b, c[1], nrem, tuple(rng))
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return FRONTIER_SCHEMA.empty_table()
+        wave = pa.concat_tables(tables, promote_options="default")
+        return wave.take(pc.sort_indices(wave, sort_keys=[("seq", "ascending")]))
+
+    def _take_bucket(self, b: int) -> tuple[list, list, list]:
+        out = self.buckets[b], self.bucket_rows[b], self.bucket_seq[b]
+        self.buckets[b], self.bucket_rows[b], self.bucket_seq[b] = [], [], []
+        return out
 
     def dequeue_budget(self, budget: int) -> pa.Table:
         """Per-bucket worker-side politeness cut; remainder refs kept,
         never gathered.  Returns the seq-sorted wave."""
-        futures = []
+        cuts = {b: _bucket_cut.remote(budget, None, *self._take_bucket(b)[0])
+                for b in range(self.n_buckets) if self.buckets[b]}
+        return self._run_cuts(cuts, [])
+
+    def dequeue_oldest(self, w: int) -> pa.Table:
+        """The ``w`` oldest rows by seq (0 = the whole frontier), seq-
+        sorted.  The whole frontier is one ``ray.get`` of the refs,
+        refused past ``GATHER_GUARD_ROWS`` rows (read from the per-block
+        counts — no row is pulled to decide).  Otherwise the exact
+        global cutoff is the ``w``-th smallest of the per-bucket seq
+        heads (seqs are unique); blocks wholly at or below it join the
+        wave as they are, blocks wholly above it stay, and each bucket's
+        straddling blocks are cut by one task."""
+        n = self.num_rows
+        if w <= 0 or w >= n:
+            if w <= 0 and GATHER_GUARD_ROWS and n > GATHER_GUARD_ROWS:
+                raise ValueError(
+                    f"a whole-frontier dequeue would gather all {n} queued "
+                    f"rows to the driver (guard: {GATHER_GUARD_ROWS}); set "
+                    "max_wave_rows to bound the wave")
+            refs = [r for b in range(self.n_buckets)
+                    for r in self._take_bucket(b)[0]]
+            return self._run_cuts({}, ray.get(refs))
+        heads = ray.get([_head_seqs.remote(w, *refs)
+                         for refs in self.buckets if refs])
+        cutoff = int(np.sort(np.concatenate(heads))[w - 1])
+        cuts, direct = {}, []
         for b in range(self.n_buckets):
-            if self.bucket_rows[b]:
-                futures.append((b, _bucket_dequeue.remote(self.buckets[b], budget)))
-        wave_parts = []
-        for b, (wave_ref, rem_ref, nrem_ref, rng_ref) in futures:
-            nrem = ray.get(nrem_ref)
-            self.buckets[b] = [rem_ref] if nrem else []
-            self.bucket_rows[b] = [nrem] if nrem else []
-            self.bucket_seq[b] = [tuple(ray.get(rng_ref))] if nrem else []
-            wave_parts.append(ray.get(wave_ref))
-        wave_parts = [w for w in wave_parts if w.num_rows]
-        self.maybe_unflatten()
-        if not wave_parts:
-            return FRONTIER_SCHEMA.empty_table()
-        wave = pa.concat_tables(wave_parts, promote_options="default")
-        return wave.take(pc.sort_indices(wave, sort_keys=[("seq", "ascending")]))
-
-    def maybe_unflatten(self) -> None:
-        """Once a flat store fully drains, bucket identity can be
-        rebuilt: new ``add_table`` rows re-bucket by host and budget
-        dequeues return to the per-bucket fast path (without this the
-        one-time ``set_blocks`` fallback was permanent)."""
-        if self.flat and self.num_rows == 0:
-            self.flat = False
-            self.buckets = [[] for _ in range(self.n_buckets)]
-            self.bucket_rows = [[] for _ in range(self.n_buckets)]
-            self.bucket_seq = [[] for _ in range(self.n_buckets)]
-
-    def subtract_hosts(self, t: pa.Table) -> None:
-        for e in pc.value_counts(t.column("host")).to_pylist():
-            n = self.host_counts.get(e["values"], 0) - e["counts"]
-            if n > 0:
-                self.host_counts[e["values"]] = n
-            else:
-                self.host_counts.pop(e["values"], None)
-
-    def set_blocks(self, materialized: "rd.MaterializedDataset") -> None:
-        """Repoint the store at a materialized dataset's blocks (Arrow
-        blocks; counts from block metadata — no data pull).  Bucket
-        identity is lost — the store goes FLAT (everything in bucket 0)
-        and budget dequeues fall back to the salted groupby operator
-        until the store is rebuilt by per-bucket dequeues."""
-        self.flat = True
-        self.buckets = [[] for _ in range(self.n_buckets)]
-        self.bucket_rows = [[] for _ in range(self.n_buckets)]
-        self.bucket_seq = [[] for _ in range(self.n_buckets)]
-        for b in materialized.iter_internal_ref_bundles():
-            for ref, meta in b.blocks:
-                n = meta.num_rows or 0
-                if n:
-                    self.buckets[0].append(ref)
-                    self.bucket_rows[0].append(n)
-                    self.bucket_seq[0].append(self.SEQ_RANGE_UNKNOWN)
-        self.maybe_unflatten()  # an empty repoint restores bucketing
-
-    def dataset(self) -> rd.Dataset:
-        return rd.from_arrow_refs(list(self.refs))
-
-    def hot_hosts(self, salt_threshold: int, max_salt: int) -> dict[str, int]:
-        return {h: min(max_salt, -(-n // salt_threshold))
-                for h, n in self.host_counts.items() if n > salt_threshold}
+            if not self.buckets[b]:
+                continue
+            straddle = []
+            for ref, rows, rng in zip(*self._take_bucket(b)):
+                if rng[1] <= cutoff:
+                    direct.append(ref)
+                elif rng[0] > cutoff:
+                    self._append(b, ref, rows, rng)
+                else:
+                    straddle.append(ref)
+            if straddle:
+                cuts[b] = _bucket_cut.remote(0, cutoff, *straddle)
+        return self._run_cuts(cuts, ray.get(direct))
 
     def gather(self) -> pa.Table:
         """Driver materialization — inspection/small frontiers only."""
@@ -490,10 +491,9 @@ DEFAULT_CONFIG = dict(
     robots_pool_auto_shards=8,  # pool size used by the auto-enable
     frontier_backend="driver",  # "driver": Arrow table on the driver (exact,
                                # sandbox default); "dataset": queued rows live
-                               # in the object store, dequeue is the salted
-                               # Dataset politeness operator — the 10^10 path
-    salt_threshold=10_000,     # queued rows per host before salting kicks in
-    max_salt=16,               # max sub-buckets per hot host
+                               # in the object store as host-bucketed block
+                               # refs, dequeued by per-bucket worker tasks —
+                               # the 10^10 path
     # reference API-parity knobs; inert against the synthetic transport
     # (no real sockets to time out / proxy), accepted so a reference
     # user's config ports unchanged (README.md Configuration section)
@@ -581,6 +581,7 @@ class CrawlEngine:
         self._cond_seq = 0                 # add/removeFetchCondition ids
         self._cond_ids: dict[int, tuple] = {}
         self._web_ref = None
+        self._cluster_cpus: Optional[float] = None
         self.timings: dict[str, float] = {}  # per-phase seconds (profiling)
 
     # ------------------------------------------------------------- helpers
@@ -594,6 +595,37 @@ class CrawlEngine:
             yield
             self.timings[key] = self.timings.get(key, 0.0) + _t.perf_counter() - t0
         return cm()
+
+    def _actor_cpus(self) -> float:
+        """CPUs reserved by the actors this engine created: the seen
+        shards, plus the robots-pool shards once the pool is on."""
+        from ..state.robots_pool import RobotsShard
+        from ..state.seen import SeenShard
+
+        cpus = len(self.seen.shards) * SeenShard._default_options["num_cpus"]
+        if self._robots_pool is not None:
+            cpus += (len(self._robots_pool.shards)
+                     * RobotsShard._default_options["num_cpus"])
+        return cpus
+
+    def _budgeted(self, ds: rd.Dataset) -> rd.Dataset:
+        """Leave the engine's actor CPUs out of ``ds``'s Ray Data budget.
+
+        Ray Data otherwise counts the CPUs the seen shards (and robots
+        shards) hold as free, submits map tasks the raylet cannot place,
+        and the raylet starts spare worker processes for them.  A CPU
+        limit the user already set is kept, and the exclusion always
+        leaves room for one 1-CPU task.  Only ``ds``'s own copy of the
+        DataContext changes."""
+        opts = ds.context.execution_options
+        if opts.resource_limits.cpu != float("inf"):
+            return ds  # Ray Data refuses a CPU limit and exclusion together
+        if self._cluster_cpus is None:
+            self._cluster_cpus = ray.cluster_resources().get("CPU", 0.0)
+        cpus = min(self._actor_cpus(), max(0.0, self._cluster_cpus - 1))
+        opts.exclude_resources = opts.exclude_resources.copy(
+            cpu=max(opts.exclude_resources.cpu, cpus))
+        return ds
 
     def _count(self, key: str, n: int = 1) -> None:
         if n:
@@ -754,12 +786,12 @@ class CrawlEngine:
             bs = 65536
             chunks = [cands.slice(o, bs)
                       for o in range(0, cands.num_rows, bs)]
-            processed = gather_tables(
+            processed = gather_tables(self._budgeted(
                 rd.from_arrow(chunks).map_batches(
                     candidate_udf,
                     fn_kwargs=dict(cfg_ref=cfg_ref, robots_ref=robots_ref),
                     batch_format="pyarrow", batch_size=bs,
-                    zero_copy_batch=True))
+                    zero_copy_batch=True)))
             out = (pa.concat_tables(processed, promote_options="default")
                    if processed else candidate_table([]))
             admitted = self._admit_candidates(out)
@@ -947,8 +979,8 @@ class CrawlEngine:
 
         Driver-side vectorized implementation by default (frontier fits
         one node in this sandbox); with ``frontier_backend="dataset"``
-        the same operator runs over the object-store-resident frontier
-        with host-bucket salting and the driver only ever holds the
+        the same cut runs over the object-store-resident frontier, one
+        worker task per host bucket, and the driver only ever holds the
         wave (the multi-node 10^10 path).
         """
         if self._frontier is not None:
@@ -982,48 +1014,14 @@ class CrawlEngine:
         return wave
 
     def _dequeue_wave_ds(self) -> pa.Table:
-        """Dataset-backend dequeue: salted politeness (budget > 0) or
-        global-oldest-W (budget 0 + max_wave_rows); the remainder is
-        re-pinned as block refs, never gathered."""
-        from ..stages.politeness import dequeue_oldest_ds, politeness_dequeue_ds
-
+        """Dataset-backend dequeue: per-bucket politeness cut (budget >
+        0) or global-oldest-W (budget 0, W = max_wave_rows, 0 = all);
+        the remainder stays bucketed as block refs, never gathered."""
         fr = self._frontier
-        if fr.num_rows == 0:
-            return FRONTIER_SCHEMA.empty_table()
-        ds = fr.dataset()
-        budget = self.cfg["host_budget_per_round"]
-        cap = self.cfg["max_wave_rows"]
-        if budget:
-            if not fr.flat:
-                # bucketed fast path: per-bucket worker-side cut, no
-                # frontier-wide shuffle (a host's rows live in exactly
-                # one bucket)
-                wave = fr.dequeue_budget(budget)
-                fr.subtract_hosts(wave)
-                if cap and wave.num_rows > cap:
-                    fr.add_table(wave.slice(cap))  # same host buckets
-                    wave = wave.slice(0, cap)
-            else:
-                # flat store (adopted blocks): salted groupby operator
-                hot = fr.hot_hosts(self.cfg["salt_threshold"], self.cfg["max_salt"])
-                wave, remainder, requeue = politeness_dequeue_ds(ds, budget, hot)
-                fr.set_blocks(remainder.materialize())
-                fr.subtract_hosts(wave)
-                if requeue.num_rows:
-                    fr.subtract_hosts(requeue)
-                    fr.add_table(requeue)
-                if cap and wave.num_rows > cap:
-                    fr.add_table(wave.slice(cap))
-                    wave = wave.slice(0, cap)
-        else:
-            wave, remainder = dequeue_oldest_ds(ds, cap)
-            fr.set_blocks(remainder.materialize())
-            fr.subtract_hosts(wave)
-        if wave.num_rows:
-            # restore the frontier layout (pandas round-trips in the
-            # dequeue can reorder columns)
-            wave = wave.select([f.name for f in FRONTIER_SCHEMA]).cast(FRONTIER_SCHEMA)
-        return wave
+        if self.cfg["host_budget_per_round"]:
+            return self._cap_wave(
+                fr.dequeue_budget(self.cfg["host_budget_per_round"]))
+        return fr.dequeue_oldest(self.cfg["max_wave_rows"])
 
     # ------------------------------------------------------------- rounds
 
@@ -1111,13 +1109,13 @@ class CrawlEngine:
         # task-based UDF + worker-local state cache: per-worker init cost is
         # paid once per crawl, not once per round (see stages/fetch.py)
         with self._timed("fetch"):
-            fetched_ds = wave_ds.map_batches(
+            fetched_ds = self._budgeted(wave_ds.map_batches(
                 fetcher_udf,
                 fn_kwargs=dict(web_ref=self._web_ref, cfg_ref=cfg_ref, cache_ref=cache_ref),
                 batch_format="pyarrow",
                 batch_size=bs,
                 zero_copy_batch=True,
-            ).materialize()
+            )).materialize()
         with self._timed("fetch_gather"):
             # payload blocks never transit the driver: a worker task splits
             # each block into (normalized-ref kept in the object store,
@@ -1263,7 +1261,7 @@ class CrawlEngine:
             )
             from ..ops import gather_tables
 
-            cand_tables = gather_tables(cand_ds)
+            cand_tables = gather_tables(self._budgeted(cand_ds))
         if redirect_cands:
             proc = CandidateProcessor(self.cfg, self.robots_cache)
             cand_tables.append(proc(candidate_table(redirect_cands)))
@@ -1378,7 +1376,7 @@ class CrawlEngine:
             fetched_total += wave.num_rows
             with self._timed("turbo_round"):
                 chunks = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)] or [wave]
-                ds = rd.from_arrow(chunks).map_batches(
+                ds = self._budgeted(rd.from_arrow(chunks).map_batches(
                     turbo_round_udf,
                     fn_kwargs=dict(web_ref=self._web_ref, cfg_ref=cfg_ref,
                                    robots_ref=robots_ref,
@@ -1389,7 +1387,7 @@ class CrawlEngine:
                     batch_format="pyarrow",
                     batch_size=bs,
                     zero_copy_batch=True,
-                )
+                ))
                 if self._frontier is not None:
                     # dataset backend: admitted rows NEVER transit the
                     # driver — each output block is bucketed worker-side
@@ -1419,8 +1417,8 @@ class CrawlEngine:
                                     counters[k] = counters.get(k, 0) + v
                             if meta:
                                 self._frontier.adopt_parts([
-                                    (b, ref, n, hc, smin, smax)
-                                    for (b, n, hc, smin, smax), ref
+                                    (b, ref, n, smin, smax)
+                                    for (b, n, smin, smax), ref
                                     in zip(meta, part_refs)])
                 else:
                     from ..ops import gather_tables as _gt
@@ -1460,15 +1458,15 @@ class CrawlEngine:
 
     def _write_queued_state(self, tmp: str) -> None:
         """Checkpoint the queued frontier: one driver write (driver
-        backend) or one worker-side write per block (dataset backend —
-        queued rows never transit the driver)."""
+        backend) or one worker-side write per non-empty host bucket
+        (dataset backend — queued rows never transit the driver)."""
         if self._frontier is not None:
-            refs = self._frontier.refs
-            if refs:
-                ray.get([
-                    _write_block.remote(r, os.path.join(tmp, f"queued-{i:04d}.parquet"))
-                    for i, r in enumerate(refs)
-                ])
+            writes = [
+                _write_parts.remote(
+                    os.path.join(tmp, f"queued-{b:04d}.parquet"), *refs)
+                for b, refs in enumerate(self._frontier.buckets) if refs]
+            if writes:
+                ray.get(writes)
             else:
                 pq.write_table(FRONTIER_SCHEMA.empty_table(),
                                os.path.join(tmp, "queued.parquet"))
@@ -1595,7 +1593,7 @@ class CrawlEngine:
         # each block written from a worker (normalized refs: no
         # "discovered", payloads never hop through the driver)
         ray.get([
-            _write_block.remote(r, os.path.join(tmp, f"fetched-{i:04d}.parquet"))
+            _write_parts.remote(os.path.join(tmp, f"fetched-{i:04d}.parquet"), r)
             for i, r in enumerate(fetched_refs)
         ])
         self._write_queued_state(tmp)

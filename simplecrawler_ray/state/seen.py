@@ -254,11 +254,13 @@ class CuckooBackend:
         return hit
 
     def _insert_one(self, fp: int, b1: int, b2: int) -> bool:
-        """Place FP; returns True unless a key was genuinely lost.
+        """Place FP; returns True iff the filter retains one more entry.
 
         On kick exhaustion the NEW fingerprint is already in the table
         (the first swap placed it); the casualty is the final evicted
-        VICTIM, which goes to the stash — or, if the stash is full, is
+        VICTIM, which goes to the stash — unless the stash already
+        holds that (fingerprint, bucket) pair, which keeps the victim
+        findable without a new entry — or, if the stash is full, is
         dropped and counted in ``overflow``."""
         t = self.table
         for b in (b1, b2):
@@ -282,6 +284,8 @@ class CuckooBackend:
         # chain exhausted: `cur` was evicted from the swap at the
         # PREVIOUS bucket, so the current `b` (its alternate) is one of
         # its two homes — stash (cur, b) to keep it findable
+        if int(b) in self.stash.get(int(cur), ()):
+            return False
         if self.stash_n < self.stash_max:
             self.stash.setdefault(int(cur), set()).add(int(b))
             self.stash_n += 1
@@ -327,13 +331,14 @@ class CuckooBackend:
             pending = pending[~placed]
         for i in pending:  # both buckets full: scalar kick loop
             # the new fingerprint is ALWAYS recorded (first swap places
-            # it); _insert_one returns False only when the stash was
-            # full and the kick chain's final VICTIM had to be dropped
-            # — that loss is counted in overflow by _insert_one, and a
-            # saturating filter is therefore never silent (size via
-            # seen_capacity_per_shard; load factor ~0.95 max)
-            self._insert_one(int(fp[i]), int(b1[i]), int(b2[i]))
-            self.count += 1
+            # it); when the kick chain's final VICTIM gets no new entry
+            # (its stash pair exists, or the stash is full and the loss
+            # is counted in overflow) the entry count stays put, so
+            # len() is the number of retained entries and a saturating
+            # filter is never silent (size via seen_capacity_per_shard;
+            # load factor ~0.95 max)
+            if self._insert_one(int(fp[i]), int(b1[i]), int(b2[i])):
+                self.count += 1
             out[i] = True
         return out
 

@@ -371,36 +371,6 @@ def test_fetch_order_is_fifo(web):
     eng.seen.shutdown()
 
 
-def test_politeness_dequeue_ds_salted():
-    """Dataset-shaped politeness dequeue with host salting: budget exact
-    per host, FIFO by seq, remainder preserved."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from simplecrawler_ray.stages.politeness import politeness_dequeue_ds
-
-    rows = []
-    seq = 0
-    for host, n in [("hot.test", 50), ("a.test", 3), ("b.test", 5)]:
-        for i in range(n):
-            rows.append({"seq": seq, "url": f"http://{host}/p/{i}", "host": host,
-                         "url_hash": seq * 7919 + 13})
-            seq += 1
-    t = pa.Table.from_pylist(rows)
-    ds = rd.from_arrow([t.slice(o, 10) for o in range(0, t.num_rows, 10)])
-    wave, rest, requeue = politeness_dequeue_ds(ds, budget=4,
-                                                hot_hosts={"hot.test": 4})
-    wdf = wave.to_pandas()
-    per_host = wdf.groupby("host")["seq"].apply(list).to_dict()
-    assert len(per_host.get("hot.test", [])) == 4
-    assert per_host["a.test"] == sorted(per_host["a.test"])
-    assert len(per_host["a.test"]) == 3  # under budget: all taken
-    assert len(per_host["b.test"]) == 4
-    assert wave.num_rows + rest.count() + requeue.num_rows == 58
-    # hot host's taken rows are its 4 oldest within salted fairness caps
-    assert all(s < 50 for s in per_host["hot.test"])
-
-
 def test_turbo_checkpoint_resume(tmp_path):
     sw = ScaleWeb(n_pages=60, n_hosts=4, out_degree=3)
     sink = str(tmp_path / "sink")
@@ -680,14 +650,13 @@ def test_wait_handle_ttl_expires(web):
 
 
 def test_dataset_frontier_salted_hot_host(tmp_path):
-    """Engine-level hot-host salting: salt_threshold forces the Zipf
-    head host into sub-buckets; per-host budget stays exact and the
-    salt spill is re-queued, never lost."""
-    rows = []
+    """Engine-level hot host: the Zipf head host holds most of the
+    frontier in one bucket; the per-bucket cut keeps the per-host
+    budget exact, FIFO within a host, and loses no row."""
     sw = ScaleWeb(n_pages=120, n_hosts=2, out_degree=0)  # host skew via Zipf
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=2,
                       store_body=False, host_budget_per_round=5,
-                      frontier_backend="dataset", salt_threshold=10, max_salt=4)
+                      frontier_backend="dataset")
     eng.seed_frontier([sw.url_of(i) for i in range(120)])
     total = 0
     rounds = 0
@@ -705,11 +674,11 @@ def test_dataset_frontier_salted_hot_host(tmp_path):
             assert ss == sorted(ss)
         total += wave.num_rows
         rounds += 1
-    assert total == 120  # salt spill re-queued, nothing lost
+    assert total == 120  # nothing lost
     eng.seen.shutdown()
 
 
-@pytest.mark.parametrize("budget,cap", [(1, 0), (3, 0), (0, 17), (2, 7)])
+@pytest.mark.parametrize("budget,cap", [(1, 0), (3, 0), (0, 17), (2, 7), (0, 0)])
 def test_dataset_vs_driver_dequeue_equivalence(budget, cap):
     """Property: for any (budget, cap) config the dataset dequeue emits
     the same per-round URL sets as the driver dequeue."""
@@ -930,26 +899,133 @@ def test_dataset_frontier_fetch_order_matches_driver_multi_host():
     assert seqs_d == seqs_ds            # identical seq stamping
 
 
-def test_dequeue_oldest_ds_guard_fires():
-    """w<=0 on a frontier past the gather guard refuses instead of
-    silently pulling every row to the driver (round-3 verdict #3);
-    a positive w and an explicit larger guard both still work."""
-    import pyarrow as pa
+def _seeded_dataset_engine(n_pages=40, n_hosts=5, **opts):
+    sw = ScaleWeb(n_pages=n_pages, n_hosts=n_hosts, out_degree=0)
+    eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=2,
+                      store_body=False, frontier_backend="dataset", **opts)
+    eng.seed_frontier([sw.url_of(i) for i in range(n_pages)])
+    return eng
+
+
+def test_budget0_dequeue_guard_fires(monkeypatch):
+    """A whole-frontier dequeue (budget 0, max_wave_rows 0) past the
+    gather guard refuses instead of pulling every row to the driver,
+    and decides from the per-block row counts without pulling a row; a
+    positive max_wave_rows and a larger guard both still work."""
+    from simplecrawler_ray.pipelines import crawl as crawl_mod
+
+    eng = _seeded_dataset_engine()
+    monkeypatch.setattr(crawl_mod, "GATHER_GUARD_ROWS", 20)
+    with monkeypatch.context() as m:
+        def no_get(*a, **k):
+            raise AssertionError("rows pulled before the guard decided")
+        m.setattr(crawl_mod.ray, "get", no_get)
+        with pytest.raises(ValueError, match="gather"):
+            eng._dequeue_wave()
+    assert eng._frontier.num_rows == 40  # the refusal loses nothing
+    eng.cfg["max_wave_rows"] = 15
+    wave = eng._dequeue_wave()
+    assert wave.column("seq").to_pylist() == list(range(15))
+    monkeypatch.setattr(crawl_mod, "GATHER_GUARD_ROWS", 100)
+    eng.cfg["max_wave_rows"] = 0
+    wave2 = eng._dequeue_wave()
+    assert wave2.column("seq").to_pylist() == list(range(15, 40))
+    eng.seen.shutdown()
+
+
+def test_dataset_frontier_wave_cut_keeps_buckets():
+    """A max_wave_rows cut takes the exact global oldest rows and leaves
+    every remaining row in its host's bucket as a block ref with a
+    correct seq range (the store never loses bucket identity)."""
+    import ray
+
+    from simplecrawler_ray.pipelines.crawl import _host_bucket
+
+    eng = _seeded_dataset_engine(n_pages=60, n_hosts=6, max_wave_rows=13)
+    fr = eng._frontier
+    taken = []
+    while fr.num_rows:
+        wave = eng._dequeue_wave()
+        assert 0 < wave.num_rows <= 13
+        taken.extend(wave.column("seq").to_pylist())
+        for b, refs in enumerate(fr.buckets):
+            for t, n, (lo, hi) in zip(ray.get(refs), fr.bucket_rows[b],
+                                      fr.bucket_seq[b]):
+                assert t.num_rows == n
+                seqs = t.column("seq").to_pylist()
+                assert (min(seqs), max(seqs)) == (lo, hi)
+                assert {_host_bucket(h, fr.n_buckets)
+                        for h in t.column("host").to_pylist()} == {b}
+    assert taken == list(range(60))  # FIFO across rounds, nothing lost
+    eng.seen.shutdown()
+
+
+def test_dataset_checkpoint_writes_one_file_per_bucket(tmp_path):
+    """The dataset frontier checkpoints one queued file per non-empty
+    host bucket, and a resume reads back every queued row."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    sw = ScaleWeb(n_pages=60, n_hosts=6, out_degree=3)
+    ck = str(tmp_path / "ck")
+    opts = dict(filter_by_domain=False, seen_shards=2, store_body=False,
+                batch_size=16, frontier_backend="dataset", max_wave_rows=10)
+    eng = CrawlEngine(sw, sw.url_of(0), checkpoint_dir=ck, **opts)
+    eng.seed_frontier([sw.url_of(i) for i in range(60)])
+    eng.run_turbo(str(tmp_path / "sink"), max_rounds=2)
+    fr = eng._frontier
+    queued = fr.num_rows
+    assert queued > 0
+    last = sorted(glob.glob(os.path.join(ck, "state-round=*")))[-1]
+    files = sorted(glob.glob(os.path.join(last, "queued*.parquet")))
+    assert len(files) == sum(1 for refs in fr.buckets if refs)
+    assert sum(pq.read_metadata(f).num_rows for f in files) == queued
+    eng.seen.shutdown()
+    eng2 = CrawlEngine.resume_turbo(sw, sw.url_of(0), ck,
+                                    str(tmp_path / "sink"), **opts)
+    assert eng2._frontier.num_rows == queued
+    eng2.seen.shutdown()
+
+
+def test_ray_data_budget_excludes_actor_cpus():
+    """Every Ray Data execution the engine starts leaves the CPUs of the
+    engine's own actors out of its budget: seen shards, plus robots
+    shards once the pool is on.  A user CPU limit is kept, the global
+    DataContext is untouched, and at least one 1-CPU task always fits."""
+    import ray
     import ray.data as rd
+    from ray.data._internal.execution.interfaces import ExecutionResources
 
-    from simplecrawler_ray.stages.politeness import dequeue_oldest_ds
-
-    t = pa.Table.from_pylist([
-        {"seq": i, "url": f"http://h.test/{i}", "host": "h.test",
-         "url_hash": i * 31 + 7} for i in range(40)
-    ])
-    ds = rd.from_arrow([t.slice(o, 10) for o in range(0, 40, 10)])
-    with pytest.raises(ValueError, match="gather"):
-        dequeue_oldest_ds(ds, 0, gather_guard_rows=20)
-    wave, rest = dequeue_oldest_ds(ds, 15, gather_guard_rows=20)
-    assert wave.num_rows == 15
-    wave2, _ = dequeue_oldest_ds(ds, 0, gather_guard_rows=100)
-    assert wave2.num_rows == 40
+    total = ray.cluster_resources()["CPU"]
+    sw = ScaleWeb(n_pages=10, n_hosts=2, out_degree=0)
+    eng = CrawlEngine(sw, sw.url_of(0), seen_shards=2)
+    assert eng._actor_cpus() == 0.5
+    ds = eng._budgeted(rd.range(4))
+    assert ds.context.execution_options.exclude_resources.cpu == 0.5
+    glob_opts = rd.DataContext.get_current().execution_options
+    assert glob_opts.exclude_resources.cpu == 0
+    eng.cfg["robots_pool_shards"] = 2
+    eng._fetch_robots({sw.url_of(0).split("/")[2] + ":"})
+    assert eng._actor_cpus() == 1.0
+    ds = eng._budgeted(rd.range(4))
+    assert ds.context.execution_options.exclude_resources.cpu == 1.0
+    assert ds.take_all()  # still schedules
+    # a larger user exclusion is kept; a user CPU limit is left alone
+    ds = rd.range(4)
+    ds.context.execution_options.exclude_resources = ExecutionResources(cpu=1.5)
+    assert eng._budgeted(ds).context.execution_options.exclude_resources.cpu == 1.5
+    ds = rd.range(4)
+    ds.context.execution_options.resource_limits = ExecutionResources(cpu=2)
+    opts = eng._budgeted(ds).context.execution_options
+    assert opts.exclude_resources.cpu == 0 and opts.resource_limits.cpu == 2
+    # more actor CPUs than the cluster spares: one 1-CPU task still fits
+    eng._actor_cpus = lambda: 4 * total
+    ds = eng._budgeted(rd.range(4))
+    assert ds.context.execution_options.exclude_resources.cpu == total - 1
+    eng._robots_pool.shutdown()
+    eng.seen.shutdown()
 
 
 def test_manual_discovery_batched_hook(web):

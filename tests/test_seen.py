@@ -201,6 +201,68 @@ def test_cuckoo_no_false_negatives_until_overflow():
     assert len(inserted) >= 30           # and held ~full table + stash
 
 
+def _cuckoo_retained(b: CuckooBackend) -> int:
+    """Entries the filter holds: table slots in use plus stash pairs."""
+    return (int(np.count_nonzero(b.table))
+            + sum(len(v) for v in b.stash.values()))
+
+
+def test_cuckoo_stash_counts_each_pair_once():
+    """Re-stashing a (fingerprint, bucket) pair the stash already holds
+    adds no entry: stash_n stays the number of distinct pairs, nothing
+    overflows, and len() stays the number of retained entries."""
+    b = CuckooBackend(capacity=16)      # 8 buckets x 4 slots, stash 4
+    b.table[:] = 7                      # every kick chain cycles on fp 7
+    b.count = _cuckoo_retained(b)
+    for _ in range(3 * b.stash_max):
+        if b._insert_one(7, 0, 1):
+            b.count += 1
+    # the chain alternates between two buckets: at most two pairs
+    assert 1 <= b.stash_n <= 2
+    assert b.stash_n == sum(len(v) for v in b.stash.values())
+    assert b.overflow == 0
+    assert len(b) == _cuckoo_retained(b)
+
+
+def test_cuckoo_hypothesis_model_past_saturation():
+    """Model-based check of the cuckoo filter against a Python set of
+    the keys it admitted, driven past saturation: every admitted key
+    stays contains()-true until the first counted loss (overflow > 0),
+    no admitted key is re-admitted before it, in-batch duplicates are
+    admitted at most once, and len() equals the retained entries."""
+    from hypothesis import given, settings, strategies as st
+
+    keys = st.integers(min_value=1, max_value=(1 << 64) - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(keys, max_size=40), min_size=1, max_size=8),
+           st.integers(min_value=0, max_value=7))
+    def run(batches, dup_every):
+        b = CuckooBackend(capacity=16)  # 32 slots + 4 stash entries
+        admitted: set = set()
+        for batch in batches:
+            if dup_every:
+                batch = batch + batch[::dup_every + 1]
+            arr = np.array(batch, dtype=np.uint64)
+            mask = b.check_and_add(arr).tolist()
+            lossless = b.overflow == 0
+            in_batch: set = set()
+            for k, new in zip(batch, mask):
+                if new:
+                    assert k not in in_batch
+                    if lossless:
+                        assert k not in admitted
+                    admitted.add(k)
+                in_batch.add(k)
+            assert len(b) == _cuckoo_retained(b)
+            assert len(b) <= len(admitted)
+            if lossless and admitted:
+                probe = np.array(sorted(admitted), dtype=np.uint64)
+                assert b.contains(probe).all()
+
+    run()
+
+
 def test_cuckoo_rejects_v1_fingerprint_snapshot():
     b = CuckooBackend(capacity=64)
     b.add(np.arange(1, 20, dtype=np.uint64))

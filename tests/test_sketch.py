@@ -104,6 +104,48 @@ def test_heavy_hitters_int_keys(ray_session):
     assert (got["est"].to_numpy() >= np.array([900, 700, 500])).all()
 
 
+def test_heavy_hitters_two_pass_fewer_than_k_distinct(ray_session):
+    """With fewer candidates than k the rescan threshold is 0: every
+    value can still be in the top k.  Each block's local cut keeps only
+    "a", so a threshold taken from the under-full candidate list would
+    drop "b" and "c"."""
+    from simplecrawler_ray.functions.sketch import heavy_hitters
+    block = ["a"] * 5 + ["b"] * 2 + ["c"]
+    ds = rd.from_pandas([pd.DataFrame({"u": block}) for _ in range(4)])
+    got = heavy_hitters(ds, "u", k=5, candidates_per_block=1, two_pass=True)
+    assert got["u"].tolist() == ["a", "b", "c"]
+    assert (got["est"].to_numpy() >= np.array([20, 8, 4])).all()
+
+
+def test_heavy_hitters_two_pass_block_keeps_no_rows(ray_session, monkeypatch):
+    """A rescan block whose values all fall below the threshold emits a
+    zero-row ``v`` column typed like the input column, not null."""
+    import ray
+
+    from simplecrawler_ray.functions import sketch
+
+    hot = pd.DataFrame({"u": np.repeat(np.array([7, 11], np.int64), 50)})
+    cold = pd.DataFrame({"u": np.arange(1000, 1010, dtype=np.int64)})
+    ds = rd.from_pandas([hot, cold])
+    got = sketch.heavy_hitters(ds, "u", k=2, candidates_per_block=2,
+                               two_pass=True)
+    assert got["u"].tolist() == [7, 11]
+    # the rescan blocks themselves: the cold one keeps no rows
+    seen = []
+    orig = rd.Dataset.map_batches
+
+    def spy(self, fn, **kw):
+        out = orig(self, fn, **kw)
+        if fn.__name__ == "rescan":
+            seen.extend(ray.get(out.materialize().to_arrow_refs()))
+        return out
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", spy)
+    sketch.heavy_hitters(ds, "u", k=2, candidates_per_block=2, two_pass=True)
+    assert [t.num_rows for t in seen] == [2, 0]
+    assert all(t.schema.field("v").type == pa.int64() for t in seen)
+
+
 def test_approx_ndistinct_empty_dataset(ray_session):
     from simplecrawler_ray.functions.sketch import approx_ndistinct
     empty = rd.from_arrow(pa.table({"u": pa.array([], pa.int64())}))

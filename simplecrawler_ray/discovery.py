@@ -69,6 +69,23 @@ DISCOVER_REGEX: list[re.Pattern | Extractor] = [
     _meta_refresh_2,
 ]
 
+# Literals without which a default extractor cannot match: a document
+# lacking one skips that scan.  ``url\(`` carries the url() regexes' own
+# flag (re.I); the srcset regex is case-sensitive, so a plain substring
+# test is exact for it.
+_RE_URL_CALL = re.compile(r"url\(", re.I)
+_URLFUNC_EXTRACTORS = (_RE_URLFUNC_QUOTED, _RE_URLFUNC_UNQUOTED)
+
+
+def _unmatchable_defaults(text: str) -> tuple:
+    skip: tuple = ()
+    if not _RE_URL_CALL.search(text):
+        skip += _URLFUNC_EXTRACTORS
+    if "srcset" not in text:
+        skip += (_srcset_extract,)
+    return skip
+
+
 _RE_HTML_COMMENT = re.compile(r"<!--([\s\S]+?)-->")
 _RE_SCRIPT_TAG = re.compile(r"<script(.*?)>([\s\S]*?)</script>", re.I)
 _RE_META_ROBOTS = re.compile(r"<meta(?:\s[^>]*)?\sname\s*=\s*[\"']?robots[\"']?[^>]*>", re.I)
@@ -93,8 +110,14 @@ def discover_resources(
         m = _RE_META_CONTENT.search(text.lower())
         if m and _RE_NOFOLLOW.search(m.group(1)):
             return []
+    skip: tuple = ()
+    if extractors is None:
+        extractors = DISCOVER_REGEX
+        skip = _unmatchable_defaults(text)
     out: list[str] = []
-    for ex in (extractors if extractors is not None else DISCOVER_REGEX):
+    for ex in extractors:
+        if ex in skip:
+            continue
         if isinstance(ex, re.Pattern):
             out.extend(ex.findall(text) if ex.groups == 0 else [m.group(0) for m in ex.finditer(text)])
         else:
@@ -112,12 +135,14 @@ def clean_expand_resources(
     seen: set[str] = set()
     seen_raw: set[str] = set()
     out: list[str] = []
-    base = Uri.parse(referrer_url or "")
-    # scheme-full raws normalize referrer-independently (absolute_to is
-    # a no-op) — popular cross-document links hit this worker-level
-    # cache instead of re-parsing.  Only default protocol filtering is
-    # cacheable (the filter verdict is part of the cached value).
-    cacheable_abs = allowed_protocols is None
+    base = None  # parsed on the first cache miss
+    # A raw whose CLEANED form starts with a scheme resolves independently
+    # of the referrer (absolute_to is a no-op), so its result is kept in
+    # this worker-level cache under (raw, referrer_protocol) — the
+    # protocol completes protocol-relative raws.  Every raw is looked up;
+    # relative ones are never stored, so they always miss.  Only default
+    # protocol filtering is cacheable (the verdict is part of the value).
+    cacheable = allowed_protocols is None
     for raw in candidates:
         if not raw:
             continue
@@ -126,29 +151,31 @@ def clean_expand_resources(
         if raw in seen_raw:
             continue
         seen_raw.add(raw)
-        ck = ((raw, referrer_protocol)
-              if cacheable_abs and _SCHEME_RE.match(raw) else None)
-        if ck is not None:
-            hit = _ABS_CLEAN_CACHE.get(ck, _UNSET)
+        key = (raw, referrer_protocol)
+        if cacheable:
+            hit = _ABS_CLEAN_CACHE.get(key, _UNSET)
             if hit is not _UNSET:
                 if hit is not None and hit not in seen:
                     seen.add(hit)
                     out.append(hit)
                 continue
         url = clean_url(raw, referrer_protocol)
+        store = cacheable and _SCHEME_RE.match(url) is not None
+        if base is None:
+            base = Uri.parse(referrer_url or "")
         try:
             u = Uri.parse(url).absolute_to(base).normalize()
         except (ValueError, UnicodeDecodeError):
-            if ck is not None:
-                _cache_abs(ck, None)
+            if store:
+                _cache_abs(key, None)
             continue
         url = u.href()
         if not url or not protocol_ok(u.protocol or "http", allowed_protocols):
-            if ck is not None:
-                _cache_abs(ck, None)
+            if store:
+                _cache_abs(key, None)
             continue
-        if ck is not None:
-            _cache_abs(ck, url)
+        if store:
+            _cache_abs(key, url)
         if url not in seen:
             seen.add(url)
             out.append(url)

@@ -4,14 +4,21 @@ No image libraries exist in this container (no PIL / imageio / cv2), so:
 
 * PNG is implemented for real (RGB8, zlib-deflated scanlines; encoder
   emits filter 0, decoder handles filters 0-4) — lossless, and the
-  bytes are valid PNG any external tool can open.
+  bytes are valid PNG any external tool can open.  When every scanline
+  uses filter 0 (all that ``encode_png`` emits) the decoder returns the
+  inflated scanlines with their filter bytes dropped; the per-pixel
+  loop runs only for filters 1-4.
 * "jpeg" is a clearly-marked deterministic STAND-IN for a real lossy
   codec: an 8x8 DCT + quantization codec (magic ``FJPG``).  It is NOT
   wire-compatible JPEG — ``decode_image`` on a real JPEG raises
   NotImplementedError — but it is genuinely lossy with PSNR that
   depends on the quality knob, so the north-rule fidelity invariant
   (decoded-pixel allclose lossless / PSNR>=40dB lossy) is exercised
-  end-to-end with real math.
+  end-to-end with real math.  The decoder runs the inverse DCT of all
+  three channels as one broadcast float32 matmul; summing in that order
+  instead of a per-channel einsum may move a decoded pixel by 1 LSB
+  (code value), never more, and that tolerance is pinned by the tests
+  against the einsum reference.
 
 All functions are deterministic; batch-level vectorization happens in
 the calling map_batches stage (images are inherently per-row payloads).
@@ -78,6 +85,9 @@ def decode_png(data: bytes) -> np.ndarray:
     stride = w * 3
     raw = raw.reshape(h, stride + 1)
     filters = raw[:, 0]
+    if not filters.any():  # all filter 0: the scanlines are the pixels
+        # copied: a view of the inflated bytes would be read-only
+        return raw[:, 1:].reshape(h, w, 3).copy()
     out = np.zeros((h, stride), np.uint16)
     bpp = 3
     for y in range(h):
@@ -147,10 +157,6 @@ def _blockify(chan: np.ndarray) -> np.ndarray:
     return chan.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
 
 
-def _unblockify(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
-    return blocks.transpose(0, 2, 1, 3).reshape(h, w)
-
-
 def encode_fakejpeg(arr: np.ndarray, quality: int = 85) -> bytes:
     """Deterministic lossy encode: per-channel 8x8 DCT + quantization.
 
@@ -182,12 +188,10 @@ def decode_fakejpeg(data: bytes) -> np.ndarray:
     raw = np.frombuffer(zlib.decompress(data[14:]), np.int16)
     if raw.size != 3 * (ph // 8) * (pw // 8) * 64:
         raise ValueError("truncated FJPG payload")
-    chans = raw.reshape(3, ph // 8, pw // 8, 8, 8).astype(np.float32)
-    out = np.zeros((ph, pw, 3), np.float32)
-    for c in range(3):
-        coeffs = chans[c] * q
-        blocks = np.einsum("ji,bcjk,kl->bcil", _DCT8, coeffs, _DCT8)
-        out[:, :, c] = _unblockify(blocks, ph, pw) + 128.0
+    coeffs = raw.reshape(3, ph // 8, pw // 8, 8, 8).astype(np.float32) * q
+    blocks = _DCT8.T @ coeffs @ _DCT8  # every block of every channel
+    # (c, by, bx, y, x) -> (by, y, bx, x, c) = (ph, pw, 3)
+    out = blocks.transpose(1, 3, 2, 4, 0).reshape(ph, pw, 3) + 128.0
     return np.clip(np.round(out[:h, :w]), 0, 255).astype(np.uint8)
 
 

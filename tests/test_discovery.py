@@ -181,3 +181,101 @@ def test_process_url_rejects_out_of_range_port():
     assert process_url("http://h.com:65536/x", "http://h.com/") is None
     row = process_url("http://h.com:65535/x", "http://h.com/")
     assert row is not None and row.port == 65535
+
+
+# --- worker-level resolve cache: every raw is looked up under
+# (raw, referrer_protocol), only scheme-full cleaned URLs are stored ---
+
+def _cold_then_warm(raws, referrer, protocol, **kw):
+    from simplecrawler_ray import discovery
+
+    discovery._ABS_CLEAN_CACHE.clear()
+    cold = clean_expand_resources(raws, referrer, protocol, **kw)
+    warm = clean_expand_resources(raws, referrer, protocol, **kw)
+    assert cold == warm
+    return cold
+
+
+def test_resolve_cache_relative_raw_resolves_per_referrer():
+    from simplecrawler_ray import discovery
+
+    raws = [" href='/a'", "?next=http://x.com/"]
+    a = _cold_then_warm(raws, "http://hosta.com/p/q", "http")
+    assert a == ["http://hosta.com/a",
+                 "http://hosta.com/p/q?next=http%3A%2F%2Fx.com%2F"]
+    # warmed on hosta: hostb must still get its own resolution
+    b = clean_expand_resources(raws, "http://hostb.com/r", "http")
+    assert b == ["http://hostb.com/a",
+                 "http://hostb.com/r?next=http%3A%2F%2Fx.com%2F"]
+    assert b == _cold_then_warm(raws, "http://hostb.com/r", "http")
+    assert not any((r, "http") in discovery._ABS_CLEAN_CACHE for r in raws)
+
+
+def test_resolve_cache_protocol_relative_raw_per_protocol():
+    raws = [" href='//x.com/a'"]
+    assert _cold_then_warm(raws, "http://h.com/", "http") == ["http://x.com/a"]
+    # warm from the http referrer, then an https referrer
+    clean_expand_resources(raws, "http://h.com/", "http")
+    assert clean_expand_resources(raws, "https://h.com/", "https") == [
+        "https://x.com/a"]
+    assert _cold_then_warm(raws, "https://h.com/", "https") == [
+        "https://x.com/a"]
+
+
+def test_resolve_cache_absolute_raw_same_on_two_referrers():
+    from simplecrawler_ray import discovery
+
+    raws = [" href='HTTP://X.com/a/../b?z=1&z=1#frag'", "http://y.com/c"]
+    expected = ["http://x.com/b?z=1", "http://y.com/c"]
+    assert _cold_then_warm(raws, "http://hosta.com/", "http") == expected
+    assert clean_expand_resources(raws, "http://hostb.com/d/e", "http") == expected
+    assert _cold_then_warm(raws, "http://hostb.com/d/e", "http") == expected
+    assert discovery._ABS_CLEAN_CACHE[(raws[0], "http")] == expected[0]
+
+
+def test_resolve_cache_bypassed_by_non_default_protocols():
+    import re
+
+    from simplecrawler_ray import discovery
+
+    raws = [" href='ftp://x.com/f'", " href='http://x.com/h'"]
+    # default allowlist drops ftp and stores both verdicts
+    assert _cold_then_warm(raws, "http://h.com/", "http") == ["http://x.com/h"]
+    assert discovery._ABS_CLEAN_CACHE[(raws[0], "http")] is None
+    ftp_only = [re.compile(r"^ftp$")]
+    assert clean_expand_resources(raws, "http://h.com/", "http",
+                                  allowed_protocols=ftp_only) == ["ftp://x.com/f"]
+    discovery._ABS_CLEAN_CACHE.clear()
+    assert _cold_then_warm(raws, "http://h.com/", "http",
+                           allowed_protocols=ftp_only) == ["ftp://x.com/f"]
+    assert not discovery._ABS_CLEAN_CACHE
+
+
+# --- literal prefilter: the default extractor list skips the url() and
+# srcset scans on documents without those literals ---
+
+_HTML_PIECES = ["url(", "URL(", "Url (", "uRl(", "url((", "srcset", "SRCSET",
+                " srcset=", " srcset='", "'", '"', ")", "(", " ", ",", "=",
+                "<meta", "<meta http-equiv='refresh' content='0; url=",
+                " href=", " src=", "http://a.com/x", "/p.png 2x", "x", ">",
+                "<a", "\n"]
+
+
+def _html_like():
+    from hypothesis import strategies as st
+
+    return st.lists(st.sampled_from(_HTML_PIECES), max_size=40).map("".join)
+
+
+def test_prefilter_matches_full_extractor_list():
+    from hypothesis import given, settings
+
+    from simplecrawler_ray.discovery import DISCOVER_REGEX
+
+    @given(_html_like())
+    @settings(max_examples=500, deadline=None)
+    def check(text):
+        assert discover_resources(text) == discover_resources(
+            text, extractors=DISCOVER_REGEX)
+
+    check()

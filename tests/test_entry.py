@@ -53,3 +53,28 @@ def test_entry_smoke():
     t = entrymod.entry()
     n = t.num_rows if isinstance(t, pa.Table) else len(t)
     assert n >= 1
+
+
+def test_dup_edge_memo_rebuilds_for_regenerated_documents(tmp_path):
+    """The dup-edge graph is memoized per sf_dir; regenerating the
+    documents table in place must rebuild it, not reuse stale edges."""
+    import pyarrow.parquet as pq
+
+    def write(texts, n_chars):
+        pq.write_table(pa.table({
+            "doc_id": pa.array(range(len(texts)), pa.int64()),
+            "text": texts, "lang": ["en"] * len(texts),
+            "n_chars": pa.array(n_chars, pa.int64())}),
+            tmp_path / "documents.parquet")
+
+    sf = str(tmp_path)
+    q = entrymod.queries()["q_docs_dup_clusters"]
+    write(["same"] * 6, [4] * 6)                  # one cluster
+    first = q(sf)
+    assert first["cluster"].nunique() == 1
+    write([f"doc number {i}" for i in range(8)], list(range(10, 18)))
+    second = q(sf)                                # no edges at all
+    assert second["doc_id"].tolist() == list(range(8))
+    assert second["cluster"].tolist() == list(range(8))
+    entrymod._DUP_EDGE_MEMO.clear()
+    pd.testing.assert_frame_equal(second, q(sf))  # same as a cold build

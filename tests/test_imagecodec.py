@@ -1,10 +1,15 @@
 """Image codec + corpus fidelity (north-rule invariant: decoded pixels
 allclose for lossless, PSNR >= 40 dB for lossy; caption equality)."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from simplecrawler_ray.functions.imagecodec import (
+    _DCT8,
+    _QTABLE,
     decode_fakejpeg,
     decode_image,
     decode_png,
@@ -12,6 +17,7 @@ from simplecrawler_ray.functions.imagecodec import (
     encode_image,
     encode_png,
     phash64,
+    phash64_batch,
     psnr,
 )
 from simplecrawler_ray.sources.web import ScaleWeb
@@ -33,6 +39,106 @@ def test_png_roundtrip_exact():
 def test_png_odd_dims():
     img = _test_image()[:37, :41]
     assert np.array_equal(decode_png(encode_png(img)), img)
+
+
+def _paeth(a, b, c):
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    return a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+
+
+def _filtered_scanlines(img, filters):
+    """Inflated PNG image data whose scanline y uses filter
+    ``filters[y]`` (0-4), filtered by the spec's per-byte rules."""
+    h, w, _ = img.shape
+    rows = img.reshape(h, w * 3).astype(int).tolist()
+    raw = bytearray()
+    for y, f in enumerate(filters):
+        cur, prev = rows[y], rows[y - 1] if y else [0] * (w * 3)
+        raw.append(f)
+        for x, v in enumerate(cur):
+            a = cur[x - 3] if x >= 3 else 0
+            b = prev[x]
+            c = prev[x - 3] if x >= 3 else 0
+            pred = (0, a, b, (a + b) >> 1, _paeth(a, b, c))[f]
+            raw.append((v - pred) & 0xFF)
+    return bytes(raw)
+
+
+def _png(w, h, raw):
+    def chunk(tag, data):
+        return (struct.pack(">I", len(data)) + tag + data
+                + struct.pack(">I", zlib.crc32(tag + data) & 0xFFFFFFFF))
+
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(raw)) + chunk(b"IEND", b""))
+
+
+@pytest.mark.parametrize("filters", [
+    [1] * 9, [2] * 9, [3] * 9, [4] * 9,
+    [0, 1, 2, 3, 4, 4, 3, 2, 1],
+    [0] * 8 + [2],          # one non-zero filter in the last scanline
+])
+def test_png_filters_decode_exact(filters):
+    rng = np.random.default_rng(5)
+    img = rng.integers(0, 256, (9, 7, 3)).astype(np.uint8)
+    raw = _filtered_scanlines(img, filters)
+    assert np.array_equal(decode_png(_png(7, 9, raw)), img)
+    # the filtered scanlines are not the pixels, so returning them as
+    # is (the filter-0 fast path) would fail the check above
+    lines = np.frombuffer(raw, np.uint8).reshape(9, 22)[:, 1:]
+    assert not np.array_equal(lines.reshape(img.shape), img)
+
+
+def _einsum_decode_fakejpeg(data):
+    """The per-channel three-operand einsum inverse DCT ``decode_fakejpeg``
+    used before its single broadcast matmul; kept as the reference."""
+    h, w, quality = struct.unpack(">IIH", data[4:14])
+    scale = (5000.0 / quality if quality < 50 else 200.0 - 2 * quality) / 100.0
+    q = np.clip(np.floor(_QTABLE * scale + 0.5), 1, 255).astype(np.float32)
+    ph, pw = (h + 7) // 8 * 8, (w + 7) // 8 * 8
+    raw = np.frombuffer(zlib.decompress(data[14:]), np.int16)
+    chans = raw.reshape(3, ph // 8, pw // 8, 8, 8).astype(np.float32)
+    out = np.zeros((ph, pw, 3), np.float32)
+    for c in range(3):
+        blocks = np.einsum("ji,bcjk,kl->bcil", _DCT8, chans[c] * q, _DCT8)
+        out[:, :, c] = blocks.transpose(0, 2, 1, 3).reshape(ph, pw) + 128.0
+    return np.clip(np.round(out[:h, :w]), 0, 255).astype(np.uint8)
+
+
+def test_fakejpeg_matmul_decode_within_one_lsb_of_einsum():
+    sw = ScaleWeb(n_pages=200, n_hosts=4, seed=7, image_side=24)
+    cases = [(_test_image(), 95), (_test_image(3)[:37, :41], 50),
+             (_test_image(4), 85)]
+    cases += [(sw.pixels_of(i), 95) for i in range(1, 200, 2)]
+    off_by_one = 0
+    for px, quality in cases:
+        data = encode_fakejpeg(px, quality)
+        new, ref = decode_fakejpeg(data), _einsum_decode_fakejpeg(data)
+        assert new.shape == ref.shape == px.shape
+        diff = np.abs(new.astype(int) - ref.astype(int)).max()
+        assert diff <= 1
+        off_by_one += int(diff == 1)
+        if quality == 95:
+            assert psnr(px, new) >= 40.0
+    assert off_by_one < len(cases) // 4
+
+
+def test_corpus_phash_unchanged_by_decode():
+    """Every corpus row's decoded-image phash (the sink ``phash`` column)
+    equals the one from the einsum reference decode; PNG rows also equal
+    the generator's phash, since their decode is lossless."""
+    sw = ScaleWeb(n_pages=400, n_hosts=4, seed=7, image_side=24)
+    rows = [sw.corpus_row(i) for i in range(400)]
+    decoded = [decode_image(r["bytes"]) for r in rows]
+    ref = [decode_png(r["bytes"]) if r["fmt"] == "png"
+           else _einsum_decode_fakejpeg(r["bytes"]) for r in rows]
+    got = phash64_batch(decoded)
+    assert got.tolist() == phash64_batch(ref).tolist()
+    for r, h in zip(rows, got.tolist()):
+        if r["fmt"] == "png":
+            assert h == r["phash"]
 
 
 def test_fakejpeg_lossy_psnr():

@@ -6,7 +6,7 @@
             --seed http://example.com/ \
             --sink /mnt/shared/crawl-out \
             --checkpoint /mnt/shared/crawl-ckpt \
-            --frontier-backend dataset --host-budget 64 \
+            --host-budget 64 \
             --max-wave-rows 2000000 --seen-backend cuckoo --seen-shards 64
 
 In-sandbox it runs the same job against a local session (RAY_ADDRESS
@@ -40,13 +40,11 @@ def main() -> int:
     ap.add_argument("--checkpoint-seen", action="store_true",
                     help="snapshot seen-shard filters per checkpoint; "
                          "resume reloads them in O(filter bytes)")
-    ap.add_argument("--frontier-backend", default="dataset",
-                    choices=["driver", "dataset"])
     ap.add_argument("--host-budget", type=int, default=0)
     ap.add_argument("--max-wave-rows", type=int, default=2_000_000)
     ap.add_argument("--max-rounds", type=int, default=10_000)
     ap.add_argument("--seen-backend", default="cuckoo",
-                    choices=["exact", "cuckoo", "bloom"])
+                    choices=["exact", "cuckoo"])
     ap.add_argument("--seen-shards", type=int, default=16)
     ap.add_argument("--batch-size", type=int, default=512)
     ap.add_argument("--max-depth", type=int, default=0)
@@ -78,7 +76,6 @@ def main() -> int:
         extra = {}
 
     opts = dict(
-        frontier_backend=args.frontier_backend,
         host_budget_per_round=args.host_budget,
         max_wave_rows=args.max_wave_rows,
         seen_backend=args.seen_backend,
@@ -92,9 +89,10 @@ def main() -> int:
         **extra,
     )
     if args.resume and args.checkpoint:
-        eng = CrawlEngine.resume_turbo(web, seed, args.checkpoint, args.sink,
-                                       **{k: v for k, v in opts.items()
-                                          if k != "checkpoint_dir"})
+        eng = CrawlEngine.resume(web, seed, args.checkpoint,
+                                 sink_dir=args.sink,
+                                 **{k: v for k, v in opts.items()
+                                    if k != "checkpoint_dir"})
     else:
         eng = CrawlEngine(web, seed, **opts)
 

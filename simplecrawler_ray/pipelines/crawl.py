@@ -13,11 +13,13 @@ order (seq == QueueItem.id insertion order, src/queue.ts:113).
 Scale design notes (100 TB / 10^10-URL target):
 * fetch+parse co-located: bodies never cross stage boundaries;
 * dedup state: hash-sharded actors (state/seen.py), NOT a driver set;
-* frontier waves stream through Ray Data; the driver holds only
-  queued-row tables (no payloads) and per-round object refs of fetched
+* frontier: queued rows live in the object store as host-bucketed
+  block refs (`_DatasetFrontier`); the driver holds the refs, per-block
+  row counts and seq ranges, plus per-round object refs of fetched
   blocks — payloads live in the object store / parquet checkpoints;
-* per-round checkpoint: parquet frontier + metrics/lineage JSON
-  (replaces freeze/defrost, src/queue.ts:268-313), resumable.
+* per-round checkpoint, one format for both loops: parquet frontier +
+  terminal rows not in a sink + metrics/lineage JSON (replaces
+  freeze/defrost, src/queue.ts:268-313), read back by ``resume``.
 
 Event callbacks (§2.10) are replaced by metric counters + a per-row
 ``disposition`` column; user fetch/download conditions are plain
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,14 +40,9 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..robots import RobotsRules, host_key
-from ..schemas import (
-    FRONTIER_SCHEMA,
-    STATUS_DISALLOWED,
-    STATUS_QUEUED,
-)
+from ..robots import RobotsRules
+from ..schemas import FRONTIER_SCHEMA, STATUS_DISALLOWED
 from ..stages.candidates import (
-    CANDIDATE_SCHEMA,
     CandidateProcessor,
     candidate_table,
     candidate_udf,
@@ -71,6 +67,24 @@ _FETCHED_ORDER = [f.name for f in FRONTIER_SCHEMA] + [
 def _normalize_fetched(t: pa.Table) -> pa.Table:
     cols = [c for c in _FETCHED_ORDER if c in t.column_names]
     return t.select(cols)
+
+
+def _disallowed_rows(rows: pa.Table) -> pa.Table:
+    """Terminal records for queued rows the robots recheck disallowed:
+    status ``disallowed``, ``fetched`` set, null payloads — laid out like
+    fetched rows, so the checkpoint and ``resume`` treat both alike."""
+    n = rows.num_rows
+    t = rows.set_column(rows.schema.get_field_index("status"), "status",
+                        pa.array([STATUS_DISALLOWED] * n))
+    t = t.set_column(t.schema.get_field_index("fetched"), "fetched",
+                     pa.array([True] * n))
+    for name, typ in zip(
+        PAYLOAD_COLS,
+        [pa.binary(), pa.string(), pa.string(), pa.string(), pa.string(),
+         pa.string(), pa.list_(pa.string()), pa.bool_()],
+    ):
+        t = t.append_column(name, pa.nulls(n, typ))
+    return _normalize_fetched(t)
 
 
 @ray.remote(num_returns=2)
@@ -284,7 +298,7 @@ GATHER_GUARD_ROWS = 1_000_000
 
 
 class _DatasetFrontier:
-    """Object-store-resident queued frontier (``frontier_backend="dataset"``).
+    """The engine's queued frontier, resident in the object store.
 
     The driver holds only block ObjectRefs (hash-partitioned by host
     into ``n_buckets`` ref lists) + per-block row counts and seq
@@ -310,10 +324,6 @@ class _DatasetFrontier:
     @property
     def refs(self) -> list:
         return [r for b in self.buckets for r in b]
-
-    @property
-    def block_counts(self) -> list:
-        return [n for b in self.bucket_rows for n in b]
 
     @property
     def num_rows(self) -> int:
@@ -489,11 +499,9 @@ DEFAULT_CONFIG = dict(
                             # oldest driver entries are evicted (shards keep
                             # the rules; re-ensure is one RPC, no refetch)
     robots_pool_auto_shards=8,  # pool size used by the auto-enable
-    frontier_backend="driver",  # "driver": Arrow table on the driver (exact,
-                               # sandbox default); "dataset": queued rows live
-                               # in the object store as host-bucketed block
-                               # refs, dequeued by per-bucket worker tasks —
-                               # the 10^10 path
+    frontier_backend="dataset",  # the only value: queued rows always live
+                                 # in the object store (`_DatasetFrontier`);
+                                 # accepted so existing configs still load
     # reference API-parity knobs; inert against the synthetic transport
     # (no real sockets to time out / proxy), accepted so a reference
     # user's config ports unchanged (README.md Configuration section)
@@ -519,6 +527,10 @@ class CrawlEngine:
         unknown = set(options) - set(DEFAULT_CONFIG)
         if unknown:
             raise TypeError(f"unknown options: {unknown}")
+        if options.get("frontier_backend", "dataset") != "dataset":
+            raise ValueError(
+                f"frontier_backend={options['frontier_backend']!r}: the only "
+                "frontier store is 'dataset'")
         self.cfg = {**DEFAULT_CONFIG, **options}
         self.web = web
         self.initial_url = initial_url
@@ -572,10 +584,9 @@ class CrawlEngine:
         self.next_seq = 0
         self.round_no = 0
         self.first_request = True
-        self.queued: pa.Table = FRONTIER_SCHEMA.empty_table()
-        self._frontier = (_DatasetFrontier()
-                          if self.cfg["frontier_backend"] == "dataset" else None)
+        self._frontier = _DatasetFrontier()
         self.terminal_refs: list = []      # ObjectRefs of fetched arrow tables
+        self._ckpt_terminal = 0            # terminal_refs already checkpointed
         self._manual: list[dict] = []      # manually enqueued candidates
         self._wait_handles: list[dict] = []  # open wait() completion holds
         self._cond_seq = 0                 # add/removeFetchCondition ids
@@ -675,25 +686,10 @@ class CrawlEngine:
 
     def update_queued(self, seq: int, updates: dict) -> dict:
         """FetchQueue.update parity (src/queue.ts:157-174): deep-assign
-        nested updates into a queued row by seq between rounds.
-
-        Driver backend: in-place table patch.  Dataset backend: the
+        nested updates into a queued row by seq between rounds.  The
         block holding ``seq`` is rewritten WORKER-side
         (`_update_frontier_block`) and its ref swapped — rows stay in
         the object store."""
-        if self._frontier is not None:
-            return self._update_queued_ds(seq, updates)
-        from ..queue_api import FrontierQueue
-
-        idx = pc.index(self.queued.column("seq"), pa.scalar(seq)).as_py()
-        if idx < 0:
-            raise KeyError(f"no queued row with seq {seq}")
-        q = FrontierQueue(self.queued)
-        row = q.update(idx, updates)
-        self.queued = q._data
-        return row
-
-    def _update_queued_ds(self, seq: int, updates: dict) -> dict:
         from ..queue_api import _flatten_comparator
 
         flat = _flatten_comparator(updates)
@@ -705,8 +701,8 @@ class CrawlEngine:
             # host is the bucketing key and seq the identity — a rewrite
             # would silently break the store's invariants
             raise ValueError(
-                "updating 'host' or 'seq' is not supported on the dataset "
-                "frontier backend (bucket/identity invariants)")
+                "updating 'host' or 'seq' of a queued row is not supported "
+                "(bucket/identity invariants)")
         fr = self._frontier
         pending = []  # (bucket, block_idx, found_ref, new_ref, row_ref)
         for b in range(fr.n_buckets):
@@ -884,27 +880,22 @@ class CrawlEngine:
         self.next_seq += n
         self._count("queueadd", n)
         rows = candidates_to_frontier_rows(admitted, seqs, self.round_no)
-        self._queue_add(rows)
+        self._frontier.add_table(rows)
         return rows
 
-    def _queue_add(self, rows: pa.Table) -> None:
-        if rows.num_rows == 0:
-            return
-        if self._frontier is not None:
-            self._frontier.add_table(rows)
-        else:
-            self.queued = (pa.concat_tables([self.queued, rows])
-                           if self.queued.num_rows else rows)
-
-    def _queue_num_rows(self) -> int:
-        return (self._frontier.num_rows if self._frontier is not None
-                else self.queued.num_rows)
+    def _admit_manual(self) -> None:
+        """Admit the manual enqueues (fetch_complete_hook / enqueue API)
+        through the same canonicalize/filter/dedup pipeline."""
+        if self._manual:
+            cands = candidate_table(self._manual)
+            self._manual = []
+            proc = CandidateProcessor(self.cfg, self.robots_cache)
+            self._admit_candidates(proc(cands))
 
     def queued_table(self) -> pa.Table:
-        """Driver view of the queued frontier (inspection / small scale;
-        the dataset backend gathers its blocks here)."""
-        return (self._frontier.gather() if self._frontier is not None
-                else self.queued)
+        """Driver view of the queued frontier: gathers every block
+        (inspection / small scale only)."""
+        return self._frontier.gather()
 
     def _fetch_robots(self, hosts: set[str],
                       schemes: "dict[str, str] | None" = None) -> pa.Table | None:
@@ -974,124 +965,76 @@ class CrawlEngine:
         return candidate_table(sitemap_cands) if sitemap_cands else None
 
     def _dequeue_wave(self) -> pa.Table:
-        """Politeness dequeue (O1): per-host budget of the oldest queued
-        rows by seq; budget 0 => whole frontier wave.
-
-        Driver-side vectorized implementation by default (frontier fits
-        one node in this sandbox); with ``frontier_backend="dataset"``
-        the same cut runs over the object-store-resident frontier, one
-        worker task per host bucket, and the driver only ever holds the
-        wave (the multi-node 10^10 path).
-        """
-        if self._frontier is not None:
-            return self._dequeue_wave_ds()
-        q = self.queued
+        """Politeness dequeue (O1), seq-sorted: the oldest
+        ``host_budget_per_round`` rows per host (one worker cut per host
+        bucket), or with budget 0 the oldest ``max_wave_rows`` rows
+        (0 = the whole frontier).  The remainder stays bucketed in the
+        object store as block refs, never gathered."""
         budget = self.cfg["host_budget_per_round"]
-        if q.num_rows == 0:
-            return q
-        order = pc.sort_indices(q, sort_keys=[("seq", "ascending")])
-        q = q.take(order)
-        if not budget:
-            self.queued = FRONTIER_SCHEMA.empty_table()
-            return self._cap_wave(q)
-        df = q.select(["host"]).to_pandas()
-        rank = df.groupby("host").cumcount()
-        take = pa.array((rank < budget).to_numpy())
-        wave = q.filter(take)
-        self.queued = q.filter(pc.invert(take))
-        return self._cap_wave(wave)
-
-    def _cap_wave(self, wave: pa.Table) -> pa.Table:
         cap = self.cfg["max_wave_rows"]
+        if not budget:
+            return self._frontier.dequeue_oldest(cap)
+        wave = self._frontier.dequeue_budget(budget)
         if cap and wave.num_rows > cap:
-            overflow = wave.slice(cap)
-            if self._frontier is not None:
-                self._frontier.add_table(overflow)
-            else:
-                self.queued = (pa.concat_tables([overflow, self.queued])
-                               if self.queued.num_rows else overflow)
-            return wave.slice(0, cap)
+            self._frontier.add_table(wave.slice(cap))
+            wave = wave.slice(0, cap)
         return wave
 
-    def _dequeue_wave_ds(self) -> pa.Table:
-        """Dataset-backend dequeue: per-bucket politeness cut (budget >
-        0) or global-oldest-W (budget 0, W = max_wave_rows, 0 = all);
-        the remainder stays bucketed as block refs, never gathered."""
-        fr = self._frontier
-        if self.cfg["host_budget_per_round"]:
-            return self._cap_wave(
-                fr.dequeue_budget(self.cfg["host_budget_per_round"]))
-        return fr.dequeue_oldest(self.cfg["max_wave_rows"])
+    def _robots_recheck(self, wave: pa.Table) -> tuple[pa.Table, bool]:
+        """Robots for the wave's new hosts (crawler.ts:1296-1335), then a
+        re-check of every wave row against the fresh rules: rows queued
+        before their host's robots arrived.  Disallowed rows become
+        terminal records (`_disallowed_rows`).  Returns the allowed wave
+        and whether the rules cache changed."""
+        # robots keys match CandidateProcessor: "host:port" built from the
+        # frontier columns (NOT host_key(), which expects a full URL)
+        hks = [f"{h}:{p or ''}"
+               for h, p in zip(wave.column("host").to_pylist(),
+                               wave.column("port").to_pylist())]
+        hosts = set(hks)
+        changed = bool(hosts - self.robots_cache.keys())
+        if changed:
+            # pass the FULL wave host set: _fetch_robots only fetches new
+            # hosts, but its cache eviction keeps `k in hosts` — passing
+            # just the new ones could evict a current-wave host's rules,
+            # and the recheck below would treat it as allowed
+            sitemaps = self._fetch_robots(
+                hosts, _robots_schemes(hks, wave.column("protocol").to_pylist()))
+            if sitemaps is not None:
+                proc = CandidateProcessor(self.cfg, self.robots_cache)
+                self._admit_candidates(proc(sitemaps))
+        # only hosts that carry rules need the per-row path match (the
+        # common all-allowed host short-circuits)
+        active = {hk for hk in hosts
+                  if (r := self.robots_cache.get(hk)) is not None
+                  and (r._rules or r.error)}
+        if not active:
+            return wave, changed
+        allowed = pa.array([
+            hk not in active or self.robots_cache[hk].is_allowed(u)
+            for hk, u in zip(hks, wave.column("url").to_pylist())])
+        disallowed = wave.filter(pc.invert(allowed))
+        if disallowed.num_rows:
+            self._count("fetchdisallowed", disallowed.num_rows)
+            self.terminal_refs.append(ray.put(_disallowed_rows(disallowed)))
+            wave = wave.filter(allowed)
+        return wave, changed
 
     # ------------------------------------------------------------- rounds
 
     def _run_round(self) -> bool:
         """One BSP round. Returns True if any work was done."""
-        # manual enqueues (fetch_complete_hook / enqueue API)
-        if self._manual:
-            cands = candidate_table(self._manual)
-            self._manual = []
-            proc = CandidateProcessor(self.cfg, self.robots_cache)
-            self._admit_candidates(proc(cands))
-
+        self._admit_manual()
         with self._timed("dequeue"):
             wave = self._dequeue_wave()
         if wave.num_rows == 0:
             return False
-        # terminal rows produced THIS round outside the fetch path
-        # (robots-disallowed) — must reach the checkpoint too, or a
-        # resume loses them (their hashes replay from checkpoint parquet)
-        round_terminal: list = []
-
-        # robots for hosts new this round (crawler.ts:1296-1335)
         if self.cfg["respect_robots_txt"]:
-          with self._timed("robots"):
-              hks = [f"{h}:{p or ''}"
-                     for h, p in zip(wave.column("host").to_pylist(),
-                                     wave.column("port").to_pylist())]
-              schemes = _robots_schemes(hks,
-                                        wave.column("protocol").to_pylist())
-              sitemaps = self._fetch_robots(set(hks), schemes)
-              if sitemaps is not None:
-                  proc = CandidateProcessor(self.cfg, self.robots_cache)
-                  self._admit_candidates(proc(sitemaps))
-              # re-check wave rows against fresh rules; only hosts that
-              # actually carry rules need the per-row path match (rules
-              # are per-host — the common all-allowed host short-circuits)
-              active = {hk for hk in set(hks)
-                        if (r := self.robots_cache.get(hk)) is not None
-                        and (r._rules or r.error)}
-              if active:
-                  allowed_mask = [
-                      hk not in active or self.robots_cache[hk].is_allowed(u)
-                      for hk, u in zip(hks, wave.column("url").to_pylist())
-                  ]
-              else:
-                  allowed_mask = [True] * wave.num_rows
-              allowed = pa.array(allowed_mask)
-              disallowed = wave.filter(pc.invert(allowed))
-              if disallowed.num_rows:
-                  self._count("fetchdisallowed", disallowed.num_rows)
-                  dis = disallowed.set_column(
-                      disallowed.schema.get_field_index("status"),
-                      "status", pa.array([STATUS_DISALLOWED] * disallowed.num_rows))
-                  dis = dis.set_column(
-                      dis.schema.get_field_index("fetched"),
-                      "fetched", pa.array([True] * disallowed.num_rows))
-                  for name, typ in zip(
-                      PAYLOAD_COLS,
-                      [pa.binary(), pa.string(), pa.string(), pa.string(), pa.string(),
-                       pa.string(), pa.list_(pa.string()), pa.bool_()],
-                  ):
-                      dis = dis.append_column(name, pa.nulls(dis.num_rows, typ))
-                  dis_ref = ray.put(_normalize_fetched(dis))
-                  self.terminal_refs.append(dis_ref)
-                  round_terminal.append(dis_ref)
-                  wave = wave.filter(allowed)
-              if wave.num_rows == 0:
-                  with self._timed("checkpoint"):
-                      self._checkpoint(round_terminal)
-                  return True
+            with self._timed("robots"):
+                wave, _ = self._robots_recheck(wave)
+            if wave.num_rows == 0:
+                self._checkpoint()
+                return True
 
         if self.cfg["track_fetch_order"]:
             self.fetch_order.extend(wave.column("url").to_pylist())
@@ -1129,8 +1072,7 @@ class CrawlEngine:
             thin_all = ray.get(thin_refs)
         keep = [i for i, t in enumerate(thin_all) if t.num_rows]
         if not keep:
-            with self._timed("checkpoint"):
-                self._checkpoint(round_terminal)
+            self._checkpoint()
             return True
         round_refs = [norm_refs[i] for i in keep]
         self.terminal_refs.extend(round_refs)
@@ -1271,8 +1213,7 @@ class CrawlEngine:
                 all_cands = pa.concat_tables(cand_tables, promote_options="default")
                 self._admit_candidates(all_cands)
 
-        with self._timed("checkpoint"):
-            self._checkpoint(round_refs + round_terminal)
+        self._checkpoint()
         return True
 
     # ------------------------------------------------------------- public
@@ -1289,6 +1230,10 @@ class CrawlEngine:
                 if self._wait_handles and self._drain_waits():
                     continue
                 break
+        self._complete()
+        return CrawlResult(self)
+
+    def _complete(self) -> None:
         ovf = self.seen.overflow()
         if ovf:
             # the cuckoo filter saturated past its victim stash: ovf
@@ -1297,7 +1242,6 @@ class CrawlEngine:
             # metric so an undersized filter is diagnosable
             self._count("seenoverflow", ovf)
         self._count("complete")
-        return CrawlResult(self)
 
     def run_turbo(self, sink_dir: str, max_rounds: int = 100) -> dict:
         """Scale-path crawl: one fused map_batches per round (stages/turbo.py).
@@ -1307,7 +1251,7 @@ class CrawlEngine:
         Ordering is hash-seq (BFS-monotone across rounds, arbitrary within
         a round) — use ``run()`` when reference-exact FIFO matters.
         """
-        from ..stages.turbo import split_meta, turbo_round_udf
+        from ..stages.turbo import turbo_round_udf
 
         self._count("crawlstart")
         self._seed()
@@ -1319,60 +1263,25 @@ class CrawlEngine:
         fetched_total = 0
         bs = self.cfg["batch_size"]
         while self.round_no < max_rounds:
-            if self._manual:
-                cands = candidate_table(self._manual)
-                self._manual = []
-                proc = CandidateProcessor(self.cfg, self.robots_cache)
-                self._admit_candidates(proc(cands))
+            self._admit_manual()
             with self._timed("dequeue"):
                 wave = self._dequeue_wave()
             if wave.num_rows == 0:
                 break
             if self.cfg["respect_robots_txt"]:
                 with self._timed("robots"):
-                    # robots keys match CandidateProcessor: "host:port"
-                    # built from the frontier columns (NOT host_key(), which
-                    # expects a full URL — see round-1 advice)
-                    hklist = [f"{h}:{p or ''}"
-                              for h, p in zip(wave.column("host").to_pylist(),
-                                              wave.column("port").to_pylist())]
-                    hosts = set(hklist)
-                    schemes = _robots_schemes(
-                        hklist, wave.column("protocol").to_pylist())
-                    hosts_new = hosts - self.robots_cache.keys()
-                    if hosts_new:
-                        # pass the FULL wave host set: _fetch_robots only
-                        # fetches new hosts, but its cache eviction keeps
-                        # `k in hosts` — passing just hosts_new could evict
-                        # a current-wave host's rules, and the recheck
-                        # below would treat it as allowed
-                        sitemaps = self._fetch_robots(hosts, schemes)
-                        if sitemaps is not None:
-                            proc = CandidateProcessor(self.cfg, self.robots_cache)
-                            self._admit_candidates(proc(sitemaps))
+                    wave, changed = self._robots_recheck(wave)
+                    if changed:
                         # the cache mutated (adds and/or evictions) exactly
                         # when new hosts were fetched — rebroadcast then.
                         # (len() equality is the wrong change detector: at
                         # steady state past the cap, adds == evictions and
                         # workers would keep a stale snapshot forever)
                         robots_ref = ray.put(self.robots_cache)
-                    # re-check the dequeued wave against fresh rules: rows
-                    # queued before their host's robots arrived (parity with
-                    # _run_round crawl.py:372-396)
-                    allowed = pa.array([
-                        (self.robots_cache.get(f"{h}:{p or ''}") is None
-                         or self.robots_cache[f"{h}:{p or ''}"].is_allowed(u))
-                        for h, p, u in zip(wave.column("host").to_pylist(),
-                                           wave.column("port").to_pylist(),
-                                           wave.column("url").to_pylist())
-                    ])
-                    n_dis = wave.num_rows - int(pc.sum(allowed).as_py() or 0)
-                    if n_dis:
-                        self._count("fetchdisallowed", n_dis)
-                        wave = wave.filter(allowed)
-                    if wave.num_rows == 0:
-                        self.round_no += 1
-                        continue
+                if wave.num_rows == 0:
+                    self._checkpoint()
+                    self.round_no += 1
+                    continue
             fetched_total += wave.num_rows
             with self._timed("turbo_round"):
                 chunks = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)] or [wave]
@@ -1388,42 +1297,32 @@ class CrawlEngine:
                     batch_size=bs,
                     zero_copy_batch=True,
                 ))
-                if self._frontier is not None:
-                    # dataset backend: admitted rows NEVER transit the
-                    # driver — each output block is bucketed worker-side
-                    # and yielded as DRIVER-OWNED task returns (streaming
-                    # generator; survives worker reap, round-3 advice #1).
-                    # Only the thin (counters, meta) yield is ray.get here.
-                    out = ds.materialize()
-                    # observability: keep the last round's execution
-                    # stats (string; cheap) for perf audits
-                    self.last_round_stats = out.stats()
-                    block_refs = [ref for bundle in
-                                  out.iter_internal_ref_bundles()
-                                  for ref, _meta in bundle.blocks]
-                    gens = [
-                        _adopt_frontier_block.remote(r, self._frontier.n_buckets)
+                # admitted rows NEVER transit the driver — each output
+                # block is bucketed worker-side and yielded as DRIVER-OWNED
+                # task returns (streaming generator; survives worker reap,
+                # round-3 advice #1).  Only the thin (counters, meta) yield
+                # is ray.get here.
+                out = ds.materialize()
+                block_refs = [ref for bundle in out.iter_internal_ref_bundles()
+                              for ref, _meta in bundle.blocks]
+                gens = [_adopt_frontier_block.remote(r, self._frontier.n_buckets)
                         for r in block_refs]
-                    counters = {}
-                    with self._timed("merge"):
-                        for gen in gens:
-                            meta_ref = next(gen)
-                            part_refs = list(gen)  # driver-owned part refs
-                            c, meta = ray.get(meta_ref)
-                            for k, v in c.items():
-                                if isinstance(v, str):
-                                    counters[k] = v
-                                else:
-                                    counters[k] = counters.get(k, 0) + v
-                            if meta:
-                                self._frontier.adopt_parts([
-                                    (b, ref, n, smin, smax)
-                                    for (b, n, smin, smax), ref
-                                    in zip(meta, part_refs)])
-                else:
-                    from ..ops import gather_tables as _gt
-
-                    new_tables, counters = split_meta(_gt(ds))
+                counters = {}
+                with self._timed("merge"):
+                    for gen in gens:
+                        meta_ref = next(gen)
+                        part_refs = list(gen)  # driver-owned part refs
+                        c, meta = ray.get(meta_ref)
+                        for k, v in c.items():
+                            if isinstance(v, str):
+                                counters[k] = v
+                            else:
+                                counters[k] = counters.get(k, 0) + v
+                        if meta:
+                            self._frontier.adopt_parts([
+                                (b, ref, n, smin, smax)
+                                for (b, n, smin, smax), ref
+                                in zip(meta, part_refs)])
             new_host = counters.pop("__new_host", None)
             if new_host and self.first_request \
                     and self.cfg["allow_initial_domain_change"]:
@@ -1435,84 +1334,57 @@ class CrawlEngine:
                 self.first_request = False
             for k, v in counters.items():
                 self._count(k, v)
-            if self._frontier is None:
-                with self._timed("merge"):
-                    if new_tables:
-                        merged = pa.concat_tables(new_tables)
-                        self.queued = (pa.concat_tables([self.queued, merged])
-                                       if self.queued.num_rows else merged)
-            if self.cfg["checkpoint_dir"]:
-                with self._timed("checkpoint"):
-                    self._checkpoint_state()
+            self._checkpoint()
             self.round_no += 1
-        ovf = self.seen.overflow()
-        if ovf:
-            # the cuckoo filter saturated past its victim stash: ovf
-            # previously-seen keys were evicted and lost (their URLs
-            # may be re-admitted if rediscovered) — surfaced as a
-            # metric so an undersized filter is diagnosable
-            self._count("seenoverflow", ovf)
-        self._count("complete")
+        self._complete()
         return {"fetched": fetched_total, "rounds": self.round_no,
                 "metrics": dict(self.metrics), "sink_dir": sink_dir}
 
-    def _write_queued_state(self, tmp: str) -> None:
-        """Checkpoint the queued frontier: one driver write (driver
-        backend) or one worker-side write per non-empty host bucket
-        (dataset backend — queued rows never transit the driver)."""
-        if self._frontier is not None:
+    def _checkpoint(self) -> None:
+        """Freeze (S3, src/queue.ts:268-313) the round into
+        ``state-round=NNNNN/``, built in a ``.tmp`` dir and published by
+        one atomic rename.  It holds the queued frontier (one
+        ``queued-<bucket>`` file per non-empty host bucket, written
+        worker-side — queued rows never transit the driver), the
+        terminal rows no sink holds (``fetched-*``: run()'s fetched rows
+        and either loop's robots-disallowed rows), with
+        ``checkpoint_seen`` one seen-filter snapshot per shard (written
+        by the shard actor, so ``resume`` is O(filter bytes) instead of
+        an O(crawled URLs) hash replay), and ``metrics.json`` with the
+        sink lineage."""
+        ckpt = self.cfg["checkpoint_dir"]
+        if not ckpt:
+            return
+        with self._timed("checkpoint"):
+            rdir = os.path.join(ckpt, f"state-round={self.round_no:05d}")
+            tmp = rdir + ".tmp"
+            os.makedirs(tmp, exist_ok=True)
+            terminal = self.terminal_refs[self._ckpt_terminal:]
             writes = [
+                _write_parts.remote(
+                    os.path.join(tmp, f"fetched-{i:04d}.parquet"), r)
+                for i, r in enumerate(terminal)]
+            writes += [
                 _write_parts.remote(
                     os.path.join(tmp, f"queued-{b:04d}.parquet"), *refs)
                 for b, refs in enumerate(self._frontier.buckets) if refs]
-            if writes:
-                ray.get(writes)
-            else:
+            ray.get(writes)
+            if not any(self._frontier.buckets):
                 pq.write_table(FRONTIER_SCHEMA.empty_table(),
                                os.path.join(tmp, "queued.parquet"))
-        else:
-            pq.write_table(self.queued, os.path.join(tmp, "queued.parquet"))
-
-    def _load_queued_ckpt(self, last_dir: str) -> pa.Table:
-        """Load a checkpointed frontier into the active backend; returns
-        the driver view (for url_hash seen-replay)."""
-        import glob as _glob
-
-        files = sorted(_glob.glob(os.path.join(last_dir, "queued*.parquet")))
-        tables = [pq.read_table(f) for f in files]
-        t = (pa.concat_tables(tables, promote_options="default")
-             if tables else FRONTIER_SCHEMA.empty_table())
-        if self._frontier is not None:
-            for tb in tables:
-                self._frontier.add_table(tb)
-        else:
-            self.queued = t
-        return t
-
-    def _checkpoint_state(self) -> None:
-        """Turbo-mode checkpoint: queued frontier + counters (the
-        fetched rows are already durably in the sink's round=N parts).
-        With ``checkpoint_seen``, each seen shard also snapshots its
-        filter (one .npz per shard, written by the shard actor) so
-        resume is O(filter bytes) instead of replaying every crawled
-        url_hash from the sink."""
-        ckpt = self.cfg["checkpoint_dir"]
-        rdir = os.path.join(ckpt, f"state-round={self.round_no:05d}")
-        tmp = rdir + ".tmp"
-        os.makedirs(tmp, exist_ok=True)
-        self._write_queued_state(tmp)
-        if self.cfg["checkpoint_seen"]:
-            self.seen.snapshot(os.path.join(tmp, "seen"))
-        with open(os.path.join(tmp, "metrics.json"), "w") as f:
-            json.dump({"round": self.round_no, "next_seq": self.next_seq,
-                       "first_request": self.first_request,
-                       "seed_seq": getattr(self, "_seed_seq", -1),
-                       "metrics": self.metrics,
-                       "seen_shards": self.cfg["seen_shards"],
-                       "seen_backend": self.cfg["seen_backend"],
-                       "host": self.cfg["host"],
-                       "lineage": self._lineage_manifest()}, f)
-        os.replace(tmp, rdir)
+            if self.cfg["checkpoint_seen"]:
+                self.seen.snapshot(os.path.join(tmp, "seen"))
+            with open(os.path.join(tmp, "metrics.json"), "w") as f:
+                json.dump({"round": self.round_no, "next_seq": self.next_seq,
+                           "first_request": self.first_request,
+                           "seed_seq": getattr(self, "_seed_seq", -1),
+                           "metrics": self.metrics,
+                           "seen_shards": self.cfg["seen_shards"],
+                           "seen_backend": self.cfg["seen_backend"],
+                           "host": self.cfg["host"],
+                           "lineage": self._lineage_manifest()}, f)
+            os.replace(tmp, rdir)
+            self._ckpt_terminal = len(self.terminal_refs)
 
     def _lineage_manifest(self) -> "dict | None":
         """Per-partition lineage for this round's sink output: the
@@ -1534,20 +1406,28 @@ class CrawlEngine:
         return {rdn: parts}
 
     @classmethod
-    def resume_turbo(cls, web, initial_url: str, checkpoint_dir: str,
-                     sink_dir: str, **options) -> "CrawlEngine":
-        """Resume a turbo crawl: reload the last queued frontier and
-        replay the seen-set from sink parquet + queued url_hash."""
+    def resume(cls, web, initial_url: str, checkpoint_dir: str,
+               sink_dir: Optional[str] = None, **options) -> "CrawlEngine":
+        """Defrost (S4): rebuild an engine from the last complete
+        checkpoint of either loop.  Restores the round/seq meta and the
+        queued frontier, and re-pins every checkpoint's ``fetched-*``
+        terminal rows.  The seen set comes from the last checkpoint's
+        snapshot when its shard count and backend match; otherwise it
+        replays ``url_hash`` from the queue, every ``fetched-*`` part
+        and, for a turbo crawl, ``sink_dir/round=*``."""
         import glob
 
         eng = cls(web, initial_url, checkpoint_dir=checkpoint_dir, **options)
+        # a crash between makedirs(tmp) and the atomic os.replace leaves
+        # a half-written "*.tmp" dir — never treat it as a checkpoint
         states = sorted(d for d in os.listdir(checkpoint_dir)
                         if d.startswith("state-round=")
                         and not d.endswith(".tmp"))
         if not states:
             return eng
         last = os.path.join(checkpoint_dir, states[-1])
-        meta = json.load(open(os.path.join(last, "metrics.json")))
+        with open(os.path.join(last, "metrics.json")) as f:
+            meta = json.load(f)
         eng.round_no = meta["round"] + 1
         eng.next_seq = meta["next_seq"]
         eng.first_request = meta["first_request"]
@@ -1558,110 +1438,33 @@ class CrawlEngine:
             eng._seed_seq = meta["seed_seq"]
         eng.metrics = meta["metrics"]
         eng.cfg["host"] = meta["host"]
-        qt = eng._load_queued_ckpt(last)
+        queued = [pq.read_table(f) for f in
+                  sorted(glob.glob(os.path.join(last, "queued*.parquet")))]
+        for t in queued:
+            eng._frontier.add_table(t)
+        terminal = [pq.read_table(f) for st in states for f in sorted(
+            glob.glob(os.path.join(checkpoint_dir, st, "fetched-*.parquet")))]
+        eng.terminal_refs = [ray.put(t) for t in terminal]
+        eng._ckpt_terminal = len(eng.terminal_refs)
         seen_dir = os.path.join(last, "seen")
-        restored = False
         if os.path.isdir(seen_dir) \
                 and meta.get("seen_shards") == eng.cfg["seen_shards"] \
                 and meta.get("seen_backend", eng.cfg["seen_backend"]) \
                 == eng.cfg["seen_backend"]:
-            # snapshot fast path: reload each shard's filter file —
-            # O(filter bytes), not O(crawled URLs)
             try:
                 eng.seen.restore(seen_dir)
-                restored = True
+                return eng
             except ValueError:
                 # e.g. a snapshot from an older fingerprint format —
                 # fall back to the url_hash replay below
-                restored = False
-        if not restored:
-            hashes = [qt.column("url_hash").to_numpy(zero_copy_only=False)]
-            for part in glob.glob(os.path.join(sink_dir, "round=*", "*.parquet")):
-                hashes.append(
-                    pq.read_table(part, columns=["url_hash"])
-                    .column("url_hash").to_numpy(zero_copy_only=False))
-            eng.seen.add(np.concatenate(hashes).astype(np.uint64))
-        return eng
-
-    def _checkpoint(self, fetched_refs: list) -> None:
-        ckpt = self.cfg["checkpoint_dir"]
-        if not ckpt:
-            return
-        rdir = os.path.join(ckpt, f"round={self.round_no:05d}")
-        tmp = rdir + ".tmp"
-        os.makedirs(tmp, exist_ok=True)
-        # each block written from a worker (normalized refs: no
-        # "discovered", payloads never hop through the driver)
-        ray.get([
-            _write_parts.remote(os.path.join(tmp, f"fetched-{i:04d}.parquet"), r)
-            for i, r in enumerate(fetched_refs)
-        ])
-        self._write_queued_state(tmp)
-        if self.cfg["checkpoint_seen"]:
-            self.seen.snapshot(os.path.join(tmp, "seen"))
-        with open(os.path.join(tmp, "metrics.json"), "w") as f:
-            json.dump({"round": self.round_no, "next_seq": self.next_seq,
-                       "first_request": self.first_request,
-                       "seed_seq": getattr(self, "_seed_seq", -1),
-                       "metrics": self.metrics,
-                       "seen_shards": self.cfg["seen_shards"],
-                       "seen_backend": self.cfg["seen_backend"],
-                       "host": self.cfg["host"]}, f)
-        os.replace(tmp, rdir)  # atomic publish: resumable (ray_guide layout)
-
-    @classmethod
-    def resume(cls, web, initial_url: str, checkpoint_dir: str, **options) -> "CrawlEngine":
-        """Defrost (S4): rebuild frontier + replay seen-set from the last
-        completed round checkpoint."""
-        eng = cls(web, initial_url, checkpoint_dir=checkpoint_dir, **options)
-        # a crash between makedirs(tmp) and the atomic os.replace leaves
-        # a half-written "*.tmp" dir — never treat it as a checkpoint
-        rounds = sorted(d for d in os.listdir(checkpoint_dir)
-                        if d.startswith("round=") and not d.endswith(".tmp"))
-        if not rounds:
-            return eng
-        last = os.path.join(checkpoint_dir, rounds[-1])
-        meta = json.load(open(os.path.join(last, "metrics.json")))
-        eng.round_no = meta["round"] + 1
-        eng.next_seq = meta["next_seq"]
-        eng.first_request = meta["first_request"]
-        # restore the seed seq: with first_request still true the
-        # first-request redirect special-casing keys off it, and the
-        # seed is only assigned a seq at initial admission
-        if meta.get("seed_seq", -1) >= 0:
-            eng._seed_seq = meta["seed_seq"]
-        eng.metrics = meta["metrics"]
-        eng.cfg["host"] = meta["host"]
-        qt = eng._load_queued_ckpt(last)
-        # replay seen from every checkpointed round (fetched + queued);
-        # a seen snapshot (checkpoint_seen) short-circuits the hash
-        # replay — blocks are still re-pinned for queue-state queries
-        import glob as _glob
-
-        seen_dir = os.path.join(last, "seen")
-        have_snapshot = (os.path.isdir(seen_dir)
-                         and meta.get("seen_shards") == eng.cfg["seen_shards"]
-                         and meta.get("seen_backend",
-                                      eng.cfg["seen_backend"])
-                         == eng.cfg["seen_backend"])
-        if have_snapshot:
-            try:
-                eng.seen.restore(seen_dir)
-            except ValueError:
-                # e.g. a snapshot from an older fingerprint format —
-                # fall back to the url_hash replay
-                have_snapshot = False
-        hashes = [qt.column("url_hash").to_numpy(zero_copy_only=False)]
-        for rdir in rounds:
-            parts = sorted(
-                _glob.glob(os.path.join(checkpoint_dir, rdir, "fetched*.parquet")))
-            for part in parts:
-                if not have_snapshot:
-                    t = pq.read_table(part, columns=["url_hash"])
-                    hashes.append(
-                        t.column("url_hash").to_numpy(zero_copy_only=False))
-                eng.terminal_refs.append(ray.put(pq.read_table(part)))
-        if not have_snapshot:
+                pass
+        sunk = (glob.glob(os.path.join(sink_dir, "round=*", "*.parquet"))
+                if sink_dir else [])
+        hashes = [t.column("url_hash").to_numpy(zero_copy_only=False)
+                  for t in queued + terminal]
+        hashes += [pq.read_table(f, columns=["url_hash"]).column("url_hash")
+                   .to_numpy(zero_copy_only=False) for f in sunk]
+        if hashes:
             eng.seen.add(np.concatenate(hashes).astype(np.uint64))
         return eng
 

@@ -59,8 +59,8 @@ def _with_meta(frontier: pa.Table, counters: dict) -> pa.Table:
 
     Row 0 carries the JSON; other rows carry "".  A zero-row frontier
     still needs its counters delivered, so it becomes ONE all-null row
-    with url == null — the driver strips such rows after aggregating
-    (`split_meta`).
+    with url == null — the adopting task strips such rows after
+    aggregating (`pipelines.crawl._adopt_frontier_block`).
     """
     blob = json.dumps(counters, separators=(",", ":"))
     if frontier.num_rows == 0:
@@ -81,19 +81,6 @@ def merge_meta_blobs(counters: dict, blobs) -> None:
                     counters[k] = v
                 else:
                     counters[k] = counters.get(k, 0) + int(v)
-
-
-def split_meta(tables: list[pa.Table]) -> tuple[list[pa.Table], dict]:
-    """Driver side: strip META_COL + null marker rows, merge counters."""
-    counters: dict[str, int] = {}
-    out = []
-    for t in tables:
-        merge_meta_blobs(counters, t.column(META_COL).to_pylist())
-        t = t.drop_columns([META_COL])
-        t = t.filter(pc.is_valid(t.column("url")))
-        if t.num_rows:
-            out.append(t)
-    return out, counters
 
 
 def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,

@@ -19,8 +19,6 @@ Backends per shard:
   it is counted); false-positive rate ~= 2^-13 (a tiny fraction of
   genuinely-new URLs silently dropped as "seen" — acceptable for crawl
   frontiers, documented divergence from the reference's exact set).
-* ``bloom``  — numpy bit-array Bloom filter, k hashes (fallback; same
-  approximation direction as cuckoo but no deletion support).
 
 Capacity sizing is per shard.  All check/insert paths are vectorized
 numpy except cuckoo-insert eviction loops (rare at <90% load).
@@ -386,66 +384,7 @@ class CuckooBackend:
         return self.table.nbytes
 
 
-class BloomBackend:
-    def __init__(self, capacity: int = 1_000_000, fp_rate: float = 1e-4):
-        nbits = int(max(64, -capacity * np.log(fp_rate) / (np.log(2) ** 2)))
-        nbits = 1 << int(np.ceil(np.log2(nbits)))
-        self.nbits_mask = _U64(nbits - 1)
-        self.bits = np.zeros(nbits // 8, dtype=np.uint8)
-        self.k = max(1, int(round(nbits / capacity * np.log(2))))
-        self.count = 0
-
-    def _positions(self, hashes: np.ndarray) -> np.ndarray:
-        h = hashes.astype(_U64)
-        a = _mix(h, 0x51ED)
-        b = _mix(h, 0xC0FE)
-        with np.errstate(over="ignore"):
-            return np.stack(
-                [(a + _U64(i) * b) & self.nbits_mask for i in range(self.k)], axis=1
-            )
-
-    def contains(self, hashes: np.ndarray) -> np.ndarray:
-        pos = self._positions(hashes)
-        byte_idx = (pos >> _U64(3)).astype(np.int64)
-        bit = (np.uint8(1) << (pos & _U64(7)).astype(np.uint8))
-        return ((self.bits[byte_idx] & bit) != 0).all(axis=1)
-
-    def check_and_add(self, hashes: np.ndarray) -> np.ndarray:
-        present = self.contains(hashes)
-        new_idx = np.nonzero(~present)[0]
-        # in-batch duplicate hashes: only first occurrence is new
-        _, first_pos = np.unique(hashes[new_idx], return_index=True)
-        winners = new_idx[np.sort(first_pos)]
-        pos = self._positions(hashes[winners])
-        byte_idx = (pos >> _U64(3)).astype(np.int64).ravel()
-        bit = (np.uint8(1) << (pos & _U64(7)).astype(np.uint8)).ravel()
-        np.bitwise_or.at(self.bits, byte_idx, bit)
-        self.count += len(winners)
-        out = np.zeros(len(hashes), dtype=bool)
-        out[winners] = True
-        return out
-
-    def add(self, hashes: np.ndarray) -> None:
-        self.check_and_add(hashes)
-
-    def state(self) -> dict:
-        return {"kind": "bloom", "bits": self.bits, "count": self.count,
-                "k": self.k}
-
-    def load_state(self, st: dict) -> None:
-        self.bits = st["bits"]
-        self.nbits_mask = _U64(len(self.bits) * 8 - 1)
-        self.k = int(st["k"])
-        self.count = int(st["count"])
-
-    def __len__(self):
-        return self.count
-
-    def memory_bytes(self) -> int:
-        return self.bits.nbytes
-
-
-BACKENDS = {"exact": ExactBackend, "cuckoo": CuckooBackend, "bloom": BloomBackend}
+BACKENDS = {"exact": ExactBackend, "cuckoo": CuckooBackend}
 
 
 def scatter_check_and_add(hashes: np.ndarray, shards: list) -> np.ndarray:
@@ -531,7 +470,7 @@ class SeenShard:
     def snapshot(self, path: str) -> int:
         """Write this shard's filter state to one ``.npz`` file
         (worker-side — the state never transits the driver).  The
-        cuckoo table / bloom bits are single numpy arrays, so a shard
+        exact and cuckoo tables are single numpy arrays, so a shard
         snapshot is one array write (SCALING.md failure-handling
         plan)."""
         st = self.backend.state()
@@ -572,6 +511,9 @@ class SeenSet:
 
     def __init__(self, num_shards: int = 8, backend: str = "exact",
                  capacity_per_shard: int = 1_000_000):
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown seen_backend {backend!r}; "
+                             f"choose one of {sorted(BACKENDS)}")
         self.num_shards = num_shards
         self.backend_name = backend
         self.shards = [

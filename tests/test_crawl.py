@@ -385,9 +385,9 @@ def test_turbo_checkpoint_resume(tmp_path):
     assert out1["fetched"] < 60
     eng.seen.shutdown()
 
-    eng2 = CrawlEngine.resume_turbo(sw, sw.url_of(0), ckpt, sink,
-                                    filter_by_domain=False, seen_shards=2,
-                                    store_body=False, batch_size=16)
+    eng2 = CrawlEngine.resume(sw, sw.url_of(0), ckpt, sink_dir=sink,
+                              filter_by_domain=False, seen_shards=2,
+                              store_body=False, batch_size=16)
     out2 = eng2.run_turbo(sink, max_rounds=60)
     import ray.data as rd
 
@@ -486,27 +486,47 @@ def test_turbo_parity_with_conformance(tmp_path):
     eng2.seen.shutdown()
 
 
-def test_dataset_frontier_wave_equivalence(tmp_path):
-    """frontier_backend='dataset' dequeues the same waves as the driver
-    backend (same budget, same seeded frontier): per-host budget exact,
-    FIFO by seq, identical URL sets per round."""
-    def waves(backend):
-        sw = ScaleWeb(n_pages=30, n_hosts=3, out_degree=0)
-        eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False,
-                          seen_shards=2, store_body=False,
-                          host_budget_per_round=2,
-                          frontier_backend=backend)
-        eng.seed_frontier([sw.url_of(i) for i in range(30)])
-        out = []
-        while True:
-            wave = eng._dequeue_wave()
-            if wave.num_rows == 0:
-                break
-            out.append(sorted(wave.column("url").to_pylist()))
-        eng.seen.shutdown()
-        return out
+def _oracle_wave(q, budget, cap):
+    """Reference dequeue over a queued table (the retired driver-side
+    frontier's cut): seq order, the oldest ``budget`` rows per host
+    (0 = all), then the first ``cap`` rows (0 = all)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
-    assert waves("driver") == waves("dataset")
+    q = q.take(pc.sort_indices(q, sort_keys=[("seq", "ascending")]))
+    if budget:
+        rank = q.select(["host"]).to_pandas().groupby("host").cumcount()
+        q = q.filter(pa.array((rank < budget).to_numpy()))
+    return q.slice(0, cap) if cap else q
+
+
+def _waves_vs_oracle(eng, budget, cap, max_rounds=80):
+    """Per-round URL sets of the engine's dequeue and of the oracle cut
+    of the queue just before it, up to and including the first empty
+    wave."""
+    got, want = [], []
+    for _ in range(max_rounds):
+        expect = _oracle_wave(eng.queued_table(), budget, cap)
+        wave = eng._dequeue_wave()
+        got.append(sorted(wave.column("url").to_pylist()))
+        want.append(sorted(expect.column("url").to_pylist()))
+        if wave.num_rows == 0:
+            break
+    return got, want
+
+
+def test_dataset_frontier_wave_equivalence(tmp_path):
+    """The frontier dequeues the same waves as the reference cut (same
+    budget, same seeded frontier): per-host budget exact, FIFO by seq,
+    identical URL sets per round."""
+    sw = ScaleWeb(n_pages=30, n_hosts=3, out_degree=0)
+    eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False,
+                      seen_shards=2, store_body=False,
+                      host_budget_per_round=2)
+    eng.seed_frontier([sw.url_of(i) for i in range(30)])
+    got, want = _waves_vs_oracle(eng, 2, 0)
+    eng.seen.shutdown()
+    assert got == want
 
 
 def test_turbo_dataset_frontier_fetches_everything(tmp_path):
@@ -514,8 +534,7 @@ def test_turbo_dataset_frontier_fetches_everything(tmp_path):
     holds more than one wave; everything still fetched exactly once."""
     sw = ScaleWeb(n_pages=60, n_hosts=4, out_degree=3)
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=2,
-                      store_body=False, batch_size=16,
-                      frontier_backend="dataset", max_wave_rows=20)
+                      store_body=False, batch_size=16, max_wave_rows=20)
     out = eng.run_turbo(str(tmp_path / "sink"), max_rounds=60)
     assert out["fetched"] == 60
     import ray.data as rd
@@ -529,16 +548,15 @@ def test_turbo_dataset_frontier_checkpoint_resume(tmp_path):
     sw = ScaleWeb(n_pages=40, n_hosts=3, out_degree=2)
     sink = str(tmp_path / "sink")
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=2,
-                      store_body=False, batch_size=16,
-                      frontier_backend="dataset", max_wave_rows=10,
+                      store_body=False, batch_size=16, max_wave_rows=10,
                       checkpoint_dir=str(tmp_path / "ck"))
     eng.seed_frontier([sw.url_of(i) for i in range(40)])
     out1 = eng.run_turbo(sink, max_rounds=2)
     eng.seen.shutdown()
-    eng2 = CrawlEngine.resume_turbo(sw, sw.url_of(0), str(tmp_path / "ck"), sink,
-                                    filter_by_domain=False, seen_shards=2,
-                                    store_body=False, batch_size=16,
-                                    frontier_backend="dataset", max_wave_rows=10)
+    eng2 = CrawlEngine.resume(sw, sw.url_of(0), str(tmp_path / "ck"),
+                              sink_dir=sink, filter_by_domain=False,
+                              seen_shards=2, store_body=False, batch_size=16,
+                              max_wave_rows=10)
     out2 = eng2.run_turbo(sink, max_rounds=60)
     import ray.data as rd
 
@@ -605,10 +623,10 @@ def test_async_download_condition(web):
 def test_update_queued_between_rounds(web):
     eng = CrawlEngine(web, SEED, seen_shards=2)
     eng.seed_frontier(["http://127.0.0.1:3000/stage7"])
-    seq = eng.queued.column("seq")[0].as_py()
+    seq = eng.queued_table().column("seq")[0].as_py()
     row = eng.update_queued(seq, {"stateData": {"code": 999}})
     assert row["state_code"] == 999
-    assert eng.queued.column("state_code")[0].as_py() == 999
+    assert eng.queued_table().column("state_code")[0].as_py() == 999
     eng.seen.shutdown()
 
 
@@ -655,8 +673,7 @@ def test_dataset_frontier_salted_hot_host(tmp_path):
     budget exact, FIFO within a host, and loses no row."""
     sw = ScaleWeb(n_pages=120, n_hosts=2, out_degree=0)  # host skew via Zipf
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=2,
-                      store_body=False, host_budget_per_round=5,
-                      frontier_backend="dataset")
+                      store_body=False, host_budget_per_round=5)
     eng.seed_frontier([sw.url_of(i) for i in range(120)])
     total = 0
     rounds = 0
@@ -680,38 +697,39 @@ def test_dataset_frontier_salted_hot_host(tmp_path):
 
 @pytest.mark.parametrize("budget,cap", [(1, 0), (3, 0), (0, 17), (2, 7), (0, 0)])
 def test_dataset_vs_driver_dequeue_equivalence(budget, cap):
-    """Property: for any (budget, cap) config the dataset dequeue emits
-    the same per-round URL sets as the driver dequeue."""
-    def waves(backend):
-        sw = ScaleWeb(n_pages=40, n_hosts=5, out_degree=0)
-        eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False,
-                          seen_shards=2, store_body=False,
-                          host_budget_per_round=budget, max_wave_rows=cap,
-                          frontier_backend=backend)
-        eng.seed_frontier([sw.url_of(i) for i in range(40)])
-        out = []
-        for _ in range(80):
-            wave = eng._dequeue_wave()
-            if wave.num_rows == 0:
-                break
-            out.append(sorted(wave.column("url").to_pylist()))
-        eng.seen.shutdown()
-        return out
+    """Property: for any (budget, cap) config the frontier dequeue emits
+    the same per-round URL sets as the reference cut."""
+    sw = ScaleWeb(n_pages=40, n_hosts=5, out_degree=0)
+    eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False,
+                      seen_shards=2, store_body=False,
+                      host_budget_per_round=budget, max_wave_rows=cap)
+    eng.seed_frontier([sw.url_of(i) for i in range(40)])
+    got, want = _waves_vs_oracle(eng, budget, cap)
+    eng.seen.shutdown()
+    assert got == want
 
-    assert waves("driver") == waves("dataset")
+
+#: run() fetch order (= seq order) of the main-site crawl, as the retired
+#: driver-side frontier produced it
+CONFORMANCE_FETCH_ORDER = [
+    "http://127.0.0.1:3000/",
+    "http://127.0.0.1:3000/sitemap.xml",
+    "http://127.0.0.1:3000/stage2",
+    "http://127.0.0.1:3000/stage/3",
+    "http://127.0.0.1:3000/stage/4",
+    "http://127.0.0.1:3000/stage5",
+    "http://127.0.0.1:3000/stage6",
+    "http://127.0.0.1:3000/nofollow",
+]
 
 
 def test_conformance_run_with_dataset_frontier(web):
-    """run() (exact-FIFO conformance mode) produces the same fetched
-    set and seq order over the object-store frontier backend."""
+    """run() (exact-FIFO conformance mode) over the object-store frontier
+    produces the reference fetched set in the reference seq order."""
     eng, res = run(web, SEED)
-    expected = res.fetched_table().column("url").to_pylist()
+    got = res.fetched_table().column("url").to_pylist()
+    assert got == CONFORMANCE_FETCH_ORDER  # same URLs, same seq order
     eng.seen.shutdown()
-
-    eng2, res2 = run(web, SEED, frontier_backend="dataset")
-    got = res2.fetched_table().column("url").to_pylist()
-    assert got == expected  # same URLs, same seq order
-    eng2.seen.shutdown()
 
 
 def test_add_remove_fetch_condition(web):
@@ -753,8 +771,7 @@ def test_turbo_dataset_frontier_rows_never_transit_driver(tmp_path, monkeypatch)
     monkeypatch.setattr(crawl_mod._DatasetFrontier, "add_table", spy)
     sw = ScaleWeb(n_pages=60, n_hosts=4, out_degree=3)
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=2,
-                      store_body=False, batch_size=16,
-                      frontier_backend="dataset")
+                      store_body=False, batch_size=16)
     out = eng.run_turbo(str(tmp_path / "sink"), max_rounds=60)
     assert out["fetched"] == 60
     assert sum(rows_via_add_table) <= 1, (
@@ -765,7 +782,7 @@ def test_turbo_dataset_frontier_rows_never_transit_driver(tmp_path, monkeypatch)
 def test_update_queued_dataset_backend(web):
     """Round-2 verdict #6: update() works on the dataset frontier —
     the holding block is rewritten worker-side and its ref swapped."""
-    eng = CrawlEngine(web, SEED, seen_shards=2, frontier_backend="dataset")
+    eng = CrawlEngine(web, SEED, seen_shards=2)
     eng.seed_frontier(["http://127.0.0.1:3000/stage7",
                        "http://127.0.0.1:3000/stage8"])
     # second block (same host bucket, disjoint seq range): the
@@ -791,7 +808,7 @@ def test_update_queued_dataset_backend(web):
     eng.seen.shutdown()
 
 
-@pytest.mark.parametrize("backend", ["driver", "dataset"])
+@pytest.mark.parametrize("backend", ["dataset"])
 def test_turbo_initial_domain_change_allowed(tmp_path, backend):
     """Round-2 verdict #9: turbo applies allow_initial_domain_change —
     the seed's redirect target host becomes cfg.host (threaded back via
@@ -800,8 +817,7 @@ def test_turbo_initial_domain_change_allowed(tmp_path, backend):
 
     web = ConformanceWeb()
     eng = CrawlEngine(web, "http://127.0.0.1:3000/domain-redirect",
-                      seen_shards=2, allow_initial_domain_change=True,
-                      frontier_backend=backend)
+                      seen_shards=2, allow_initial_domain_change=True)
     out = eng.run_turbo(str(tmp_path / "sink"), max_rounds=20)
     t = rd.read_parquet(str(tmp_path / "sink")).to_pandas()
     st = dict(zip(t["url"], t["status"]))
@@ -847,10 +863,10 @@ def test_turbo_resume_from_seen_snapshot(tmp_path):
     states = sorted(d for d in os.listdir(str(tmp_path / "ck"))
                     if d.startswith("state-round="))
     assert os.path.isdir(os.path.join(str(tmp_path / "ck"), states[-1], "seen"))
-    eng2 = CrawlEngine.resume_turbo(sw, sw.url_of(0), str(tmp_path / "ck"), sink,
-                                    filter_by_domain=False, seen_shards=2,
-                                    store_body=False, batch_size=16,
-                                    max_wave_rows=10, checkpoint_seen=True)
+    eng2 = CrawlEngine.resume(sw, sw.url_of(0), str(tmp_path / "ck"),
+                              sink_dir=sink, filter_by_domain=False,
+                              seen_shards=2, store_body=False, batch_size=16,
+                              max_wave_rows=10, checkpoint_seen=True)
     out2 = eng2.run_turbo(sink, max_rounds=60)
     t = rd.read_parquet(sink).to_pandas()
     assert t["url"].nunique() == 40
@@ -876,33 +892,43 @@ def test_conformance_resume_from_seen_snapshot(web, tmp_path):
     eng2.seen.shutdown()
 
 
-def test_dataset_frontier_fetch_order_matches_driver_multi_host():
-    """ADVICE round-2: with budget=0/cap=0 the dataset backend's waves
-    must be seq-FIFO like the driver backend — compared WITHOUT
-    sorting, across multiple hosts, including candidate seq stamping."""
-    def crawl(backend):
-        sw = ScaleWeb(n_pages=30, n_hosts=5, out_degree=2)
-        eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False,
-                          seen_shards=2, store_body=False,
-                          frontier_backend=backend)
-        res = eng.run(max_rounds=40)
-        t = res.fetched_table()
-        order = list(eng.fetch_order)
-        seqs = dict(zip(t.column("url").to_pylist(),
-                        t.column("seq").to_pylist()))
-        eng.seen.shutdown()
-        return order, seqs
+#: run() fetch order of ScaleWeb(n_pages=30, n_hosts=5, out_degree=2) from
+#: url_of(0), as the retired driver-side frontier produced it; that crawl
+#: stamped seq i on the i-th URL fetched
+MULTI_HOST_FETCH_ORDER = [
+    "http://host2.test/p/0", "http://host4.test/p/1", "http://host1.test/p/7",
+    "http://host2.test/p/2", "http://host4.test/p/5", "http://host1.test/p/8",
+    "http://host2.test/p/19", "http://host0.test/p/3", "http://host2.test/p/6",
+    "http://host0.test/p/16", "http://host2.test/p/9", "http://host0.test/p/20",
+    "http://host0.test/p/29", "http://host2.test/p/4", "http://host4.test/p/28",
+    "http://host4.test/p/17", "http://host0.test/p/10", "http://host3.test/p/21",
+    "http://host3.test/p/11", "http://host0.test/p/14", "http://host0.test/p/18",
+    "http://host3.test/p/22", "http://host0.test/p/27", "http://host0.test/p/12",
+    "http://host1.test/p/15", "http://host0.test/p/23", "http://host4.test/p/26",
+    "http://host0.test/p/13", "http://host4.test/p/24", "http://host1.test/p/25",
+]
 
-    order_d, seqs_d = crawl("driver")
-    order_ds, seqs_ds = crawl("dataset")
-    assert order_d == order_ds          # exact FIFO order, unsorted
-    assert seqs_d == seqs_ds            # identical seq stamping
+
+def test_dataset_frontier_fetch_order_matches_driver_multi_host():
+    """ADVICE round-2: with budget=0/cap=0 the frontier's waves must be
+    seq-FIFO like the reference order — compared WITHOUT sorting,
+    across multiple hosts, including candidate seq stamping."""
+    sw = ScaleWeb(n_pages=30, n_hosts=5, out_degree=2)
+    eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False,
+                      seen_shards=2, store_body=False)
+    res = eng.run(max_rounds=40)
+    t = res.fetched_table()
+    order = list(eng.fetch_order)
+    seqs = dict(zip(t.column("url").to_pylist(), t.column("seq").to_pylist()))
+    eng.seen.shutdown()
+    assert order == MULTI_HOST_FETCH_ORDER   # exact FIFO order, unsorted
+    assert seqs == {u: i for i, u in enumerate(MULTI_HOST_FETCH_ORDER)}
 
 
 def _seeded_dataset_engine(n_pages=40, n_hosts=5, **opts):
     sw = ScaleWeb(n_pages=n_pages, n_hosts=n_hosts, out_degree=0)
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=2,
-                      store_body=False, frontier_backend="dataset", **opts)
+                      store_body=False, **opts)
     eng.seed_frontier([sw.url_of(i) for i in range(n_pages)])
     return eng
 
@@ -971,7 +997,7 @@ def test_dataset_checkpoint_writes_one_file_per_bucket(tmp_path):
     sw = ScaleWeb(n_pages=60, n_hosts=6, out_degree=3)
     ck = str(tmp_path / "ck")
     opts = dict(filter_by_domain=False, seen_shards=2, store_body=False,
-                batch_size=16, frontier_backend="dataset", max_wave_rows=10)
+                batch_size=16, max_wave_rows=10)
     eng = CrawlEngine(sw, sw.url_of(0), checkpoint_dir=ck, **opts)
     eng.seed_frontier([sw.url_of(i) for i in range(60)])
     eng.run_turbo(str(tmp_path / "sink"), max_rounds=2)
@@ -983,8 +1009,8 @@ def test_dataset_checkpoint_writes_one_file_per_bucket(tmp_path):
     assert len(files) == sum(1 for refs in fr.buckets if refs)
     assert sum(pq.read_metadata(f).num_rows for f in files) == queued
     eng.seen.shutdown()
-    eng2 = CrawlEngine.resume_turbo(sw, sw.url_of(0), ck,
-                                    str(tmp_path / "sink"), **opts)
+    eng2 = CrawlEngine.resume(sw, sw.url_of(0), ck,
+                              sink_dir=str(tmp_path / "sink"), **opts)
     assert eng2._frontier.num_rows == queued
     eng2.seen.shutdown()
 
@@ -1074,12 +1100,11 @@ def test_turbo_resume_backend_mismatch_falls_back_to_replay(tmp_path):
     eng.seed_frontier([sw.url_of(i) for i in range(30)])
     eng.run_turbo(sink, max_rounds=2)
     eng.seen.shutdown()
-    eng2 = CrawlEngine.resume_turbo(sw, sw.url_of(0), str(tmp_path / "ck"),
-                                    sink, filter_by_domain=False,
-                                    seen_shards=2, store_body=False,
-                                    batch_size=16, max_wave_rows=10,
-                                    checkpoint_seen=True,
-                                    seen_backend="cuckoo")
+    eng2 = CrawlEngine.resume(sw, sw.url_of(0), str(tmp_path / "ck"),
+                              sink_dir=sink, filter_by_domain=False,
+                              seen_shards=2, store_body=False,
+                              batch_size=16, max_wave_rows=10,
+                              checkpoint_seen=True, seen_backend="cuckoo")
     eng2.run_turbo(sink, max_rounds=60)
     t = rd.read_parquet(sink).to_pandas()
     assert t["url"].nunique() == 30
@@ -1166,6 +1191,71 @@ def test_disallowed_rows_survive_resume(web, tmp_path):
     dis = t2[t2["url"] == "http://127.0.0.1:3001/disallowed"]
     assert len(dis) == 1 and dis["status"].iloc[0] == "disallowed"
     eng2.seen.shutdown()
+
+
+def test_turbo_disallowed_rows_survive_resume(web, tmp_path):
+    """run_turbo's robots-disallowed rows reach the checkpoint too: a
+    resume that replays hashes (no seen snapshot) still holds the
+    disallowed URL, so a later enqueue of it counts as a duplicate
+    instead of being admitted and disallowed again."""
+    import numpy as np
+
+    from simplecrawler_ray.sources.web import url_hash64
+
+    seed = "http://127.0.0.1:3000/to/other/port"
+    dis = "http://127.0.0.1:3001/disallowed"
+    ck, sink = str(tmp_path / "ck"), str(tmp_path / "sink")
+    eng = CrawlEngine(web, seed, checkpoint_dir=ck, seen_shards=2,
+                      filter_by_domain=False)
+    eng.seed_frontier([dis, "http://127.0.0.1:3000/stage7"])
+    eng.run_turbo(sink, max_rounds=1)
+    h = np.array([url_hash64(dis)], dtype=np.uint64)
+    assert eng.seen.contains(h).all()
+    eng.seen.shutdown()
+
+    eng2 = CrawlEngine.resume(web, seed, ck, sink_dir=sink, seen_shards=2,
+                              filter_by_domain=False)
+    assert eng2.seen.contains(h).all()
+    before = dict(eng2.metrics)
+    eng2.enqueue(dis)
+    eng2.run_turbo(sink, max_rounds=5)
+    m = eng2.metrics
+    assert m.get("queueadd", 0) == before.get("queueadd", 0)
+    assert m["queueduplicate"] > before.get("queueduplicate", 0)
+    assert m["fetchdisallowed"] == before["fetchdisallowed"]
+    eng2.seen.shutdown()
+
+
+def test_turbo_all_disallowed_round_is_checkpointed(web, tmp_path):
+    """A turbo round whose whole wave the robots recheck disallows still
+    writes its checkpoint, with the disallowed rows as terminal parts."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    ck = str(tmp_path / "ck")
+    eng = CrawlEngine(web, "http://127.0.0.1:3001/disallowed",
+                      checkpoint_dir=ck, seen_shards=2)
+    eng.run_turbo(str(tmp_path / "sink"), max_rounds=3)
+    eng.seen.shutdown()
+    assert eng.metrics["fetchdisallowed"] == 1
+    assert "fetchstart" not in eng.metrics
+    states = sorted(glob.glob(os.path.join(ck, "state-round=*")))
+    assert [os.path.basename(d) for d in states] == ["state-round=00000"]
+    parts = glob.glob(os.path.join(states[0], "fetched-*.parquet"))
+    rows = [r for f in parts for r in pq.read_table(f).to_pylist()]
+    assert [(r["url"], r["status"]) for r in rows] == [
+        ("http://127.0.0.1:3001/disallowed", "disallowed")]
+
+
+def test_frontier_backend_only_dataset(web):
+    """The object-store frontier is the only store: "dataset" is
+    accepted (existing configs still load), anything else is refused."""
+    eng = CrawlEngine(web, SEED, seen_shards=1, frontier_backend="dataset")
+    eng.seen.shutdown()
+    with pytest.raises(ValueError, match="frontier_backend"):
+        CrawlEngine(web, SEED, seen_shards=1, frontier_backend="driver")
 
 
 def test_robots_blank_user_agent_does_not_match_everything():

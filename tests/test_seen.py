@@ -1,17 +1,16 @@
-"""Seen-set backends: exact / cuckoo / bloom — unit + actor-pool tests."""
+"""Seen-set backends: exact / cuckoo — unit + actor-pool tests."""
 
 import numpy as np
 import pytest
 
 from simplecrawler_ray.state.seen import (
-    BloomBackend,
     CuckooBackend,
     ExactBackend,
     SeenSet,
 )
 
 
-@pytest.mark.parametrize("cls", [ExactBackend, CuckooBackend, BloomBackend])
+@pytest.mark.parametrize("cls", [ExactBackend, CuckooBackend])
 def test_backend_check_and_add(cls):
     b = cls(10_000)
     h = np.arange(1, 1001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
@@ -22,7 +21,7 @@ def test_backend_check_and_add(cls):
     assert b.contains(h).all()
 
 
-@pytest.mark.parametrize("cls", [ExactBackend, CuckooBackend, BloomBackend])
+@pytest.mark.parametrize("cls", [ExactBackend, CuckooBackend])
 def test_backend_in_batch_duplicates(cls):
     b = cls(1000)
     h = np.array([7, 8, 7, 9, 8, 7], dtype=np.uint64)
@@ -58,6 +57,13 @@ def test_seen_set_actor_pool():
     s.shutdown()
 
 
+def test_seen_set_rejects_unknown_backend():
+    """An unknown backend is refused on the driver, naming the choices,
+    before any shard actor starts."""
+    with pytest.raises(ValueError, match=r"'bloom'.*\['cuckoo', 'exact'\]"):
+        SeenSet(num_shards=2, backend="bloom")
+
+
 def test_seen_set_order_preserved():
     s = SeenSet(num_shards=4, backend="exact")
     h = np.array([5, 5, 6, 5, 7, 6], dtype=np.uint64)
@@ -77,7 +83,7 @@ def test_seen_set_cuckoo_replay():
 
 def test_snapshot_restore_all_backends(tmp_path):
     """Shard filter snapshot/restore: membership identical after reload
-    for exact, cuckoo and bloom backends."""
+    for exact and cuckoo backends."""
     import numpy as np
 
     from simplecrawler_ray.state.seen import SeenSet
@@ -85,7 +91,7 @@ def test_snapshot_restore_all_backends(tmp_path):
     rng = np.random.default_rng(3)
     hashes = rng.integers(1, 2**63, 50_000).astype(np.uint64)
     fresh = rng.integers(2**63, 2**64 - 1, 1000, dtype=np.uint64)
-    for backend in ("exact", "cuckoo", "bloom"):
+    for backend in ("exact", "cuckoo"):
         s1 = SeenSet(num_shards=4, backend=backend,
                      capacity_per_shard=1 << 16)
         s1.add(hashes)

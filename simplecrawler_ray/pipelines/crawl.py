@@ -49,6 +49,7 @@ from ..stages.candidates import (
     candidates_to_frontier_rows,
     explode_discovered,
 )
+from ..stages import turbo as _turbo
 from ..stages.fetch import fetcher_udf
 from ..state.seen import SeenSet
 from ..urlnorm import CanonOpts, process_url
@@ -123,17 +124,22 @@ def _batched_hook_block(hook, t: pa.Table) -> "list[dict]":
 
 
 @ray.remote
-def _write_parts(path: str, *parts: pa.Table) -> int:
-    """Worker-side checkpoint write of one parquet file from one or more
-    block parts (payloads never transit the driver; multi-node
-    deployments point checkpoint_dir at shared storage, same contract as
-    the turbo sink).  The parts are top-level arguments, so Ray resolves
-    them before the task starts and the worker never blocks in
-    ``ray.get``."""
-    tables = [t for t in parts if t.num_rows] or list(parts[:1])
-    t = pa.concat_tables(tables, promote_options="default")
-    pq.write_table(t, path)
-    return t.num_rows
+def _write_checkpoint(tmp: str, files: list, *parts: pa.Table) -> int:
+    """Worker-side write of every parquet file of one checkpoint:
+    ``files`` lists ``(file name, n_parts)``, ``parts`` the files' parts
+    in that order, as top-level arguments so Ray resolves them before
+    the task starts (no blocking ``ray.get`` in the worker; payloads
+    never transit the driver).  A file with no part is an empty
+    frontier table.  Returns the rows written."""
+    rows, k = 0, 0
+    for name, n in files:
+        chunk, k = parts[k:k + n], k + n
+        tables = ([t for t in chunk if t.num_rows] or list(chunk[:1])
+                  or [FRONTIER_SCHEMA.empty_table()])
+        t = pa.concat_tables(tables, promote_options="default")
+        pq.write_table(t, os.path.join(tmp, name))
+        rows += t.num_rows
+    return rows
 
 
 def _host_bucket(host: str, n_buckets: int) -> int:
@@ -177,46 +183,41 @@ def _robots_schemes(hklist: list, protocols: list) -> dict:
     return schemes
 
 
-@ray.remote
-def _adopt_frontier_block(block, n_buckets: int):
-    """Worker-side adoption of one turbo-output block into the bucketed
-    frontier store: strip the in-band ``__meta`` counters and partition
-    the admitted rows by host bucket.  Streaming generator: the FIRST
-    yield is ``(counters, [(bucket, n_rows, seq_min, seq_max)])`` and
-    each later yield is one bucket part table, in meta order.  Yielded
-    values are task returns OWNED BY THE DRIVER — the previous
-    worker-side ``ray.put`` left the part refs owned by a transient
-    worker process, so an idle-worker reap or node loss silently
-    dropped queued rows with OwnerDiedError (round-3 advice #1;
-    ``ray.put`` objects are not lineage-reconstructable).  The
-    driver still never sees the rows themselves — it ``ray.get``\\ s
-    only the thin meta yield."""
-    from ..stages.turbo import META_COL, merge_meta_blobs
+def _split_by_bucket(t: pa.Table, bucket_of) -> list:
+    """``t``'s rows partitioned by host bucket: ``(bucket, part,
+    (seq_min, seq_max))`` per non-empty bucket, in bucket order."""
+    hosts = t.column("host").to_pylist()
+    assign = np.fromiter((bucket_of(h) for h in hosts), dtype=np.int32,
+                         count=len(hosts))
+    out = []
+    for b in np.unique(assign):
+        part = t.filter(pa.array(assign == b))
+        s = part.column("seq")
+        out.append((int(b), part, (pc.min(s).as_py(), pc.max(s).as_py())))
+    return out
 
-    if isinstance(block, pd.DataFrame):
-        block = pa.Table.from_pandas(block, preserve_index=False)
+
+@ray.remote
+def _turbo_batch(batch: pa.Table, kw: dict, n_buckets: int):
+    """One turbo batch, one task: ``turbo_round_udf`` (looked up through
+    its module at call time, so a wrapper installed there sees every
+    call), then its admitted rows split by host bucket.  Streaming
+    generator: the FIRST yield is ``(counters, [(bucket, n_rows,
+    seq_min, seq_max)])``, each later yield one bucket part, in meta
+    order.  Yields are task returns OWNED BY THE DRIVER: a worker-side
+    ``ray.put`` would leave them owned by a transient worker, and an
+    idle-worker reap would drop queued rows with OwnerDiedError."""
+    block = _turbo.turbo_round_udf(batch, **kw)
     counters: dict[str, int] = {}
-    if META_COL in block.column_names:
-        merge_meta_blobs(counters, block.column(META_COL).to_pylist())
-        block = block.drop_columns([META_COL])
-        block = block.filter(pc.is_valid(block.column("url")))
-    meta, tables = [], []
-    if block.num_rows:
-        hosts = block.column("host").to_pylist()
-        cache: dict[str, int] = {}
-        assign = np.fromiter(
-            (cache.get(h) if h in cache
-             else cache.setdefault(h, _host_bucket(h, n_buckets))
-             for h in hosts), dtype=np.int32, count=len(hosts))
-        for b in np.unique(assign):
-            part = block.filter(pa.array(assign == b))
-            seqs = part.column("seq")
-            meta.append((int(b), part.num_rows,
-                         pc.min(seqs).as_py(), pc.max(seqs).as_py()))
-            tables.append(part)
-    yield counters, meta
-    for t in tables:
-        yield t
+    _turbo.merge_meta_blobs(counters, block.column(_turbo.META_COL).to_pylist())
+    block = block.drop_columns([_turbo.META_COL])
+    block = block.filter(pc.is_valid(block.column("url")))
+    cache: dict[str, int] = {}
+    parts = _split_by_bucket(block, lambda h: cache[h] if h in cache else
+                             cache.setdefault(h, _host_bucket(h, n_buckets)))
+    yield counters, [(b, t.num_rows, *rng) for b, t, rng in parts]
+    for part in parts:
+        yield part[1]
 
 
 def _patch_row(t: pa.Table, idx: int, flat: dict) -> tuple[pa.Table, dict]:
@@ -346,7 +347,7 @@ class _DatasetFrontier:
     def adopt_parts(self, parts: list) -> None:
         """Adopt worker-bucketed frontier parts: ``(bucket, ref, n_rows,
         seq_min, seq_max)`` tuples assembled from
-        ``_adopt_frontier_block``'s yields — the rows stay in the object
+        ``_turbo_batch``'s yields — the rows stay in the object
         store; the driver records refs + counts + seq ranges only
         (the turbo-path ingestion; `add_table` remains for driver-side
         row sources: seeds, manual enqueues, checkpoint load)."""
@@ -354,16 +355,8 @@ class _DatasetFrontier:
             self._append(b, ref, n, (smin, smax))
 
     def add_table(self, t: pa.Table) -> None:
-        if t.num_rows == 0:
-            return
-        hosts = t.column("host").to_pylist()
-        assign = np.fromiter((self._bucket_of(h) for h in hosts),
-                             dtype=np.int32, count=len(hosts))
-        for b in np.unique(assign):
-            part = t.filter(pa.array(assign == b))
-            s = part.column("seq")
-            self._append(int(b), ray.put(part), part.num_rows,
-                         (pc.min(s).as_py(), pc.max(s).as_py()))
+        for b, part, rng in _split_by_bucket(t, self._bucket_of):
+            self._append(b, ray.put(part), part.num_rows, rng)
 
     def _run_cuts(self, cuts: dict, tables: list) -> pa.Table:
         """Finish per-bucket ``_bucket_cut`` tasks: each bucket's
@@ -471,7 +464,6 @@ DEFAULT_CONFIG = dict(
     seen_shards=4,
     seen_capacity_per_shard=1 << 20,
     batch_size=256,
-    fetcher_concurrency=4,
     fetch_threads=0,        # >1: threaded batch I/O for real transports
                             # (HttpWeb); latency-bound WAN fetches need it
     driver_side_hook=False,  # True: legacy per-row fetch_complete_hook
@@ -619,21 +611,28 @@ class CrawlEngine:
                      * RobotsShard._default_options["num_cpus"])
         return cpus
 
+    def _task_cpus(self) -> float:
+        """CPUs the engine's tasks may use at once: the cluster's CPUs
+        less the actors' (at least 1), capped by a user-set Ray Data CPU
+        limit.  Both the Ray Data budget and ``run_turbo``'s window."""
+        if self._cluster_cpus is None:
+            self._cluster_cpus = ray.cluster_resources().get("CPU", 0.0)
+        limit = rd.DataContext.get_current().execution_options.resource_limits.cpu
+        return min(max(1.0, self._cluster_cpus - self._actor_cpus()), limit)
+
     def _budgeted(self, ds: rd.Dataset) -> rd.Dataset:
-        """Leave the engine's actor CPUs out of ``ds``'s Ray Data budget.
+        """Hold ``ds``'s Ray Data budget to ``_task_cpus()``.
 
         Ray Data otherwise counts the CPUs the seen shards (and robots
         shards) hold as free, submits map tasks the raylet cannot place,
         and the raylet starts spare worker processes for them.  A CPU
-        limit the user already set is kept, and the exclusion always
-        leaves room for one 1-CPU task.  Only ``ds``'s own copy of the
-        DataContext changes."""
+        limit the user already set is kept.  Only ``ds``'s own copy of
+        the DataContext changes."""
         opts = ds.context.execution_options
         if opts.resource_limits.cpu != float("inf"):
             return ds  # Ray Data refuses a CPU limit and exclusion together
-        if self._cluster_cpus is None:
-            self._cluster_cpus = ray.cluster_resources().get("CPU", 0.0)
-        cpus = min(self._actor_cpus(), max(0.0, self._cluster_cpus - 1))
+        budget = self._task_cpus()  # also caches the cluster's CPUs
+        cpus = max(0.0, self._cluster_cpus - budget)
         opts.exclude_resources = opts.exclude_resources.copy(
             cpu=max(opts.exclude_resources.cpu, cpus))
         return ds
@@ -1244,15 +1243,12 @@ class CrawlEngine:
         self._count("complete")
 
     def run_turbo(self, sink_dir: str, max_rounds: int = 100) -> dict:
-        """Scale-path crawl: one fused map_batches per round (stages/turbo.py).
-
-        Fetched rows stream to ``sink_dir`` parquet from the workers; the
-        driver only merges thin new-frontier rows and applies politeness.
-        Ordering is hash-seq (BFS-monotone across rounds, arbitrary within
-        a round) — use ``run()`` when reference-exact FIFO matters.
-        """
-        from ..stages.turbo import turbo_round_udf
-
+        """Scale-path crawl: per round one task wave (``_turbo_wave``)
+        and one checkpoint write task.  Fetched rows stream to
+        ``sink_dir`` parquet from the workers; the driver only adopts thin
+        (counters, bucket part refs) and applies politeness.  Ordering is
+        hash-seq (BFS-monotone across rounds, arbitrary within a round) —
+        use ``run()`` when reference-exact FIFO matters."""
         self._count("crawlstart")
         self._seed()
         self._sink_dir = sink_dir
@@ -1261,7 +1257,6 @@ class CrawlEngine:
         cfg_ref = ray.put(self.cfg)
         robots_ref = ray.put(self.robots_cache)
         fetched_total = 0
-        bs = self.cfg["batch_size"]
         while self.round_no < max_rounds:
             self._admit_manual()
             with self._timed("dequeue"):
@@ -1284,45 +1279,12 @@ class CrawlEngine:
                     continue
             fetched_total += wave.num_rows
             with self._timed("turbo_round"):
-                chunks = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)] or [wave]
-                ds = self._budgeted(rd.from_arrow(chunks).map_batches(
-                    turbo_round_udf,
-                    fn_kwargs=dict(web_ref=self._web_ref, cfg_ref=cfg_ref,
-                                   robots_ref=robots_ref,
-                                   seen_shards=self.seen.shards,
-                                   round_no=self.round_no, sink_dir=sink_dir,
-                                   first_request=self.first_request,
-                                   first_seq=getattr(self, "_seed_seq", -1)),
-                    batch_format="pyarrow",
-                    batch_size=bs,
-                    zero_copy_batch=True,
-                ))
-                # admitted rows NEVER transit the driver — each output
-                # block is bucketed worker-side and yielded as DRIVER-OWNED
-                # task returns (streaming generator; survives worker reap,
-                # round-3 advice #1).  Only the thin (counters, meta) yield
-                # is ray.get here.
-                out = ds.materialize()
-                block_refs = [ref for bundle in out.iter_internal_ref_bundles()
-                              for ref, _meta in bundle.blocks]
-                gens = [_adopt_frontier_block.remote(r, self._frontier.n_buckets)
-                        for r in block_refs]
-                counters = {}
-                with self._timed("merge"):
-                    for gen in gens:
-                        meta_ref = next(gen)
-                        part_refs = list(gen)  # driver-owned part refs
-                        c, meta = ray.get(meta_ref)
-                        for k, v in c.items():
-                            if isinstance(v, str):
-                                counters[k] = v
-                            else:
-                                counters[k] = counters.get(k, 0) + v
-                        if meta:
-                            self._frontier.adopt_parts([
-                                (b, ref, n, smin, smax)
-                                for (b, n, smin, smax), ref
-                                in zip(meta, part_refs)])
+                counters = self._turbo_wave(wave, dict(
+                    web_ref=self._web_ref, cfg_ref=cfg_ref,
+                    robots_ref=robots_ref, seen_shards=self.seen.shards,
+                    round_no=self.round_no, sink_dir=sink_dir,
+                    first_request=self.first_request,
+                    first_seq=getattr(self, "_seed_seq", -1)))
             new_host = counters.pop("__new_host", None)
             if new_host and self.first_request \
                     and self.cfg["allow_initial_domain_change"]:
@@ -1340,14 +1302,55 @@ class CrawlEngine:
         return {"fetched": fetched_total, "rounds": self.round_no,
                 "metrics": dict(self.metrics), "sink_dir": sink_dir}
 
+    def _turbo_wave(self, wave: pa.Table, kw: dict) -> dict:
+        """One ``_turbo_batch`` task per batch (``kw`` plus its
+        ``batch_no``), at most ``_task_cpus()`` in flight; the next goes
+        out as each meta yield arrives.  Without the window a task
+        blocked in the seen-shard RPC hands its CPU back and the raylet
+        starts spare workers for queued tasks.  Bucket parts are adopted
+        in batch order, so the frontier layout does not depend on
+        completion order; ``timings["merge"]`` never covers the wait for
+        tasks.  Returns the round's merged counters."""
+        bs = self.cfg["batch_size"]
+        batches = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)]
+        window = max(1, int(self._task_cpus()))
+        gens, pending, metas, counters = [], {}, [None] * len(batches), {}
+
+        def submit() -> None:
+            i = len(gens)
+            gens.append(_turbo_batch.remote(
+                batches[i], dict(kw, batch_no=i), self._frontier.n_buckets))
+            pending[gens[-1]] = i
+
+        while len(gens) < min(window, len(batches)):
+            submit()
+        while pending:
+            (gen,), _ = ray.wait(list(pending), num_returns=1)
+            i = pending.pop(gen)
+            meta_ref = next(gen)
+            if len(gens) < len(batches):
+                submit()
+            with self._timed("merge"):
+                c, metas[i] = ray.get(meta_ref)
+                for k, v in c.items():
+                    counters[k] = v if isinstance(v, str) else counters.get(k, 0) + v
+        ray.wait([g.completed() for g in gens], num_returns=len(gens),
+                 fetch_local=False)
+        with self._timed("merge"):
+            for gen, meta in zip(gens, metas):
+                self._frontier.adopt_parts([(b, next(gen), n, smin, smax)
+                                            for b, n, smin, smax in meta])
+        return counters
+
     def _checkpoint(self) -> None:
         """Freeze (S3, src/queue.ts:268-313) the round into
         ``state-round=NNNNN/``, built in a ``.tmp`` dir and published by
         one atomic rename.  It holds the queued frontier (one
-        ``queued-<bucket>`` file per non-empty host bucket, written
-        worker-side — queued rows never transit the driver), the
+        ``queued-<bucket>`` file per non-empty host bucket) and the
         terminal rows no sink holds (``fetched-*``: run()'s fetched rows
-        and either loop's robots-disallowed rows), with
+        and either loop's robots-disallowed rows), all written by one
+        worker-side ``_write_checkpoint`` task — those rows never transit
+        the driver — and, with
         ``checkpoint_seen`` one seen-filter snapshot per shard (written
         by the shard actor, so ``resume`` is O(filter bytes) instead of
         an O(crawled URLs) hash replay), and ``metrics.json`` with the
@@ -1360,18 +1363,14 @@ class CrawlEngine:
             tmp = rdir + ".tmp"
             os.makedirs(tmp, exist_ok=True)
             terminal = self.terminal_refs[self._ckpt_terminal:]
-            writes = [
-                _write_parts.remote(
-                    os.path.join(tmp, f"fetched-{i:04d}.parquet"), r)
-                for i, r in enumerate(terminal)]
-            writes += [
-                _write_parts.remote(
-                    os.path.join(tmp, f"queued-{b:04d}.parquet"), *refs)
-                for b, refs in enumerate(self._frontier.buckets) if refs]
-            ray.get(writes)
+            files = [(f"fetched-{i:04d}.parquet", 1)
+                     for i in range(len(terminal))]
+            files += [(f"queued-{b:04d}.parquet", len(refs))
+                      for b, refs in enumerate(self._frontier.buckets) if refs]
             if not any(self._frontier.buckets):
-                pq.write_table(FRONTIER_SCHEMA.empty_table(),
-                               os.path.join(tmp, "queued.parquet"))
+                files.append(("queued.parquet", 0))
+            ray.get(_write_checkpoint.remote(
+                tmp, files, *terminal, *self._frontier.refs))
             if self.cfg["checkpoint_seen"]:
                 self.seen.snapshot(os.path.join(tmp, "seen"))
             with open(os.path.join(tmp, "metrics.json"), "w") as f:

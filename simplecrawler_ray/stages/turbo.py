@@ -1,18 +1,24 @@
-"""Turbo round stage: the whole per-round pipeline fused into ONE
-``map_batches`` UDF for the scale path.
+"""Turbo round stage: the whole per-batch pipeline fused into ONE
+function for the scale path.
 
-Per input batch of queued frontier rows, inside the task:
+``CrawlEngine.run_turbo`` runs each round as one task wave: one
+``_turbo_batch`` task per batch calls ``turbo_round_udf`` and then
+buckets its output into the frontier (``pipelines/crawl.py``).  Per
+input batch of queued frontier rows, inside the task:
   fetch -> parse/discover -> redirect re-queue -> canonicalize ->
   domain/robots/depth filters -> global dedup (RPC to the sharded
   seen-set actors) -> seq stamp
 and the fetched rows (with payloads) are written DIRECTLY to the
 parquet sink from the worker — they never travel to the driver.  The
-task returns only the thin new-frontier rows (the next wave) plus one
+sink part is named by the batch's index within the round
+(``round=NNNNN/part-<batch:05d>.parquet``), so a Ray retry of a batch
+overwrites its part instead of adding duplicate rows.  The function
+returns only the thin new-frontier rows (the next wave) plus one
 in-band ``__meta`` JSON counter row per batch (no metrics actor, no
 per-batch RPC — see A8 / crawler.ts event counters).
 
-This trades the conformance mode's exact FIFO ordering for one dataset
-execution per round and near-zero driver work:
+This trades the conformance mode's exact FIFO ordering for one task
+wave per round and near-zero driver work:
 
 * ``seq`` is hash-stamped: ``(round+1) << 42 | (url_hash & MASK)`` —
   monotone ACROSS rounds (BFS order preserved), arbitrary within a
@@ -35,7 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -60,7 +65,7 @@ def _with_meta(frontier: pa.Table, counters: dict) -> pa.Table:
     Row 0 carries the JSON; other rows carry "".  A zero-row frontier
     still needs its counters delivered, so it becomes ONE all-null row
     with url == null — the adopting task strips such rows after
-    aggregating (`pipelines.crawl._adopt_frontier_block`).
+    aggregating (`pipelines.crawl._turbo_batch`).
     """
     blob = json.dumps(counters, separators=(",", ":"))
     if frontier.num_rows == 0:
@@ -84,7 +89,7 @@ def merge_meta_blobs(counters: dict, blobs) -> None:
 
 
 def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
-                    seen_shards, round_no, sink_dir,
+                    seen_shards, round_no, sink_dir, batch_no=0,
                     first_request=False, first_seq=-1) -> pa.Table:
     key = ("turbo", _ref_key(web_ref), _ref_key(cfg_ref), _ref_key(robots_ref))
     st = _WORKER_CACHE.get(key)
@@ -104,7 +109,7 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
         rdir = os.path.join(sink_dir, f"round={round_no:05d}")
         os.makedirs(rdir, exist_ok=True)
         out = fetched.drop_columns(["discovered"])
-        pq.write_table(out, os.path.join(rdir, f"part-{uuid.uuid4().hex}.parquet"))
+        pq.write_table(out, os.path.join(rdir, f"part-{batch_no:05d}.parquet"))
 
     counters = {"fetchstart": batch.num_rows}
     nonredir = 0

@@ -6,6 +6,8 @@ resourcevalidity.integration.spec.ts, run against ConformanceWeb
 (the reference test-server route graph).
 """
 
+import os
+
 import pytest
 
 from simplecrawler_ray.pipelines.crawl import CrawlEngine
@@ -756,9 +758,10 @@ def test_add_remove_fetch_condition(web):
 
 def test_turbo_dataset_frontier_rows_never_transit_driver(tmp_path, monkeypatch):
     """Round-2 verdict #1: on the turbo + dataset-frontier path, admitted
-    new-frontier rows are bucketed and ray.put worker-side
-    (_adopt_frontier_block) — the driver's add_table only ever sees the
-    seed row, no matter how many URLs the crawl admits."""
+    new-frontier rows are bucketed worker-side, in the same task that
+    admitted them (_turbo_batch), and come back as driver-owned part
+    refs — the driver's add_table only ever sees the seed row, no matter
+    how many URLs the crawl admits."""
     from simplecrawler_ray.pipelines import crawl as crawl_mod
 
     rows_via_add_table = []
@@ -1294,3 +1297,257 @@ def test_decompress_body_bounds_zip_bombs():
     data, err = decompress_body(zlib.compress(b"ok"), "deflate",
                                 max_size=1024)
     assert (data, err) == (b"ok", False)
+
+
+def test_turbo_batch_retry_overwrites_its_sink_part(tmp_path):
+    """A sink part is named by its batch's index within the round, so
+    running the same batch twice (as a Ray retry does) leaves one part
+    holding each of the batch's URLs once."""
+    import glob
+
+    import pyarrow.parquet as pq
+    import ray
+
+    from simplecrawler_ray.pipelines.crawl import _turbo_batch
+
+    sw = ScaleWeb(n_pages=40, n_hosts=4, out_degree=3)
+    eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=1,
+                      store_body=False)
+    eng.seed_frontier([sw.url_of(i) for i in range(10)])
+    batch = eng.queued_table()
+    sink = str(tmp_path / "sink")
+    kw = dict(web_ref=sw, cfg_ref=eng.cfg, robots_ref={},
+              seen_shards=eng.seen.shards, round_no=0, sink_dir=sink,
+              batch_no=3)
+    for _ in range(2):
+        gen = _turbo_batch.remote(batch, kw, eng._frontier.n_buckets)
+        counters, _meta = ray.get(next(gen))
+        assert counters["fetchstart"] == 10
+    eng.seen.shutdown()
+    parts = glob.glob(os.path.join(sink, "*", "*.parquet"))
+    assert [os.path.relpath(p, sink) for p in parts] == [
+        os.path.join("round=00000", "part-00003.parquet")]
+    urls = pq.read_table(parts[0]).column("url").to_pylist()
+    assert sorted(urls) == sorted(batch.column("url").to_pylist())
+
+
+def test_task_cpus_budget():
+    """``_task_cpus`` is the cluster's CPUs less the engine's actor CPUs,
+    never below one task, and capped by a user-set Ray Data CPU limit."""
+    import ray
+    import ray.data as rd
+
+    total = ray.cluster_resources()["CPU"]
+    sw = ScaleWeb(n_pages=10, n_hosts=2, out_degree=0)
+    eng = CrawlEngine(sw, sw.url_of(0), seen_shards=2)
+    assert eng._task_cpus() == total - 0.5
+    opts = rd.DataContext.get_current().execution_options
+    old = opts.resource_limits
+    opts.resource_limits = old.copy(cpu=2)
+    try:
+        assert eng._task_cpus() == 2
+    finally:
+        opts.resource_limits = old
+    eng._actor_cpus = lambda: 4 * total
+    assert eng._task_cpus() == 1
+    eng.seen.shutdown()
+
+
+def test_turbo_checkpoint_is_one_write_task(web, tmp_path, monkeypatch):
+    """Each ``_checkpoint()`` writes every ``fetched-*`` and ``queued-*``
+    file of its round with ONE ``_write_checkpoint`` task, in both
+    loops."""
+    import glob
+
+    from simplecrawler_ray.pipelines import crawl as crawl_mod
+
+    class Counting:
+        def __init__(self, task):
+            self.task, self.calls = task, 0
+
+        def remote(self, *args):
+            self.calls += 1
+            return self.task.remote(*args)
+
+    counting = Counting(crawl_mod._write_checkpoint)
+    monkeypatch.setattr(crawl_mod, "_write_checkpoint", counting)
+    checkpoints = []
+    orig = CrawlEngine._checkpoint
+
+    def spy(self):
+        before = counting.calls
+        orig(self)
+        checkpoints.append(counting.calls - before)
+
+    monkeypatch.setattr(CrawlEngine, "_checkpoint", spy)
+    sw = ScaleWeb(n_pages=60, n_hosts=6, out_degree=3)
+    ck = str(tmp_path / "ck")
+    eng = CrawlEngine(sw, sw.url_of(0), checkpoint_dir=ck, seen_shards=2,
+                      filter_by_domain=False, store_body=False, batch_size=8)
+    eng.run_turbo(str(tmp_path / "sink"), max_rounds=60)
+    eng.seen.shutdown()
+    states = glob.glob(os.path.join(ck, "state-round=*"))
+    assert len(states) == len(checkpoints) > 2
+    assert checkpoints == [1] * len(checkpoints)
+    # run(): fetched-* terminal parts and queued parts in the same task
+    ck2 = str(tmp_path / "ck2")
+    checkpoints.clear()
+    eng, res = run(web, SEED, checkpoint_dir=ck2)
+    eng.seen.shutdown()
+    assert checkpoints and checkpoints == [1] * len(checkpoints)
+    fetched = glob.glob(os.path.join(ck2, "state-round=*", "fetched-*.parquet"))
+    assert len(fetched) == len(eng.terminal_refs)
+
+
+def test_turbo_batch_error_surfaces(tmp_path):
+    """A non-fetch exception raised by the web inside a turbo batch makes
+    ``run_turbo`` raise: it neither hangs nor drops the batch's rows."""
+    import threading
+
+    class BrokenWeb(ScaleWeb):
+        def get(self, url, request_headers=None):
+            if url == self.url_of(7):
+                raise RuntimeError("broken transport")
+            return super().get(url, request_headers)
+
+    sw = BrokenWeb(n_pages=60, n_hosts=4, out_degree=3)
+    eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=1,
+                      store_body=False, batch_size=8)
+    box = {}
+
+    def target():
+        try:
+            box["out"] = eng.run_turbo(str(tmp_path / "sink"), max_rounds=60)
+        except Exception as e:
+            box["error"] = e
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(120)
+    assert not th.is_alive(), "run_turbo hung on a failing batch"
+    eng.seen.shutdown()
+    assert "out" not in box
+    assert isinstance(box["error"], RuntimeError)
+    assert "broken transport" in str(box["error"])
+
+
+_WINDOW_PROBE = r'''
+import json, os, sys, time
+import ray, ray.data
+from simplecrawler_ray.pipelines.crawl import CrawlEngine
+from simplecrawler_ray.sources.web import ScaleWeb
+
+log_dir, work = sys.argv[1], sys.argv[2]
+
+
+class RecordingWeb(ScaleWeb):
+    """Logs (monotonic ns, url) per get to ``log_dir``, one file per
+    worker process."""
+
+    def get(self, url, request_headers=None):
+        os.makedirs(self.log_dir, exist_ok=True)
+        with open(os.path.join(self.log_dir, f"gets-{os.getpid()}.txt"),
+                  "a") as f:
+            f.write(f"{time.monotonic_ns()} {url}\n")
+        return super().get(url, request_headers)
+
+
+def ray_workers():
+    children = {}
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            try:
+                with open(f"/proc/{name}/stat") as f:
+                    ppid = int(f.read().rpartition(")")[2].split()[1])
+            except OSError:
+                continue
+            children.setdefault(ppid, []).append(int(name))
+    todo, out = [os.getpid()], set()
+    while todo:
+        pid = todo.pop()
+        todo.extend(children.get(pid, ()))
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                if f.read().startswith(b"ray::"):
+                    out.add(pid)
+        except OSError:
+            pass
+    return out
+
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+sw = RecordingWeb(n_pages=600, n_hosts=8, out_degree=4)
+res = {}
+for tag in ("warm", "c1", "c2", "c3"):
+    sw.log_dir = os.path.join(log_dir, tag)
+    eng = CrawlEngine(sw, sw.url_of(0), seen_shards=1, filter_by_domain=False,
+                      store_body=False, batch_size=32,
+                      checkpoint_dir=os.path.join(work, tag, "ck"))
+    eng.seen.size()  # the shard actor's start is set-up, not crawl
+    before = ray_workers()
+    out = eng.run_turbo(os.path.join(work, tag, "sink"), max_rounds=60)
+    res[tag] = dict(new_workers=sorted(ray_workers() - before),
+                    window=int(eng._task_cpus()), fetched=out["fetched"],
+                    rounds=out["rounds"])
+    eng.seen.shutdown()
+print(json.dumps(res))
+ray.shutdown()
+'''
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="counts Ray worker processes through /proc")
+def test_turbo_window_starts_no_spare_workers(tmp_path):
+    """On a cluster with one CPU free of the seen shard, each of three
+    multi-round ``run_turbo`` crawls after a warm one starts no new Ray
+    worker process, and its batches never run more at once than
+    ``_task_cpus()`` allows (intervals from the web's per-get log,
+    grouped by sink part).  Without the window, a batch blocked in the
+    seen-shard RPC hands its CPU to a queued one on a new worker."""
+    import glob
+    import json
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    log_dir, work = tmp_path / "gets", tmp_path / "work"
+    log_dir.mkdir()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                  if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WINDOW_PROBE, str(log_dir), str(work)],
+        capture_output=True, text=True, timeout=600, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    for tag in ("c1", "c2", "c3"):
+        r = res[tag]
+        assert r["fetched"] == 600 and r["rounds"] > 2
+        assert r["window"] == 1
+        assert r["new_workers"] == [], (tag, r)
+        # every get of the crawl, mapped to its (round, batch) sink part
+        sink = str(work / tag / "sink")
+        part_of = {}
+        parts = glob.glob(os.path.join(sink, "round=*", "*.parquet"))
+        for p in parts:
+            for u in pq.read_table(p, columns=["url"]).column("url").to_pylist():
+                part_of[u] = os.path.relpath(p, sink)
+        assert len(parts) > r["rounds"]  # rounds with several batches
+        spans: dict = {}
+        for f in (log_dir / tag).iterdir():
+            for line in f.read_text().splitlines():
+                t, u = line.split()
+                if u in part_of:
+                    lo, hi = spans.get(part_of[u], (int(t), int(t)))
+                    spans[part_of[u]] = (min(lo, int(t)), max(hi, int(t)))
+        events = sorted([(lo, 1) for lo, _ in spans.values()]
+                        + [(hi, -1) for _, hi in spans.values()])
+        running = peak = 0
+        for _, d in events:
+            running += d
+            peak = max(peak, running)
+        assert peak <= r["window"], f"{tag}: {peak} batches ran at once"

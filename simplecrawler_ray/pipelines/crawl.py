@@ -186,15 +186,33 @@ def _robots_schemes(hklist: list, protocols: list) -> dict:
 def _split_by_bucket(t: pa.Table, bucket_of) -> list:
     """``t``'s rows partitioned by host bucket: ``(bucket, part,
     (seq_min, seq_max))`` per non-empty bucket, in bucket order."""
-    hosts = t.column("host").to_pylist()
-    assign = np.fromiter((bucket_of(h) for h in hosts), dtype=np.int32,
-                         count=len(hosts))
+    # ``bucket_of`` once per distinct host, not once per row
+    hosts = pc.dictionary_encode(t.column("host").combine_chunks(),
+                                 null_encoding="encode")
+    per_host = np.fromiter((bucket_of(h) for h in hosts.dictionary.to_pylist()),
+                           dtype=np.int32, count=len(hosts.dictionary))
+    assign = per_host[hosts.indices.to_numpy()]
     out = []
     for b in np.unique(assign):
         part = t.filter(pa.array(assign == b))
         s = part.column("seq")
         out.append((int(b), part, (pc.min(s).as_py(), pc.max(s).as_py())))
     return out
+
+
+def _drop_uncommitted_rounds(sink_dir: Optional[str], round_no: int) -> None:
+    """Delete ``sink_dir/round=NNNNN/`` for every NNNNN >= ``round_no``:
+    rounds no checkpoint committed.  A crashed round's parts would
+    otherwise survive next to its rerun's (whose batch count may
+    differ) and feed the seen-set hash replay."""
+    import shutil
+
+    if not sink_dir or not os.path.isdir(sink_dir):
+        return
+    for d in os.listdir(sink_dir):
+        name, _, num = d.partition("=")
+        if name == "round" and num.isdigit() and int(num) >= round_no:
+            shutil.rmtree(os.path.join(sink_dir, d))
 
 
 @ray.remote
@@ -212,9 +230,7 @@ def _turbo_batch(batch: pa.Table, kw: dict, n_buckets: int):
     _turbo.merge_meta_blobs(counters, block.column(_turbo.META_COL).to_pylist())
     block = block.drop_columns([_turbo.META_COL])
     block = block.filter(pc.is_valid(block.column("url")))
-    cache: dict[str, int] = {}
-    parts = _split_by_bucket(block, lambda h: cache[h] if h in cache else
-                             cache.setdefault(h, _host_bucket(h, n_buckets)))
+    parts = _split_by_bucket(block, lambda h: _host_bucket(h, n_buckets))
     yield counters, [(b, t.num_rows, *rng) for b, t, rng in parts]
     for part in parts:
         yield part[1]
@@ -1423,11 +1439,13 @@ class CrawlEngine:
                         if d.startswith("state-round=")
                         and not d.endswith(".tmp"))
         if not states:
+            _drop_uncommitted_rounds(sink_dir, eng.round_no)
             return eng
         last = os.path.join(checkpoint_dir, states[-1])
         with open(os.path.join(last, "metrics.json")) as f:
             meta = json.load(f)
         eng.round_no = meta["round"] + 1
+        _drop_uncommitted_rounds(sink_dir, eng.round_no)
         eng.next_seq = meta["next_seq"]
         eng.first_request = meta["first_request"]
         # restore the seed seq: with first_request still true the

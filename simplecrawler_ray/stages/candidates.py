@@ -8,20 +8,32 @@ domainValid (M7), urlIsAllowed (M8), fetch conditions (§2.10), then the
 global dedup (queue.add, D1) which lives in pipelines/crawl.py.
 
 Rejections become ``reject_reason`` values matching the reference's
-event names (invaliddomain, fetchdisallowed, fetchprevented,
-fetchconditionerror) so event counters are derivable (A8).
+event names (invaliddomain, fetchdisallowed, fetchconditionerror,
+fetchprevented) so event counters are derivable (A8).
+
+The stage is columnar: Python touches each *distinct* link once, Arrow
+kernels do the per-row work.  ``explode_discovered`` flattens the
+``discovered`` lists with list kernels.  ``CandidateProcessor``
+dictionary-encodes a row key (the candidate when it is absolute, else
+candidate + NUL + referrer) and looks each distinct key up in a
+``CanonStore``; only a miss runs ``process_url``.  The canonical columns
+are then ``take``s of the store's Arrow arrays by row id.  Worker-side,
+the store is kept per crawl config (``canon_store``), so it outlives
+robots rebroadcasts and spans a whole crawl.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..robots import RobotsRules
 from ..sources.web import url_hash64
 from ..conditions import eval_condition
 from ..discovery import _SCHEME_RE
-from ..urlnorm import CanonOpts, domain_valid, process_url
+from ..urlnorm import CanonOpts, Uri, domain_valid, process_url
 from ..schemas import frontier_row_defaults
 
 CANDIDATE_SCHEMA = pa.schema(
@@ -42,39 +54,54 @@ CANDIDATE_SCHEMA = pa.schema(
     ]
 )
 
+#: raw candidate rows (explode / candidate_table output)
+RAW_SCHEMA = pa.schema(
+    [
+        ("candidate", pa.string()),
+        ("referrer_url", pa.string()),
+        ("referrer_depth", pa.int32()),
+        ("parent_seq", pa.int64()),
+        ("pos", pa.int32()),
+        ("forced", pa.bool_()),
+        ("depth_override", pa.int32()),
+    ]
+)
+
+#: the referrer-independent canonical columns a store row holds
+CANON_SCHEMA = pa.schema(list(CANDIDATE_SCHEMA)[:7])
+
 
 def explode_discovered(batch: pa.Table, max_depth: int) -> pa.Table:
     """fetched rows -> raw candidate rows (candidate, referrer ctx, pos).
 
     Depth gate: enqueue only if maxDepth == 0 or depth+1 <= maxDepth
-    (src/crawler.ts:1086-1090).
+    (src/crawler.ts:1086-1090), applied as one filter before the
+    flatten.  Null and empty ``discovered`` lists yield no rows.
     """
-    urls, depths, seqs, cands, poss = [], [], [], [], []
-    d_col = batch.column("discovered").to_pylist()
-    u_col = batch.column("url").to_pylist()
-    dep_col = batch.column("depth").to_pylist()
-    seq_col = batch.column("seq").to_pylist()
-    for u, dep, seq, disc in zip(u_col, dep_col, seq_col, d_col):
-        if not disc:
-            continue
-        if max_depth != 0 and dep + 1 > max_depth:
-            continue
-        for pos, cand in enumerate(disc):
-            urls.append(u)
-            depths.append(dep)
-            seqs.append(seq)
-            cands.append(cand)
-            poss.append(pos)
+    if max_depth != 0 and batch.num_rows:
+        batch = batch.filter(pc.less(batch.column("depth"), max_depth))
+    if batch.num_rows == 0:
+        return RAW_SCHEMA.empty_table()
+    disc = batch.column("discovered").combine_chunks()
+    parents = pc.list_parent_indices(disc)
+    n = len(parents)
+    if n == 0:
+        return RAW_SCHEMA.empty_table()
+    lengths = pc.list_value_length(disc).fill_null(0).to_numpy()
+    starts = np.cumsum(lengths) - lengths
+    pos = np.arange(n, dtype=np.int64) - starts[parents.to_numpy()]
+    ref = batch.select(["url", "depth", "seq"]).take(parents)
     return pa.table(
-        {
-            "candidate": pa.array(cands, pa.string()),
-            "referrer_url": pa.array(urls, pa.string()),
-            "referrer_depth": pa.array(depths, pa.int32()),
-            "parent_seq": pa.array(seqs, pa.int64()),
-            "pos": pa.array(poss, pa.int32()),
-            "forced": pa.array([False] * len(cands), pa.bool_()),
-            "depth_override": pa.array([-1] * len(cands), pa.int32()),
-        }
+        [
+            pc.list_flatten(disc),
+            ref.column("url"),
+            ref.column("depth").cast(pa.int32()),
+            ref.column("seq").cast(pa.int64()),
+            pa.array(pos, pa.int32()),
+            pa.repeat(pa.scalar(False), n),
+            pa.repeat(pa.scalar(-1, pa.int32()), n),
+        ],
+        schema=RAW_SCHEMA,
     )
 
 
@@ -84,20 +111,82 @@ def candidate_table(cands: list[dict]) -> pa.Table:
     pos, forced, depth_override."""
     return pa.table(
         {
-            "candidate": pa.array([c["candidate"] for c in cands], pa.string()),
-            "referrer_url": pa.array([c.get("referrer_url", "") for c in cands], pa.string()),
-            "referrer_depth": pa.array([c.get("referrer_depth", 0) for c in cands], pa.int32()),
-            "parent_seq": pa.array([c.get("parent_seq", -1) for c in cands], pa.int64()),
-            "pos": pa.array([c.get("pos", 0) for c in cands], pa.int32()),
-            "forced": pa.array([c.get("forced", False) for c in cands], pa.bool_()),
-            "depth_override": pa.array([c.get("depth_override", -1) for c in cands], pa.int32()),
-        }
+            "candidate": [c["candidate"] for c in cands],
+            "referrer_url": [c.get("referrer_url", "") for c in cands],
+            "referrer_depth": [c.get("referrer_depth", 0) for c in cands],
+            "parent_seq": [c.get("parent_seq", -1) for c in cands],
+            "pos": [c.get("pos", 0) for c in cands],
+            "forced": [c.get("forced", False) for c in cands],
+            "depth_override": [c.get("depth_override", -1) for c in cands],
+        },
+        schema=RAW_SCHEMA,
     )
 
 
-def candidate_udf(batch: pa.Table, *, cfg_ref, robots_ref) -> pa.Table:
-    """Task-based map_batches wrapper with worker-local processor cache
-    (see stages/fetch.py rationale)."""
+class CanonStore:
+    """Canonical rows by key: ``ids`` maps a key to a row id in the
+    store's rows (``CANON_SCHEMA``), or to -1 when ``process_url``
+    rejects it.
+
+    Only absolute keys are kept: their canonical form does not depend on
+    the referrer or on anything in the config but ``opts``.  Rows live
+    in chunks merged like a binary counter, so appending copies each row
+    O(log rows) times and a lookup takes from O(log rows) chunks.  Past
+    ``MAX_KEYS`` keys the store starts over empty."""
+
+    MAX_KEYS = 500_000
+
+    def __init__(self, opts: CanonOpts):
+        self.opts = opts
+        self.ids: dict[str, int] = {}
+        self.chunks: list[pa.Table] = []
+        self.rows = 0
+
+    def reset_if_full(self) -> None:
+        if len(self.ids) > self.MAX_KEYS:
+            self.ids, self.chunks, self.rows = {}, [], 0
+
+    def append(self, t: pa.Table) -> None:
+        self.chunks.append(t)
+        self.rows += t.num_rows
+        while (len(self.chunks) > 1
+               and self.chunks[-1].num_rows >= self.chunks[-2].num_rows):
+            b = self.chunks.pop()
+            self.chunks.append(pa.concat_tables([self.chunks.pop(), b])
+                               .combine_chunks())
+
+    def take(self, row_ids: np.ndarray, extra: pa.Table) -> pa.Table:
+        """Rows by id, in ``row_ids`` order; ids from ``self.rows`` on
+        index ``extra``."""
+        uniq, inverse = np.unique(row_ids, return_inverse=True)
+        parts, lo = [], 0
+        for c in self.chunks + [extra]:
+            hi = lo + c.num_rows
+            a, b = np.searchsorted(uniq, [lo, hi])
+            if b > a:
+                parts.append(c.take(pa.array(uniq[a:b] - lo)))
+            lo = hi
+        return pa.concat_tables(parts).combine_chunks().take(pa.array(inverse))
+
+
+def canon_store(cfg_ref, opts: CanonOpts) -> CanonStore:
+    """The worker's store for one crawl config, shared by every
+    candidate UDF call that carries the same ``cfg_ref``."""
+    from .fetch import _WORKER_CACHE, _ref_key
+
+    key = ("canon", _ref_key(cfg_ref))
+    store = _WORKER_CACHE.get(key)
+    if store is None or store.opts != opts:
+        for k in [k for k in _WORKER_CACHE if k[0] == "canon"]:
+            del _WORKER_CACHE[k]
+        store = _WORKER_CACHE[key] = CanonStore(opts)
+    return store
+
+
+def candidate_processor(cfg_ref, robots_ref) -> "CandidateProcessor":
+    """Worker-local processor for one (config, robots) snapshot; its
+    store is the config's ``canon_store``, so a new robots snapshot
+    keeps every canonical row already computed."""
     from .fetch import _WORKER_CACHE, _ref_key
 
     key = ("candproc", _ref_key(cfg_ref), _ref_key(robots_ref))
@@ -106,16 +195,40 @@ def candidate_udf(batch: pa.Table, *, cfg_ref, robots_ref) -> pa.Table:
         for k in [k for k in _WORKER_CACHE if k[0] == "candproc"]:
             del _WORKER_CACHE[k]
         p = CandidateProcessor(cfg_ref, robots_ref)
+        p.store = canon_store(cfg_ref, p.canon)
         _WORKER_CACHE[key] = p
-    return p(batch)
+    return p
+
+
+def candidate_udf(batch: pa.Table, *, cfg_ref, robots_ref) -> pa.Table:
+    """Task-based map_batches wrapper with worker-local processor cache
+    (see stages/fetch.py rationale)."""
+    return candidate_processor(cfg_ref, robots_ref)(batch)
+
+
+def _col(t: pa.Table, name: str) -> pa.Array:
+    return t.column(name).combine_chunks()
+
+
+def _canon_table(rows: list[tuple]) -> pa.Table:
+    cols = list(zip(*rows)) or [[]] * len(CANON_SCHEMA)
+    return pa.table([pa.array(c, f.type) for c, f in zip(cols, CANON_SCHEMA)],
+                    schema=CANON_SCHEMA)
 
 
 class CandidateProcessor:
     """map_batches UDF: raw candidates -> canonical candidate rows with
-    reject_reason ('' == kept).  Stateless w.r.t. rows; config + robots
-    snapshot resolved once per actor/task from ray.put refs."""
+    reject_reason ('' == kept), in input row order.
 
-    def __init__(self, config_ref, robots_ref):
+    Config + robots snapshot are resolved once per actor/task from
+    ray.put refs.  Python work is per distinct key (canonicalization),
+    per distinct host (domain verdict) and per distinct ``host:port``
+    (robots rules lookup); the path match runs only on rows whose host
+    carries rules, and fetch conditions only on rows still kept.  A
+    processor built directly gets its own empty ``CanonStore``;
+    ``candidate_processor`` shares the config's store instead."""
+
+    def __init__(self, config_ref, robots_ref, store: CanonStore | None = None):
         cfg = ray.get(config_ref) if isinstance(config_ref, ray.ObjectRef) else config_ref
         self.cfg = cfg
         self.canon = CanonOpts(
@@ -127,114 +240,179 @@ class CandidateProcessor:
         robots = ray.get(robots_ref) if isinstance(robots_ref, ray.ObjectRef) else robots_ref
         self.robots: dict[str, RobotsRules] = robots or {}
         self.fetch_conditions = cfg.get("fetch_conditions") or []
-        # canonical-row cache for ABSOLUTE candidates: absolute_to() is a
-        # no-op when the candidate has a scheme, so url/host/port/path are
-        # referrer-independent — popular links (nav bars, rings) repeat
-        # across documents and skip the parse+normalize entirely.  depth
-        # and referrer are recomputed per row below.
-        self._row_cache: dict[str, "object"] = {}
+        self.store = store if store is not None else CanonStore(self.canon)
+        self._domain: dict[str, bool] = {}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _row_ids(self, batch: pa.Table) -> tuple[np.ndarray, pa.Table]:
+        """Row id per input row (-1 where ``process_url`` rejects the
+        candidate), and this call's rows for relative keys: they take
+        the ids just past the store's rows and are not kept."""
+        store = self.store
+        store.reset_if_full()
+        cands = _col(batch, "candidate").fill_null("")
+        refs = _col(batch, "referrer_url").fill_null("")
+        absolute = pc.match_substring_regex(cands, _SCHEME_RE.pattern)
+        key = pc.if_else(absolute, cands,
+                         pc.binary_join_element_wise(cands, refs, "\x00"))
+        enc = pc.dictionary_encode(key)
+        indices = enc.indices.to_numpy()
+        ids = store.ids
+        dict_ids = [ids.get(k) for k in enc.dictionary.to_pylist()]
+        misses = [j for j, r in enumerate(dict_ids) if r is None]
+        kept_rows, local_rows, new_ids = [], [], []
+        if misses:
+            first = np.unique(indices, return_index=True)[1][misses]
+            bases: dict[str, Uri] = {}
+            for j, cand, ref, is_abs in zip(
+                    misses, cands.take(first).to_pylist(),
+                    refs.take(first).to_pylist(),
+                    absolute.take(first).to_pylist()):
+                base = bases.get(ref)
+                if base is None:
+                    base = bases[ref] = Uri.parse(ref)
+                row = process_url(cand, base, opts=self.canon, referrer_str=ref)
+                if row is None:
+                    rid = -1  # urijs choke — silently dropped (queueURL:1497-1500)
+                else:
+                    canon = (row.url, url_hash64(row.url), row.protocol,
+                             row.host, row.port, row.path, row.uri_path)
+                    if is_abs:
+                        rid = store.rows + len(kept_rows)
+                        kept_rows.append(canon)
+                    else:
+                        rid = -2 - len(local_rows)
+                        local_rows.append(canon)
+                if is_abs:
+                    new_ids.append((cand, rid))
+                dict_ids[j] = rid
+        dict_ids = np.asarray(dict_ids, dtype=np.int64)
+        # keys go in only with their rows: a raise above leaves no key
+        # pointing past the store's end
+        if kept_rows:
+            store.append(_canon_table(kept_rows))
+        ids.update(new_ids)
+        if local_rows:
+            local = dict_ids <= -2
+            dict_ids[local] = store.rows - 2 - dict_ids[local]
+        return dict_ids[indices], _canon_table(local_rows)
+
+    def _domain_ok(self, host: pa.Array) -> pa.Array:
+        """domainValid once per distinct host (verdicts kept per processor)."""
         cfg = self.cfg
-        crawl_host = cfg.get("host", "")
-        n = batch.num_rows
-        cands = batch.column("candidate").to_pylist()
-        refs = batch.column("referrer_url").to_pylist()
-        rdepths = batch.column("referrer_depth").to_pylist()
-        pseqs = batch.column("parent_seq").to_pylist()
-        poss = batch.column("pos").to_pylist()
-        forced = batch.column("forced").to_pylist()
-        overrides = batch.column("depth_override").to_pylist()
-
-        out = {name: [] for name in CANDIDATE_SCHEMA.names}
-        # per-batch caches: referrers repeat per document; domain verdicts
-        # repeat per host (both checked per candidate otherwise)
-        from ..urlnorm import Uri
-
-        ref_cache: dict[str, Uri] = {}
-        domain_cache: dict[str, bool] = {}
-        _unset = ref_cache  # any sentinel distinct from None/UrlRow
-        for i in range(n):
-            ref = refs[i]
-            base = ref_cache.get(ref)
-            if base is None:
-                base = Uri.parse(ref or "")
-                ref_cache[ref] = base
-            cand = cands[i]
-            absolute = bool(_SCHEME_RE.match(cand))
-            hit = self._row_cache.get(cand, _unset) if absolute else _unset
-            if hit is _unset:
-                row = process_url(cand, base, rdepths[i], self.canon,
-                                  referrer_str=ref)
-                uh = url_hash64(row.url) if row is not None else 0
-                if absolute:
-                    if len(self._row_cache) > 500_000:
-                        self._row_cache.clear()
-                    self._row_cache[cand] = (row, uh)
-            else:
-                row, uh = hit
-            if row is None:
-                continue  # urijs choke — silently dropped (queueURL:1497-1500)
-            # depth/referrer are row-specific (cached rows carry stale ones)
-            depth = overrides[i] if overrides[i] >= 0 else rdepths[i] + 1
-            reason = ""
-            dv = domain_cache.get(row.host)
+        enc = pc.dictionary_encode(host)
+        verdicts = []
+        for h in enc.dictionary.to_pylist():
+            dv = self._domain.get(h)
             if dv is None:
-                dv = domain_valid(
-                    row.host, crawl_host,
+                dv = self._domain[h] = domain_valid(
+                    h, cfg.get("host", ""),
                     filter_by_domain=cfg.get("filter_by_domain", True),
                     ignore_www_domain=cfg.get("ignore_www_domain", True),
                     scan_subdomains=cfg.get("scan_subdomains", False),
                     domain_whitelist=cfg.get("domain_whitelist"),
                 )
-                domain_cache[row.host] = dv
-            if not dv:
-                reason = "invaliddomain"
-            elif cfg.get("respect_robots_txt", True):
-                hk = f"{row.host}:{row.port or ''}"
-                rules = self.robots.get(hk)
-                if rules is not None and not rules.is_allowed_path(row.path):
-                    reason = "fetchdisallowed"
-            if not reason and self.fetch_conditions:
-                qi = {
-                    "url": row.url, "host": row.host, "path": row.path,
-                    "port": row.port, "protocol": row.protocol, "depth": depth,
-                    "referrer": ref,
-                }
-                # two-arg conditions get the referrer item — the
-                # reference's (queueItem, referrerQueueItem) shape
-                ref_item = {"url": ref, "depth": depth - 1} if ref else None
-                for cond in self.fetch_conditions:
-                    try:
-                        ok = eval_condition(cond, qi, ref_item)
-                    except Exception:
-                        reason = "fetchconditionerror"
-                        break
-                    if not ok:
-                        reason = "fetchprevented"
-                        break
-            out["url"].append(row.url)
-            out["url_hash"].append(uh)
-            out["protocol"].append(row.protocol)
-            out["host"].append(row.host)
-            out["port"].append(row.port)
-            out["path"].append(row.path)
-            out["uri_path"].append(row.uri_path)
-            out["depth"].append(depth)
-            out["referrer"].append(ref)
-            out["parent_seq"].append(pseqs[i])
-            out["pos"].append(poss[i])
-            out["forced"].append(bool(forced[i]))
-            out["reject_reason"].append(reason)
-        return pa.table(
-            {f.name: pa.array(out[f.name], f.type) for f in CANDIDATE_SCHEMA}
-        )
+            verdicts.append(dv)
+        return pa.array(verdicts, pa.bool_()).take(enc.indices)
+
+    def _robots_ok(self, canon: pa.Table, row_ids: np.ndarray,
+                   domain_ok: pa.Array) -> pa.Array | None:
+        """urlIsAllowed per domain-valid row (True elsewhere), or None
+        when no row's ``host:port`` carries rules or an error (the
+        common all-allowed case)."""
+        port = _col(canon, "port")
+        hk = pc.binary_join_element_wise(
+            _col(canon, "host"),
+            pc.if_else(pc.equal(port, 0), "", pc.cast(port, pa.string())), ":")
+        enc = pc.dictionary_encode(hk)
+        rules = [self.robots.get(k) for k in enc.dictionary.to_pylist()]
+        rules = [r if r is not None and (r._rules or r.error) else None
+                 for r in rules]
+        if not any(rules):
+            return None
+        hk_idx = enc.indices.to_numpy()
+        has_rules = np.array([r is not None for r in rules])[hk_idx]
+        active = np.flatnonzero(has_rules & domain_ok.to_numpy(zero_copy_only=False))
+        ok = np.ones(len(row_ids), dtype=bool)
+        paths = canon.column("path").take(active).to_pylist()
+        verdicts: dict[int, bool] = {}  # row id -> verdict (id fixes host, port, path)
+        for i, rid, path in zip(active.tolist(), row_ids[active].tolist(), paths):
+            v = verdicts.get(rid)
+            if v is None:
+                v = verdicts[rid] = rules[hk_idx[i]].is_allowed_path(path)
+            ok[i] = v
+        return pa.array(ok)
+
+    def _conditions(self, out: pa.Table, reason: list) -> None:
+        """Fetch conditions on the rows still kept; rewrites ``reason``."""
+        keep = [i for i, r in enumerate(reason) if not r]
+        if not keep:
+            return
+        cols = out.select(["url", "host", "path", "port", "protocol",
+                           "depth", "referrer"]).take(keep).to_pydict()
+        for k, i in enumerate(keep):
+            qi = {name: col[k] for name, col in cols.items()}
+            ref, depth = qi["referrer"], qi["depth"]
+            # two-arg conditions get the referrer item — the
+            # reference's (queueItem, referrerQueueItem) shape
+            ref_item = {"url": ref, "depth": depth - 1} if ref else None
+            for cond in self.fetch_conditions:
+                try:
+                    ok = eval_condition(cond, qi, ref_item)
+                except Exception:
+                    reason[i] = "fetchconditionerror"
+                    break
+                if not ok:
+                    reason[i] = "fetchprevented"
+                    break
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return CANDIDATE_SCHEMA.empty_table()
+        row_ids, local = self._row_ids(batch)
+        kept = row_ids >= 0
+        if not kept.all():
+            batch = batch.filter(pa.array(kept))
+            row_ids = row_ids[kept]
+        if batch.num_rows == 0:
+            return CANDIDATE_SCHEMA.empty_table()
+        canon = self.store.take(row_ids, local)
+
+        override = _col(batch, "depth_override").cast(pa.int32())
+        depth = pc.if_else(
+            pc.greater_equal(override, 0), override,
+            pc.add(_col(batch, "referrer_depth").cast(pa.int32()),
+                   pa.scalar(1, pa.int32())))
+        domain_ok = self._domain_ok(_col(canon, "host"))
+        reason = pc.if_else(domain_ok, "", "invaliddomain")
+        if self.cfg.get("respect_robots_txt", True) and self.robots:
+            allowed = self._robots_ok(canon, row_ids, domain_ok)
+            if allowed is not None:
+                reason = pc.if_else(allowed, reason, "fetchdisallowed")
+        cols = canon.columns + [
+            depth,
+            _col(batch, "referrer_url").cast(pa.string()),
+            _col(batch, "parent_seq").cast(pa.int64()),
+            _col(batch, "pos").cast(pa.int32()),
+            _col(batch, "forced").cast(pa.bool_()).fill_null(False),
+            reason,
+        ]
+        out = pa.table(cols, schema=CANDIDATE_SCHEMA)
+        if self.fetch_conditions:
+            reasons = out.column("reject_reason").to_pylist()
+            self._conditions(out, reasons)
+            out = out.set_column(out.num_columns - 1, CANDIDATE_SCHEMA[-1],
+                                 pa.array(reasons, pa.string()))
+        return out
 
 
-def candidates_to_frontier_rows(cands: pa.Table, seqs: list[int], round_no: int) -> pa.Table:
+def candidates_to_frontier_rows(cands: pa.Table, seqs, round_no: int) -> pa.Table:
     """Kept candidates + assigned seq -> frontier-schema queued rows."""
     n = cands.num_rows
     defaults = frontier_row_defaults()
+
+    def const(value, typ):
+        return pa.repeat(pa.scalar(value, typ), n)
+
     data = {
         "seq": pa.array(seqs, pa.int64()),
         "url": cands.column("url"),
@@ -246,17 +424,17 @@ def candidates_to_frontier_rows(cands: pa.Table, seqs: list[int], round_no: int)
         "uri_path": cands.column("uri_path"),
         "depth": cands.column("depth"),
         "referrer": cands.column("referrer"),
-        "fetched": pa.array([defaults["fetched"]] * n, pa.bool_()),
-        "status": pa.array([defaults["status"]] * n, pa.string()),
-        "state_request_latency_ms": pa.array([0] * n, pa.int32()),
-        "state_request_time_ms": pa.array([0] * n, pa.int32()),
-        "state_download_time_ms": pa.array([0] * n, pa.int32()),
-        "state_content_length": pa.array([0] * n, pa.int64()),
-        "state_content_type": pa.array([""] * n, pa.string()),
-        "state_code": pa.array([0] * n, pa.int16()),
-        "state_headers": pa.array([""] * n, pa.string()),
-        "state_actual_data_size": pa.array([0] * n, pa.int64()),
-        "state_sent_incorrect_size": pa.array([False] * n, pa.bool_()),
-        "round": pa.array([round_no] * n, pa.int32()),
+        "fetched": const(defaults["fetched"], pa.bool_()),
+        "status": const(defaults["status"], pa.string()),
+        "state_request_latency_ms": const(0, pa.int32()),
+        "state_request_time_ms": const(0, pa.int32()),
+        "state_download_time_ms": const(0, pa.int32()),
+        "state_content_length": const(0, pa.int64()),
+        "state_content_type": const("", pa.string()),
+        "state_code": const(0, pa.int16()),
+        "state_headers": const("", pa.string()),
+        "state_actual_data_size": const(0, pa.int64()),
+        "state_sent_incorrect_size": const(False, pa.bool_()),
+        "round": const(round_no, pa.int32()),
     }
     return pa.table(data)

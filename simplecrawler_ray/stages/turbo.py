@@ -5,9 +5,11 @@ function for the scale path.
 ``_turbo_batch`` task per batch calls ``turbo_round_udf`` and then
 buckets its output into the frontier (``pipelines/crawl.py``).  Per
 input batch of queued frontier rows, inside the task:
-  fetch -> parse/discover -> redirect re-queue -> canonicalize ->
-  domain/robots/depth filters -> global dedup (RPC to the sharded
-  seen-set actors) -> seq stamp
+  fetch -> parse/discover -> redirect re-queue -> explode (Arrow list
+  kernels) -> canonicalize each distinct link once (the worker's store
+  for this crawl config, ``candidates.canon_store``) -> domain/robots/
+  depth filters -> global dedup (RPC to the sharded seen-set actors)
+  -> seq stamp
 and the fetched rows (with payloads) are written DIRECTLY to the
 parquet sink from the worker — they never travel to the driver.  The
 sink part is named by the batch's index within the round
@@ -49,8 +51,9 @@ import pyarrow.parquet as pq
 import ray
 
 from ..schemas import FRONTIER_SCHEMA
-from .candidates import (CandidateProcessor, candidate_table,
-                         candidates_to_frontier_rows, explode_discovered)
+from .candidates import (CandidateProcessor, candidate_processor,
+                         candidate_table, candidates_to_frontier_rows,
+                         explode_discovered)
 from .fetch import _WORKER_CACHE, _ref_key, Fetcher
 
 _SEQ_MASK = (1 << 42) - 1
@@ -91,15 +94,15 @@ def merge_meta_blobs(counters: dict, blobs) -> None:
 def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
                     seen_shards, round_no, sink_dir, batch_no=0,
                     first_request=False, first_seq=-1) -> pa.Table:
-    key = ("turbo", _ref_key(web_ref), _ref_key(cfg_ref), _ref_key(robots_ref))
-    st = _WORKER_CACHE.get(key)
-    if st is None:
+    # the fetcher does not read robots: a new robots snapshot rebuilds
+    # only the candidate processor (which keeps the config's store)
+    key = ("turbo", _ref_key(web_ref), _ref_key(cfg_ref))
+    fetcher = _WORKER_CACHE.get(key)
+    if fetcher is None:
         for k in [k for k in _WORKER_CACHE if k[0] == "turbo"]:
             del _WORKER_CACHE[k]
-        st = (Fetcher(web_ref, cfg_ref, None, None),
-              CandidateProcessor(cfg_ref, robots_ref))
-        _WORKER_CACHE[key] = st
-    fetcher, proc = st
+        fetcher = _WORKER_CACHE[key] = Fetcher(web_ref, cfg_ref, None, None)
+    proc = candidate_processor(cfg_ref, robots_ref)
     cfg = fetcher.cfg
 
     fetched = fetcher(batch)
@@ -152,7 +155,7 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
             if tgt is not None and tgt.host:
                 counters["__new_host"] = tgt.host
                 proc = CandidateProcessor({**cfg, "host": tgt.host},
-                                          proc.robots)
+                                          proc.robots, proc.store)
         redir_cands = candidate_table([
             dict(candidate=loc, referrer_url=url, referrer_depth=dep,
                  parent_seq=seq, pos=0,
@@ -195,5 +198,5 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
     seqs = (((round_no + 1) << 42)
             | (np.asarray(admitted.column("url_hash").to_numpy(zero_copy_only=False),
                           dtype=np.uint64) & np.uint64(_SEQ_MASK))).astype(np.int64)
-    rows = candidates_to_frontier_rows(admitted, seqs.tolist(), round_no + 1)
+    rows = candidates_to_frontier_rows(admitted, seqs, round_no + 1)
     return _with_meta(rows, counters)

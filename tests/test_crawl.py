@@ -399,6 +399,45 @@ def test_turbo_checkpoint_resume(tmp_path):
     eng2.seen.shutdown()
 
 
+def test_turbo_resume_drops_uncommitted_sink_rounds(tmp_path):
+    """A round that crashed after sinking parts but before its
+    checkpoint leaves parts the rerun may not overwrite (a resume with
+    a smaller batch_size writes fewer parts).  ``resume`` deletes every
+    sink round past the last checkpoint, so the sink holds each URL
+    once and ``queueadd`` matches a fault-free crawl."""
+    import os
+    import shutil
+
+    from simplecrawler_ray.pipelines.crawl import sink_dataset
+
+    sw = ScaleWeb(n_pages=60, n_hosts=4, out_degree=3)
+    opts = dict(filter_by_domain=False, seen_shards=2, store_body=False)
+
+    ref = CrawlEngine(sw, sw.url_of(0), batch_size=16, **opts)
+    ref.run_turbo(str(tmp_path / "ref_sink"), max_rounds=60)
+    want_queueadd = ref.metrics["queueadd"]
+    ref.seen.shutdown()
+
+    sink, ckpt = str(tmp_path / "sink"), str(tmp_path / "ckpt")
+    eng = CrawlEngine(sw, sw.url_of(0), batch_size=16, checkpoint_dir=ckpt,
+                      **opts)
+    eng.run_turbo(sink, max_rounds=1)
+    eng.seen.shutdown()
+    # the crashed round 1: a stale part holding an already-fetched URL
+    os.makedirs(os.path.join(sink, "round=00001"))
+    shutil.copy(os.path.join(sink, "round=00000", "part-00000.parquet"),
+                os.path.join(sink, "round=00001", "part-00009.parquet"))
+
+    eng2 = CrawlEngine.resume(sw, sw.url_of(0), ckpt, sink_dir=sink,
+                              batch_size=4, **opts)
+    assert not os.path.exists(os.path.join(sink, "round=00001"))
+    eng2.run_turbo(sink, max_rounds=60)
+    t = sink_dataset(sink).to_pandas()
+    assert len(t) == t["url"].nunique() == 60
+    assert eng2.metrics["queueadd"] == want_queueadd
+    eng2.seen.shutdown()
+
+
 def test_events_table(web):
     eng, res = run(web, SEED)
     ev = res.events_table().to_pandas()

@@ -7,9 +7,10 @@ Parity targets:
 
 The extracted-URL goldens (incl. ordering) are pinned by
 test/specs/discovery.unit.spec.ts:22-189 and reproduced in
-tests/test_discovery.py.  Pure Python; runs per-row inside the parse
-``map_batches`` stage (stages/discover.py) with regexes compiled once
-at import time (and thus once per worker process).
+tests/test_discovery.py.  Pure Python; runs per-row inside the
+fetch+parse stage (``Fetcher`` in stages/fetch.py, called by both crawl
+loops' batch tasks) with regexes compiled once at import time (and thus
+once per worker process).
 """
 
 from __future__ import annotations

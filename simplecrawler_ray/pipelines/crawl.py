@@ -2,13 +2,20 @@
 
 The reference's continuous event loop (``start()``/``crawl()`` tick,
 src/crawler.ts:646-674, 1273-1360) becomes bulk-synchronous rounds
-(SURVEY §2.9): each round dequeues a politeness-budgeted wave from the
-queued frontier, fetches+parses it with a ``map_batches`` actor pool,
-runs the candidate pipeline (canonicalize -> domain/robots/depth/
-condition filters -> global dedup via sharded seen-set actors), stamps
-``seq``, and unions the survivors into the frontier.  Under one host +
-unlimited budget the wave order reproduces the reference's FIFO crawl
-order (seq == QueueItem.id insertion order, src/queue.ts:113).
+(SURVEY §2.9).  Both public loops run the same round, ``_run_round``:
+admit manual enqueues, dequeue a politeness-budgeted wave from the
+queued frontier, recheck robots, run the loop's wave step, checkpoint.
+A wave step sends one plain Ray task per batch, at most
+``_task_cpus()`` in flight (``_task_window``).  ``run()``'s ordered step
+fetches+parses in the tasks and admits on the driver: candidate
+pipeline (canonicalize -> domain/robots/depth/condition filters ->
+global dedup via sharded seen-set actors) in ``(parent_seq, pos)``
+order, ``seq`` stamped in that order, survivors unioned into the
+frontier.  Under one host + unlimited budget the wave order reproduces
+the reference's FIFO crawl order (seq == QueueItem.id insertion order,
+src/queue.ts:113).  ``run_turbo()``'s step fuses the whole pipeline
+into each task (``stages/turbo.py``): worker-side first-wins admission
+and a parquet sink.
 
 Scale design notes (100 TB / 10^10-URL target):
 * fetch+parse co-located: bodies never cross stage boundaries;
@@ -44,13 +51,13 @@ from ..robots import RobotsRules
 from ..schemas import FRONTIER_SCHEMA, STATUS_DISALLOWED
 from ..stages.candidates import (
     CandidateProcessor,
+    candidate_processor,
     candidate_table,
-    candidate_udf,
     candidates_to_frontier_rows,
     explode_discovered,
 )
 from ..stages import turbo as _turbo
-from ..stages.fetch import fetcher_udf
+from ..stages.fetch import fetch_counters, worker_fetcher
 from ..state.seen import SeenSet
 from ..urlnorm import CanonOpts, process_url
 
@@ -88,39 +95,50 @@ def _disallowed_rows(rows: pa.Table) -> pa.Table:
     return _normalize_fetched(t)
 
 
-@ray.remote(num_returns=2)
-def _split_fetched_block(t: pa.Table, want_body: bool):
-    """Worker-side split of one fetched block: (normalized full block —
-    stays in the object store; thin body-less view — the only part the
-    driver pulls for round logic).  ``want_body`` keeps the payload in
-    the thin view when a fetch_complete_hook needs it driver-side."""
-    thin = t if want_body or "body" not in t.column_names else t.drop_columns(["body"])
-    return _normalize_fetched(t), thin
+#: the fetched columns run()'s driver reads: the cache-index update and
+#: the redirect and first-request step
+_THIN_COLS = ["seq", "url", "depth", "disposition", "location",
+              "state_code", "state_headers"]
+
+
+@ray.remote(num_returns=3)
+def _fetch_batch(batch: pa.Table, kw: dict, hook):
+    """One ``run()`` batch, one task: fetch with the worker's cached
+    ``Fetcher`` (``kw`` holds the web, config and cache-index refs,
+    nested so the worker cache keys on them), explode the discovered
+    links, and run the batched fetch-complete ``hook`` (§2.10 manual
+    discovery) on the downloaded rows in seq order.  Returns the
+    normalized fetched block (a driver-owned return the driver keeps
+    as a terminal ref and never pulls), its thin body-less view, and
+    ``(raw candidates, hook candidates, counters)``."""
+    fetcher = worker_fetcher(kw["web_ref"], kw["cfg_ref"], kw["cache_ref"])
+    fetched = fetcher(batch)
+    counters = fetch_counters(fetched, fetcher.cfg["discover"])
+    raw = explode_discovered(fetched, fetcher.cfg["max_depth"])
+    norm = _normalize_fetched(fetched)
+    manual = []
+    if hook is not None:
+        dl = norm.filter(pc.equal(norm.column("status"), "downloaded"))
+        dl = dl.take(pc.sort_indices(dl, sort_keys=[("seq", "ascending")]))
+        for e in (hook(dl) if dl.num_rows else None) or []:
+            # a hook returns URL strings or dicts with ``candidate`` plus
+            # optional referrer attribution
+            if isinstance(e, str):
+                e = {"candidate": e}
+            manual.append(dict(candidate=e["candidate"],
+                               referrer_url=e.get("referrer_url", ""),
+                               referrer_depth=int(e.get("referrer_depth", 0)),
+                               parent_seq=int(e.get("parent_seq", -1)),
+                               pos=int(e.get("pos", 0))))
+    return norm, norm.select(_THIN_COLS), (raw, manual, counters)
 
 
 @ray.remote
-def _batched_hook_block(hook, t: pa.Table) -> "list[dict]":
-    """Worker-side batched fetch-complete hook (§2.10 manual discovery
-    at scale): the hook sees one block's downloaded rows as an Arrow
-    table (seq order, payloads included) and returns candidates —
-    either URL strings or dicts with ``candidate`` plus optional
-    referrer attribution.  Unlike the per-row ``fetch_complete_hook``
-    (which pulls every downloaded row to the driver), only the thin
-    candidate list transits the driver (round-3 verdict #7)."""
-    dl = t.filter(pc.equal(t.column("status"), "downloaded"))
-    if dl.num_rows == 0:
-        return []
-    dl = dl.take(pc.sort_indices(dl, sort_keys=[("seq", "ascending")]))
-    out = []
-    for e in (hook(dl) or []):
-        if isinstance(e, str):
-            e = {"candidate": e}
-        out.append(dict(candidate=e["candidate"],
-                        referrer_url=e.get("referrer_url", ""),
-                        referrer_depth=int(e.get("referrer_depth", 0)),
-                        parent_seq=int(e.get("parent_seq", -1)),
-                        pos=int(e.get("pos", 0))))
-    return out
+def _process_candidates(raw: pa.Table, refs: list) -> pa.Table:
+    """``seed_frontier``'s chunk task: the worker's processor for the
+    (config, robots) refs in ``refs`` (nested, so the worker cache keys
+    on them) over one chunk of raw candidates."""
+    return candidate_processor(*refs)(raw)
 
 
 @ray.remote
@@ -154,12 +172,10 @@ def _host_bucket(host: str, n_buckets: int) -> int:
 
 
 def _row_hook_adapter(hook):
-    """Wrap a legacy single-row fetch_complete_hook (row dict ->
-    list[str] of manual-discovery URLs) as a batched block hook so it
-    runs WORKER-side via ``_batched_hook_block``: rows are visited in
-    seq order within each block and only the candidate list reaches
-    the driver — the per-row driver replay pulled every downloaded row
-    (payload included) across the object store."""
+    """Wrap a single-row fetch_complete_hook (row dict -> list[str] of
+    manual-discovery URLs) as a batched hook, so it runs WORKER-side in
+    ``_fetch_batch``: rows are visited in seq order within each batch
+    and only the candidate list reaches the driver."""
     def batch_hook(dl: pa.Table) -> list:
         out = []
         for row in dl.to_pylist():      # dl arrives seq-sorted
@@ -482,11 +498,6 @@ DEFAULT_CONFIG = dict(
     batch_size=256,
     fetch_threads=0,        # >1: threaded batch I/O for real transports
                             # (HttpWeb); latency-bound WAN fetches need it
-    driver_side_hook=False,  # True: legacy per-row fetch_complete_hook
-                             # replay on the driver (hooks that mutate
-                             # driver state / need cross-block order);
-                             # False: single-row hooks run worker-side
-                             # through the batched block hook
     checkpoint_dir=None,
     checkpoint_seen=False,  # snapshot seen-shard filters per checkpoint
                             # (one .npz per shard) -> resume is O(filter
@@ -549,34 +560,27 @@ class CrawlEngine:
         self.seed_row = seed
         self.use_cache = cache_index is not None
         self.cache_index = cache_index if cache_index is not None else {}
-        # batched form: hook(downloaded_block: pa.Table) -> candidates,
-        # evaluated WORKER-side per fetched block — the scale path (the
-        # per-row hook pulls every downloaded row to the driver).
-        # A single-row hook is routed THROUGH the batched form by
-        # default (worker-side, seq order preserved within a block);
-        # hooks that mutate driver state opt out with
-        # driver_side_hook=True, keeping the legacy per-row replay.
+        # batched form: hook(downloaded rows: pa.Table) -> candidates,
+        # evaluated WORKER-side per fetched batch (``_fetch_batch``); a
+        # single-row hook runs through it (``_row_hook_adapter``), so
+        # the engine keeps no driver-side per-row hook
         self.fetch_complete_hook = None
         self.fetch_complete_batch_hook = fetch_complete_batch_hook
         if fetch_complete_hook is not None:
-            if self.cfg["driver_side_hook"]:
-                self.fetch_complete_hook = fetch_complete_hook
-            else:
-                if fetch_complete_batch_hook is not None:
-                    raise TypeError("pass either fetch_complete_hook or "
-                                    "fetch_complete_batch_hook, not both")
-                import warnings
-                warnings.warn(
-                    "fetch_complete_hook runs WORKER-side by default: the "
-                    "hook is serialized per round, so mutations of driver-"
-                    "local state (e.g. appending to a list the hook closes "
-                    "over) will NOT be visible on the driver, and hooks "
-                    "closing over unpicklable objects fail at serialization."
-                    "  Pass driver_side_hook=True for the legacy in-process "
-                    "per-row replay (conformance-scale only).",
-                    stacklevel=3)
-                self.fetch_complete_batch_hook = _row_hook_adapter(
-                    fetch_complete_hook)
+            if fetch_complete_batch_hook is not None:
+                raise TypeError("pass either fetch_complete_hook or "
+                                "fetch_complete_batch_hook, not both")
+            import warnings
+            warnings.warn(
+                "fetch_complete_hook runs WORKER-side, once per fetched "
+                "batch: the hook is serialized to the workers, so mutations "
+                "of driver-local state (e.g. appending to a list the hook "
+                "closes over) are NOT visible on the driver, and hooks "
+                "closing over unpicklable objects fail at serialization.  "
+                "Return the URLs to enqueue from the hook instead.",
+                stacklevel=2)
+            self.fetch_complete_batch_hook = _row_hook_adapter(
+                fetch_complete_hook)
         self._batch_hook_ref = None
 
         self.seen = SeenSet(
@@ -600,6 +604,7 @@ class CrawlEngine:
         self._cond_seq = 0                 # add/removeFetchCondition ids
         self._cond_ids: dict[int, tuple] = {}
         self._web_ref = None
+        self._puts: dict = {}              # name -> (ref, snapshot): _broadcast
         self._cluster_cpus: Optional[float] = None
         self.timings: dict[str, float] = {}  # per-phase seconds (profiling)
 
@@ -630,28 +635,29 @@ class CrawlEngine:
     def _task_cpus(self) -> float:
         """CPUs the engine's tasks may use at once: the cluster's CPUs
         less the actors' (at least 1), capped by a user-set Ray Data CPU
-        limit.  Both the Ray Data budget and ``run_turbo``'s window."""
+        limit.  The size of every task wave's window."""
         if self._cluster_cpus is None:
             self._cluster_cpus = ray.cluster_resources().get("CPU", 0.0)
         limit = rd.DataContext.get_current().execution_options.resource_limits.cpu
         return min(max(1.0, self._cluster_cpus - self._actor_cpus()), limit)
 
-    def _budgeted(self, ds: rd.Dataset) -> rd.Dataset:
-        """Hold ``ds``'s Ray Data budget to ``_task_cpus()``.
-
-        Ray Data otherwise counts the CPUs the seen shards (and robots
-        shards) hold as free, submits map tasks the raylet cannot place,
-        and the raylet starts spare worker processes for them.  A CPU
-        limit the user already set is kept.  Only ``ds``'s own copy of
-        the DataContext changes."""
-        opts = ds.context.execution_options
-        if opts.resource_limits.cpu != float("inf"):
-            return ds  # Ray Data refuses a CPU limit and exclusion together
-        budget = self._task_cpus()  # also caches the cluster's CPUs
-        cpus = max(0.0, self._cluster_cpus - budget)
-        opts.exclude_resources = opts.exclude_resources.copy(
-            cpu=max(opts.exclude_resources.cpu, cpus))
-        return ds
+    def _task_window(self, n: int, submit):
+        """Run tasks ``0..n-1``, at most ``_task_cpus()`` in flight:
+        ``submit(i)`` starts task ``i`` and returns the ref to wait on;
+        yields ``(i, ref)`` as each completes, the next task already
+        sent.  Without the window a task blocked in a ``ray.get`` or
+        seen-shard RPC hands its CPU back and the raylet starts spare
+        workers for the queued ones."""
+        window = max(1, int(self._task_cpus()))
+        pending = {submit(i): i for i in range(min(window, n))}
+        nxt = len(pending)
+        while pending:
+            (ref,), _ = ray.wait(list(pending), num_returns=1)
+            i = pending.pop(ref)
+            if nxt < n:
+                pending[submit(nxt)] = nxt
+                nxt += 1
+            yield i, ref
 
     def _count(self, key: str, n: int = 1) -> None:
         if n:
@@ -771,76 +777,57 @@ class CrawlEngine:
                 return False
             _t.sleep(0.005)
 
-    _SEED_DISTRIBUTE_THRESHOLD = 100_000
+    _SEED_CHUNK = 65536
 
     def seed_frontier(self, urls: list[str]) -> int:
         """Bulk-enqueue a synthetic frontier (FIXTURES §7) through the
         standard canonicalize/filter/dedup pipeline.  Returns admitted
         count.  Setup step — benchmarks time the crawl, not this.
 
-        Above ``_SEED_DISTRIBUTE_THRESHOLD`` URLs the canonicalization
-        (the per-row Python work) fans out as ``candidate_udf`` tasks —
-        a 10M-URL seed dropped from ~450 s (sequential driver loop) to
-        the parallel path; admit (vectorized arrow + sharded seen
-        scatter) stays driver-side either way."""
+        The canonicalization (the per-row Python work) runs as one
+        ``_process_candidates`` task per ``_SEED_CHUNK`` URLs through the
+        task window; the admit (vectorized arrow + sharded seen scatter)
+        stays driver-side."""
         cands = candidate_table([
             dict(candidate=u, referrer_url="", referrer_depth=0,
                  parent_seq=-2, pos=i)
             for i, u in enumerate(urls)
         ])
-        if cands.num_rows > self._SEED_DISTRIBUTE_THRESHOLD:
-            from ..ops import gather_tables
-            from ..stages.candidates import candidate_udf
+        bs = self._SEED_CHUNK
+        chunks = [cands.slice(o, bs) for o in range(0, cands.num_rows, bs)]
+        refs = [self._broadcast("cfg", self.cfg),
+                self._broadcast("robots", self.robots_cache)]
+        outs: list = []
 
-            cfg_ref = ray.put(self.cfg)
-            robots_ref = ray.put(self.robots_cache)
-            bs = 65536
-            chunks = [cands.slice(o, bs)
-                      for o in range(0, cands.num_rows, bs)]
-            processed = gather_tables(self._budgeted(
-                rd.from_arrow(chunks).map_batches(
-                    candidate_udf,
-                    fn_kwargs=dict(cfg_ref=cfg_ref, robots_ref=robots_ref),
-                    batch_format="pyarrow", batch_size=bs,
-                    zero_copy_batch=True)))
-            out = (pa.concat_tables(processed, promote_options="default")
-                   if processed else candidate_table([]))
-            admitted = self._admit_candidates(out)
-        else:
-            proc = CandidateProcessor(self.cfg, self.robots_cache)
-            admitted = self._admit_candidates(proc(cands))
-        return admitted.num_rows
+        def submit(i: int):
+            outs.append(_process_candidates.remote(chunks[i], refs))
+            return outs[-1]
 
-    def _cfg_broadcast(self):
-        """Re-``ray.put`` self.cfg ONLY when it changed: the worker-side
-        UDF cache keys on the ref hex, so a fresh ref every round would
-        rebuild each worker's Fetcher (re-deserializing the whole web/
-        corpus object) once per round instead of once per crawl."""
-        snap = dict(self.cfg)
-        if getattr(self, "_cfg_ref", None) is None or snap != self._cfg_snap:
-            self._cfg_ref = ray.put(self.cfg)
-            self._cfg_snap = snap
-        return self._cfg_ref
+        for _ in self._task_window(len(chunks), submit):
+            pass
+        if not outs:
+            return 0
+        return self._admit_candidates(pa.concat_tables(ray.get(outs))).num_rows
 
-    def _cache_broadcast(self):
-        """Same change-detection for the 304 cache index."""
-        snap = dict(self.cache_index)
-        if (getattr(self, "_cache_ref", None) is None
-                or snap != self._cache_snap):
-            self._cache_ref = ray.put(snap)
-            self._cache_snap = snap
-        return self._cache_ref
+    def _web_broadcast(self):
+        """The web, ``ray.put`` once per engine."""
+        if self._web_ref is None:
+            self._web_ref = ray.put(self.web)
+        return self._web_ref
 
-    def _robots_broadcast(self):
-        """Same change-detection for the robots rules snapshot (values
-        compare by identity — _fetch_robots adds/evicts entries, never
-        mutates a rules object in place)."""
-        snap = dict(self.robots_cache)
-        if (getattr(self, "_robots_ref", None) is None
-                or snap != self._robots_snap):
-            self._robots_ref = ray.put(self.robots_cache)
-            self._robots_snap = snap
-        return self._robots_ref
+    def _broadcast(self, name: str, value: dict):
+        """``ray.put`` a snapshot of ``value`` (the config, the 304 cache
+        index or the robots rules) ONLY when it changed since the last
+        put under ``name``: the worker caches key on the ref, so a fresh
+        ref every round would rebuild each worker's Fetcher (re-
+        deserializing the whole web/corpus object) and canon store once
+        per round instead of once per crawl.  Robots values compare by
+        identity — _fetch_robots adds/evicts entries, never mutates a
+        rules object in place."""
+        snap = dict(value)
+        if name not in self._puts or self._puts[name][1] != snap:
+            self._puts[name] = (ray.put(snap), snap)
+        return self._puts[name][0]
 
     def _seed(self) -> None:
         # start() adds the seed directly — no domain/robots/condition gate
@@ -930,10 +917,8 @@ class CrawlEngine:
             from ..state.robots_pool import RobotsPool
 
             if self._robots_pool is None:
-                if self._web_ref is None:
-                    self._web_ref = ray.put(self.web)
                 self._robots_pool = RobotsPool(
-                    self._web_ref, self.cfg["robots_pool_shards"],
+                    self._web_broadcast(), self.cfg["robots_pool_shards"],
                     self.cfg.get("user_agent", "*"))
             new_hosts = [hk for hk in sorted(hosts) if hk not in self.robots_cache]
             if not new_hosts:
@@ -995,20 +980,19 @@ class CrawlEngine:
             wave = wave.slice(0, cap)
         return wave
 
-    def _robots_recheck(self, wave: pa.Table) -> tuple[pa.Table, bool]:
+    def _robots_recheck(self, wave: pa.Table) -> pa.Table:
         """Robots for the wave's new hosts (crawler.ts:1296-1335), then a
         re-check of every wave row against the fresh rules: rows queued
         before their host's robots arrived.  Disallowed rows become
-        terminal records (`_disallowed_rows`).  Returns the allowed wave
-        and whether the rules cache changed."""
+        terminal records (`_disallowed_rows`).  Returns the allowed
+        wave."""
         # robots keys match CandidateProcessor: "host:port" built from the
         # frontier columns (NOT host_key(), which expects a full URL)
         hks = [f"{h}:{p or ''}"
                for h, p in zip(wave.column("host").to_pylist(),
                                wave.column("port").to_pylist())]
         hosts = set(hks)
-        changed = bool(hosts - self.robots_cache.keys())
-        if changed:
+        if hosts - self.robots_cache.keys():
             # pass the FULL wave host set: _fetch_robots only fetches new
             # hosts, but its cache eviction keeps `k in hosts` — passing
             # just the new ones could evict a current-wave host's rules,
@@ -1024,7 +1008,7 @@ class CrawlEngine:
                   if (r := self.robots_cache.get(hk)) is not None
                   and (r._rules or r.error)}
         if not active:
-            return wave, changed
+            return wave
         allowed = pa.array([
             hk not in active or self.robots_cache[hk].is_allowed(u)
             for hk, u in zip(hks, wave.column("url").to_pylist())])
@@ -1033,12 +1017,15 @@ class CrawlEngine:
             self._count("fetchdisallowed", disallowed.num_rows)
             self.terminal_refs.append(ray.put(_disallowed_rows(disallowed)))
             wave = wave.filter(allowed)
-        return wave, changed
+        return wave
 
     # ------------------------------------------------------------- rounds
 
-    def _run_round(self) -> bool:
-        """One BSP round. Returns True if any work was done."""
+    def _run_round(self, wave_step=None) -> bool:
+        """One BSP round of either loop: admit manual enqueues, dequeue,
+        recheck robots, run the wave step on the allowed rows
+        (``run()``'s ``_ordered_wave`` unless ``wave_step`` is given),
+        checkpoint.  Returns False when the frontier was empty."""
         self._admit_manual()
         with self._timed("dequeue"):
             wave = self._dequeue_wave()
@@ -1046,113 +1033,78 @@ class CrawlEngine:
             return False
         if self.cfg["respect_robots_txt"]:
             with self._timed("robots"):
-                wave, _ = self._robots_recheck(wave)
-            if wave.num_rows == 0:
-                self._checkpoint()
-                return True
+                wave = self._robots_recheck(wave)
+        if wave.num_rows:
+            (wave_step or self._ordered_wave)(wave)
+        self._checkpoint()
+        return True
 
+    def _ordered_wave(self, wave: pa.Table) -> None:
+        """``run()``'s wave step: one ``_fetch_batch`` task per batch
+        through the task window, then, on the driver, the cache-index
+        update, the redirect and first-request step, one
+        ``CandidateProcessor`` over the round's raw and redirect
+        candidates, and the admit in ``(parent_seq, pos)`` order."""
         if self.cfg["track_fetch_order"]:
             self.fetch_order.extend(wave.column("url").to_pylist())
-        self._count("fetchstart", wave.num_rows)
-
-        # ---- distributed fetch+parse ----
-        if self._web_ref is None:
-            self._web_ref = ray.put(self.web)
-        cfg_ref = self._cfg_broadcast()
-        cache_ref = self._cache_broadcast()
+        if self._batch_hook_ref is None \
+                and self.fetch_complete_batch_hook is not None:
+            self._batch_hook_ref = ray.put(self.fetch_complete_batch_hook)
+        kw = dict(web_ref=self._web_broadcast(),
+                  cfg_ref=self._broadcast("cfg", self.cfg),
+                  cache_ref=self._broadcast("cache", self.cache_index))
         bs = self.cfg["batch_size"]
-        # split the wave into blocks so the task pool actually parallelizes
-        chunks = [wave.slice(off, bs) for off in range(0, wave.num_rows, bs)] or [wave]
-        wave_ds = rd.from_arrow(chunks)
-        # task-based UDF + worker-local state cache: per-worker init cost is
-        # paid once per crawl, not once per round (see stages/fetch.py)
+        batches = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)]
+        refs: list = []
+
+        def submit(i: int):
+            refs.append(_fetch_batch.remote(batches[i], kw, self._batch_hook_ref))
+            return refs[-1][2]
+
         with self._timed("fetch"):
-            fetched_ds = self._budgeted(wave_ds.map_batches(
-                fetcher_udf,
-                fn_kwargs=dict(web_ref=self._web_ref, cfg_ref=cfg_ref, cache_ref=cache_ref),
-                batch_format="pyarrow",
-                batch_size=bs,
-                zero_copy_batch=True,
-            )).materialize()
-        with self._timed("fetch_gather"):
-            # payload blocks never transit the driver: a worker task splits
-            # each block into (normalized-ref kept in the object store,
-            # thin body-less view) and only the thin part is pulled here
-            want_body = self.fetch_complete_hook is not None
-            norm_refs, thin_refs = [], []
-            for r in fetched_ds.to_arrow_refs():
-                n, t = _split_fetched_block.remote(r, want_body)
-                norm_refs.append(n)
-                thin_refs.append(t)
-            thin_all = ray.get(thin_refs)
-        keep = [i for i, t in enumerate(thin_all) if t.num_rows]
-        if not keep:
-            self._checkpoint()
-            return True
-        round_refs = [norm_refs[i] for i in keep]
-        self.terminal_refs.extend(round_refs)
-        with self._timed("fetch_concat"):
-            fetched_raw = pa.concat_tables([thin_all[i] for i in keep],
-                                           promote_options="default")
-            fetched = _normalize_fetched(fetched_raw)  # "discovered" stays transient
+            for _ in self._task_window(len(batches), submit):
+                pass
+        with self._timed("merge"):
+            # the normalized blocks stay in the object store
+            self.terminal_refs.extend(r[0] for r in refs)
+            fetched = pa.concat_tables(ray.get([r[1] for r in refs]))
+            raws, nonredirect = [], 0
+            for raw, manual, counters in ray.get([r[2] for r in refs]):
+                raws.append(raw)
+                self._manual.extend(manual)
+                nonredirect += counters.pop("__nonredirect", 0)
+                for k, v in counters.items():
+                    self._count(k, v)
 
-        # ---- metrics from dispositions ----
-        _t_metrics = self._timed("metrics"); _t_metrics.__enter__()
-        disp_counts = pc.value_counts(fetched.column("disposition"))
-        for entry in disp_counts.to_pylist():
-            if entry["values"]:
-                self._count(entry["values"], entry["counts"])
-        for flags in fetched.column("error_flags").to_pylist():
-            for flag in (flags or "").split(","):
-                if flag:
-                    self._count(flag)
-        ds_count = int(
-            pc.sum(
-                pc.and_(fetched.column("mime_supported"),
-                        pc.equal(fetched.column("status"), "downloaded"))
-            ).as_py() or 0
-        )
-        if self.cfg["discover"]:
-            self._count("discoverycomplete", ds_count)
-
-        _t_metrics.__exit__(None, None, None)
         # ---- cache index update (etag / last-modified) ----
         if self.use_cache:
-            with self._timed("cache_index"):
-                for u, hj, code in zip(fetched.column("url").to_pylist(),
-                                       fetched.column("state_headers").to_pylist(),
-                                       fetched.column("state_code").to_pylist()):
-                    if hj and 200 <= code < 300:
-                        h = json.loads(hj)
-                        etag, lastmod = h.get("etag"), h.get("last-modified")
-                        if etag or lastmod:
-                            self.cache_index[u] = (etag, lastmod)
+            for u, hj, code in zip(fetched.column("url").to_pylist(),
+                                   fetched.column("state_headers").to_pylist(),
+                                   fetched.column("state_code").to_pylist()):
+                if hj and 200 <= code < 300:
+                    h = json.loads(hj)
+                    etag, lastmod = h.get("etag"), h.get("last-modified")
+                    if etag or lastmod:
+                        self.cache_index[u] = (etag, lastmod)
 
         # ---- redirect candidates (depth pinning + initial domain change) ----
-        # filter to redirect rows FIRST (like turbo.py) — no O(fetched)
-        # Python loop; the loop below touches only redirect rows.
-        _t_redir = self._timed("redirects"); _t_redir.__enter__()
         redirect_cands = []
         redir_mask = pc.equal(fetched.column("disposition"), "fetchredirect")
         redirects = fetched.filter(redir_mask)
-        n_non_redirect = fetched.num_rows - redirects.num_rows
         # first_request stays True through the initial redirect chain:
         # in seq order it flips on the first non-redirect row, so only
         # redirect rows with seq < that row's seq are "first requests"
         # (crawler.ts:1947-1953).
         first_cutoff = None
-        if self.first_request and n_non_redirect:
+        if self.first_request and nonredirect:
             first_cutoff = pc.min(
                 fetched.filter(pc.invert(redir_mask)).column("seq")).as_py()
         if redirects.num_rows:
             redirects = redirects.take(
                 pc.sort_indices(redirects, sort_keys=[("seq", "ascending")]))
-            for seq, url, depth, loc in zip(
-                redirects.column("seq").to_pylist(),
-                redirects.column("url").to_pylist(),
-                redirects.column("depth").to_pylist(),
-                redirects.column("location").to_pylist(),
-            ):
+            for seq, url, depth, loc in zip(*(
+                    redirects.column(c).to_pylist()
+                    for c in ("seq", "url", "depth", "location"))):
                 if not loc:
                     continue
                 is_first = self.first_request and (
@@ -1167,69 +1119,20 @@ class CrawlEngine:
                 redirect_cands.append(dict(candidate=loc, referrer_url=url,
                                            referrer_depth=depth, parent_seq=seq,
                                            pos=0, depth_override=override))
-        if n_non_redirect:
+        if nonredirect:
             self.first_request = False
 
-        # ---- fetch-complete hooks (manual discovery, §2.10) ----
-        if self.fetch_complete_batch_hook is not None:
-            # batched form: one worker task per fetched block; only the
-            # thin candidate list reaches the driver
-            if self._batch_hook_ref is None:
-                self._batch_hook_ref = ray.put(self.fetch_complete_batch_hook)
-            for cands in ray.get([
-                _batched_hook_block.remote(self._batch_hook_ref, r)
-                for r in round_refs
-            ]):
-                self._manual.extend(cands)
-        if self.fetch_complete_hook is not None:
-            downloaded = fetched.filter(
-                pc.equal(fetched.column("status"), "downloaded"))
-            downloaded = downloaded.take(
-                pc.sort_indices(downloaded, sort_keys=[("seq", "ascending")]))
-            for row in downloaded.to_pylist():
-                extra = self.fetch_complete_hook(row) or []
-                for u in extra:
-                    self._manual.append(dict(candidate=u, referrer_url=row["url"],
-                                             referrer_depth=row["depth"],
-                                             parent_seq=row["seq"], pos=0))
-
-        _t_redir.__exit__(None, None, None)
-        # ---- discovered candidates (explode + canonicalize) ----
-        _t_cand = self._timed("candidates"); _t_cand.__enter__()
-        max_depth = self.cfg["max_depth"]
-        if fetched.num_rows <= 5000:
-            # small wave: driver-side (per-round Dataset planning overhead
-            # dominates actual work at this size); distributed path below is
-            # byte-identical — same UDFs
-            proc = CandidateProcessor(self.cfg, self.robots_cache)
-            raw = explode_discovered(fetched_raw, max_depth)
-            cand_tables = [proc(raw)] if raw.num_rows else []
-        else:
-            cfg_ref2 = self._cfg_broadcast()
-            robots_ref = self._robots_broadcast()
-            cand_ds = fetched_ds.map_batches(
-                lambda b: explode_discovered(b, max_depth),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ).map_batches(
-                candidate_udf,
-                fn_kwargs=dict(cfg_ref=cfg_ref2, robots_ref=robots_ref),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            from ..ops import gather_tables
-
-            cand_tables = gather_tables(self._budgeted(cand_ds))
+        # ---- one processor over discovered + redirect candidates; it is
+        # built after the redirect step, so a host adopted from a
+        # first-request redirect filters this round's candidates too ----
         if redirect_cands:
-            proc = CandidateProcessor(self.cfg, self.robots_cache)
-            cand_tables.append(proc(candidate_table(redirect_cands)))
-        _t_cand.__exit__(None, None, None)
-        if cand_tables:
+            raws.append(candidate_table(redirect_cands))
+        raw = pa.concat_tables(raws)
+        if raw.num_rows:
+            with self._timed("candidates"):
+                cands = CandidateProcessor(self.cfg, self.robots_cache)(raw)
             with self._timed("admit"):
-                all_cands = pa.concat_tables(cand_tables, promote_options="default")
-                self._admit_candidates(all_cands)
-
-        self._checkpoint()
-        return True
+                self._admit_candidates(cands)
 
     # ------------------------------------------------------------- public
 
@@ -1259,93 +1162,56 @@ class CrawlEngine:
         self._count("complete")
 
     def run_turbo(self, sink_dir: str, max_rounds: int = 100) -> dict:
-        """Scale-path crawl: per round one task wave (``_turbo_wave``)
-        and one checkpoint write task.  Fetched rows stream to
-        ``sink_dir`` parquet from the workers; the driver only adopts thin
-        (counters, bucket part refs) and applies politeness.  Ordering is
-        hash-seq (BFS-monotone across rounds, arbitrary within a round) —
-        use ``run()`` when reference-exact FIFO matters."""
+        """Scale-path crawl: ``_run_round`` with the ``_turbo_wave`` step
+        (one fused task per batch) and one checkpoint write task per
+        round.  Fetched rows stream to ``sink_dir`` parquet from the
+        workers; the driver only adopts thin (counters, bucket part
+        refs) and applies politeness.  Ordering is hash-seq
+        (BFS-monotone across rounds, arbitrary within a round) — use
+        ``run()`` when reference-exact FIFO matters, or for a
+        ``cache_index`` or fetch-complete hook, which this loop
+        refuses rather than ignores."""
+        if self.use_cache or self.fetch_complete_batch_hook is not None:
+            raise ValueError(
+                "run_turbo fetches without a cache index and runs no "
+                "fetch-complete hook; use run() for cache_index, "
+                "fetch_complete_hook or fetch_complete_batch_hook")
         self._count("crawlstart")
         self._seed()
         self._sink_dir = sink_dir
-        if self._web_ref is None:
-            self._web_ref = ray.put(self.web)
-        cfg_ref = ray.put(self.cfg)
-        robots_ref = ray.put(self.robots_cache)
-        fetched_total = 0
-        while self.round_no < max_rounds:
-            self._admit_manual()
-            with self._timed("dequeue"):
-                wave = self._dequeue_wave()
-            if wave.num_rows == 0:
-                break
-            if self.cfg["respect_robots_txt"]:
-                with self._timed("robots"):
-                    wave, changed = self._robots_recheck(wave)
-                    if changed:
-                        # the cache mutated (adds and/or evictions) exactly
-                        # when new hosts were fetched — rebroadcast then.
-                        # (len() equality is the wrong change detector: at
-                        # steady state past the cap, adds == evictions and
-                        # workers would keep a stale snapshot forever)
-                        robots_ref = ray.put(self.robots_cache)
-                if wave.num_rows == 0:
-                    self._checkpoint()
-                    self.round_no += 1
-                    continue
-            fetched_total += wave.num_rows
-            with self._timed("turbo_round"):
-                counters = self._turbo_wave(wave, dict(
-                    web_ref=self._web_ref, cfg_ref=cfg_ref,
-                    robots_ref=robots_ref, seen_shards=self.seen.shards,
-                    round_no=self.round_no, sink_dir=sink_dir,
-                    first_request=self.first_request,
-                    first_seq=getattr(self, "_seed_seq", -1)))
-            new_host = counters.pop("__new_host", None)
-            if new_host and self.first_request \
-                    and self.cfg["allow_initial_domain_change"]:
-                # first-request redirect adopted a new crawl host
-                # (crawler.ts:1951-1953) — rebroadcast the config
-                self.cfg["host"] = new_host
-                cfg_ref = ray.put(self.cfg)
-            if counters.pop("__nonredirect", 0):
-                self.first_request = False
-            for k, v in counters.items():
-                self._count(k, v)
-            self._checkpoint()
+        start = self.metrics.get("fetchstart", 0)
+        while self.round_no < max_rounds and self._run_round(self._turbo_wave):
             self.round_no += 1
         self._complete()
-        return {"fetched": fetched_total, "rounds": self.round_no,
-                "metrics": dict(self.metrics), "sink_dir": sink_dir}
+        return {"fetched": self.metrics.get("fetchstart", 0) - start,
+                "rounds": self.round_no, "metrics": dict(self.metrics),
+                "sink_dir": sink_dir}
 
-    def _turbo_wave(self, wave: pa.Table, kw: dict) -> dict:
-        """One ``_turbo_batch`` task per batch (``kw`` plus its
-        ``batch_no``), at most ``_task_cpus()`` in flight; the next goes
-        out as each meta yield arrives.  Without the window a task
-        blocked in the seen-shard RPC hands its CPU back and the raylet
-        starts spare workers for queued tasks.  Bucket parts are adopted
+    def _turbo_wave(self, wave: pa.Table) -> None:
+        """``run_turbo()``'s wave step: one ``_turbo_batch`` task per
+        batch through the task window, each admitting its candidates
+        first-wins at the seen shards and sinking its fetched rows.
+        Meta yields are merged as they arrive; bucket parts are adopted
         in batch order, so the frontier layout does not depend on
-        completion order; ``timings["merge"]`` never covers the wait for
-        tasks.  Returns the round's merged counters."""
+        completion order, and ``timings["merge"]`` never covers the
+        wait for tasks."""
+        kw = dict(web_ref=self._web_broadcast(),
+                  cfg_ref=self._broadcast("cfg", self.cfg),
+                  robots_ref=self._broadcast("robots", self.robots_cache),
+                  seen_shards=self.seen.shards, round_no=self.round_no,
+                  sink_dir=self._sink_dir, first_request=self.first_request,
+                  first_seq=getattr(self, "_seed_seq", -1))
         bs = self.cfg["batch_size"]
         batches = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)]
-        window = max(1, int(self._task_cpus()))
-        gens, pending, metas, counters = [], {}, [None] * len(batches), {}
+        gens, metas, counters = [], [None] * len(batches), {}
 
-        def submit() -> None:
-            i = len(gens)
+        def submit(i: int):
             gens.append(_turbo_batch.remote(
                 batches[i], dict(kw, batch_no=i), self._frontier.n_buckets))
-            pending[gens[-1]] = i
+            return gens[-1]
 
-        while len(gens) < min(window, len(batches)):
-            submit()
-        while pending:
-            (gen,), _ = ray.wait(list(pending), num_returns=1)
-            i = pending.pop(gen)
+        for i, gen in self._task_window(len(batches), submit):
             meta_ref = next(gen)
-            if len(gens) < len(batches):
-                submit()
             with self._timed("merge"):
                 c, metas[i] = ray.get(meta_ref)
                 for k, v in c.items():
@@ -1356,7 +1222,16 @@ class CrawlEngine:
             for gen, meta in zip(gens, metas):
                 self._frontier.adopt_parts([(b, next(gen), n, smin, smax)
                                             for b, n, smin, smax in meta])
-        return counters
+        new_host = counters.pop("__new_host", None)
+        if new_host and self.first_request \
+                and self.cfg["allow_initial_domain_change"]:
+            # first-request redirect adopted a new crawl host
+            # (crawler.ts:1951-1953); ``_broadcast`` sends it next round
+            self.cfg["host"] = new_host
+        if counters.pop("__nonredirect", 0):
+            self.first_request = False
+        for k, v in counters.items():
+            self._count(k, v)
 
     def _checkpoint(self) -> None:
         """Freeze (S3, src/queue.ts:268-313) the round into

@@ -171,7 +171,7 @@ class CanonStore:
 
 def canon_store(cfg_ref, opts: CanonOpts) -> CanonStore:
     """The worker's store for one crawl config, shared by every
-    candidate UDF call that carries the same ``cfg_ref``."""
+    worker processor built with the same ``cfg_ref``."""
     from .fetch import _WORKER_CACHE, _ref_key
 
     key = ("canon", _ref_key(cfg_ref))
@@ -200,12 +200,6 @@ def candidate_processor(cfg_ref, robots_ref) -> "CandidateProcessor":
     return p
 
 
-def candidate_udf(batch: pa.Table, *, cfg_ref, robots_ref) -> pa.Table:
-    """Task-based map_batches wrapper with worker-local processor cache
-    (see stages/fetch.py rationale)."""
-    return candidate_processor(cfg_ref, robots_ref)(batch)
-
-
 def _col(t: pa.Table, name: str) -> pa.Array:
     return t.column(name).combine_chunks()
 
@@ -217,12 +211,13 @@ def _canon_table(rows: list[tuple]) -> pa.Table:
 
 
 class CandidateProcessor:
-    """map_batches UDF: raw candidates -> canonical candidate rows with
+    """Callable: raw candidates -> canonical candidate rows with
     reject_reason ('' == kept), in input row order.
 
-    Config + robots snapshot are resolved once per actor/task from
-    ray.put refs.  Python work is per distinct key (canonicalization),
-    per distinct host (domain verdict) and per distinct ``host:port``
+    Config + robots snapshot are resolved once per processor from
+    ray.put refs (plain objects are taken as they are).  Python work is
+    per distinct key (canonicalization), per distinct host (domain
+    verdict) and per distinct ``host:port``
     (robots rules lookup); the path match runs only on rows whose host
     carries rules, and fetch conditions only on rows still kept.  A
     processor built directly gets its own empty ``CanonStore``;

@@ -1,18 +1,21 @@
-"""Fetch + parse stage: the actor-pool ``map_batches`` UDF.
+"""Fetch + parse stage: the worker-side ``Fetcher``.
 
 Replaces the reference's ``fetchQueueItem`` + ``handleResponse``
 (src/crawler.ts:1548-1644, 1663-2007) event chain with a batch
 transform: frontier rows in, fetched rows (+ discovered-candidate
-columns) out.  Fetch and link discovery are CO-LOCATED in one stage so
-response bodies (up to 16 MiB) never cross a stage boundary — only
+columns) out.  Fetch and link discovery are CO-LOCATED in one call so
+response bodies (up to 16 MiB) never cross a task boundary — only
 candidate URL strings leave; at 100 TB scale this is the difference
 between shuffling payload bytes and shuffling strings.
 
-Stateful per actor (``__init__`` once per worker, T3/T5 SURVEY §2.3):
-the synthetic-web handle (or corpus reader), the cookie jar, the cache
-index snapshot, and compiled mime regexes.  Politeness pacing per host
-is enforced by the round-level host budget (pipelines/crawl.py);
-``interval_ms`` sleeping is optional (off for synthetic webs).
+Both crawl loops call it inside their batch tasks
+(``pipelines/crawl.py`` for ``run()``, ``stages/turbo.py`` for
+``run_turbo()``).  ``worker_fetcher`` builds one ``Fetcher`` per worker
+process and crawl config (T3/T5 SURVEY §2.3): the synthetic-web handle
+(or corpus reader), the cookie jar, the cache index snapshot, and
+compiled mime regexes.  Politeness pacing per host is enforced by the
+round-level host budget (pipelines/crawl.py); ``interval_ms`` sleeping
+is optional (off for synthetic webs).
 
 Status dispatch parity (src/crawler.ts:1800-2007):
   2xx -> downloaded (or downloadprevented / mime-unsupported: body
@@ -33,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..cookies import CookieJar
@@ -112,24 +116,54 @@ def decompress_body(body: bytes, content_encoding: str,
     return body, True
 
 
-# Worker-process-local cache for task-based map_batches: the BSP round
-# loop launches a fresh Dataset per round, and spinning an actor pool up
-# per round costs ~1s; plain-task UDFs reuse long-lived Ray worker
-# processes, so caching the constructed Fetcher here gives actor-style
-# amortization (state built once per worker) with task-level scheduling.
+# Worker-process-local state.  The crawl's batch tasks run on long-lived
+# Ray worker processes, so what is built here (a crawl's Fetcher and
+# cookie jar; the candidate stage's canon stores and processors) is paid
+# once per worker and crawl, not once per batch or round.
 _WORKER_CACHE: dict = {}
 
 
-def fetcher_udf(batch: pa.Table, *, web_ref, cfg_ref, cache_ref) -> pa.Table:
+def worker_fetcher(web_ref, cfg_ref, cache_ref=None) -> "Fetcher":
+    """The worker's ``Fetcher`` for one (web, config, cache index)
+    snapshot; a new snapshot drops the old fetchers (the cookie jars,
+    keyed by web only, stay)."""
     key = ("fetcher", _ref_key(web_ref), _ref_key(cfg_ref), _ref_key(cache_ref))
     f = _WORKER_CACHE.get(key)
     if f is None:
-        # config changed: drop stale fetchers (keep cookie jars)
         for k in [k for k in _WORKER_CACHE if k[0] == "fetcher"]:
             del _WORKER_CACHE[k]
-        f = Fetcher(web_ref, cfg_ref, None, cache_ref)
-        _WORKER_CACHE[key] = f
-    return f(batch)
+        f = _WORKER_CACHE[key] = Fetcher(web_ref, cfg_ref, cache_ref)
+    return f
+
+
+def fetch_counters(fetched: pa.Table, discover: bool) -> dict:
+    """A fetched batch's event counters, the same for both crawl loops:
+    ``fetchstart``, one count per disposition, per ``error_flags`` flag
+    (``cookieerror``, ``gziperror``), ``discoverycomplete`` (downloaded
+    rows of a supported mime type, when discovery is on), and the
+    ``__nonredirect`` marker (rows that were not redirects) the driver
+    strips for its first-request bookkeeping."""
+    counters = {"fetchstart": fetched.num_rows}
+    nonredir = 0
+    for e in pc.value_counts(fetched.column("disposition")).to_pylist():
+        d, c = e["values"], int(e["counts"])
+        if d:
+            counters[d] = c
+        if d != "fetchredirect":
+            nonredir += c
+    if nonredir:
+        counters["__nonredirect"] = nonredir
+    flags = pc.list_flatten(pc.split_pattern(
+        pc.coalesce(fetched.column("error_flags"), ""), ","))
+    for e in pc.value_counts(flags).to_pylist():
+        if e["values"]:
+            counters[e["values"]] = int(e["counts"])
+    if discover:
+        n = pc.sum(pc.and_(fetched.column("mime_supported"),
+                           pc.equal(fetched.column("status"), STATUS_DOWNLOADED)))
+        if n.as_py():
+            counters["discoverycomplete"] = n.as_py()
+    return counters
 
 
 def _ref_key(ref) -> str:
@@ -137,18 +171,19 @@ def _ref_key(ref) -> str:
 
 
 class Fetcher:
-    """Callable class for ``map_batches(Fetcher, concurrency=N, ...)``.
+    """Callable: frontier batch in, fetched batch out.
 
-    Constructor args come in as small ``ray.put`` refs resolved once per
-    actor.  Input batch: frontier rows (status queued/spooled).  Output
-    batch: same rows updated + payload/candidate columns:
+    Built once per worker and crawl by ``worker_fetcher``; the
+    constructor resolves its ``ray.put`` refs (plain objects are taken
+    as they are).  Input batch: frontier rows (status queued/spooled).
+    Output batch: same rows updated + payload/candidate columns:
 
       body, caption, image_id, disposition, location (redirect target),
       discovered (list<string> cleaned absolute URLs, per-doc deduped),
       mime_supported (bool)
     """
 
-    def __init__(self, web_ref, config_ref, robots_ref=None, cache_ref=None):
+    def __init__(self, web_ref, config_ref, cache_ref=None):
         self.web = ray.get(web_ref) if isinstance(web_ref, ray.ObjectRef) else web_ref
         cfg = ray.get(config_ref) if isinstance(config_ref, ray.ObjectRef) else config_ref
         self.cfg = cfg

@@ -54,7 +54,7 @@ from ..schemas import FRONTIER_SCHEMA
 from .candidates import (CandidateProcessor, candidate_processor,
                          candidate_table, candidates_to_frontier_rows,
                          explode_discovered)
-from .fetch import _WORKER_CACHE, _ref_key, Fetcher
+from .fetch import fetch_counters, worker_fetcher
 
 _SEQ_MASK = (1 << 42) - 1
 META_COL = "__meta"
@@ -96,12 +96,7 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
                     first_request=False, first_seq=-1) -> pa.Table:
     # the fetcher does not read robots: a new robots snapshot rebuilds
     # only the candidate processor (which keeps the config's store)
-    key = ("turbo", _ref_key(web_ref), _ref_key(cfg_ref))
-    fetcher = _WORKER_CACHE.get(key)
-    if fetcher is None:
-        for k in [k for k in _WORKER_CACHE if k[0] == "turbo"]:
-            del _WORKER_CACHE[k]
-        fetcher = _WORKER_CACHE[key] = Fetcher(web_ref, cfg_ref, None, None)
+    fetcher = worker_fetcher(web_ref, cfg_ref)
     proc = candidate_processor(cfg_ref, robots_ref)
     cfg = fetcher.cfg
 
@@ -114,23 +109,13 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
         out = fetched.drop_columns(["discovered"])
         pq.write_table(out, os.path.join(rdir, f"part-{batch_no:05d}.parquet"))
 
-    counters = {"fetchstart": batch.num_rows}
-    nonredir = 0
-    for e in pc.value_counts(fetched.column("disposition")).to_pylist():
-        d, c = e["values"], int(e["counts"])
-        if d:
-            counters[d] = counters.get(d, 0) + c
-        if d != "fetchredirect":
-            nonredir += c
-    if nonredir:
-        # first-request bookkeeping marker (stripped by the driver)
-        counters["__nonredirect"] = nonredir
-
+    counters = fetch_counters(fetched, cfg.get("discover", True))
     raw = explode_discovered(fetched, cfg.get("max_depth", 0))
 
     # redirect targets re-queue (crawler.ts 3xx handling; parity with
-    # _run_round crawl.py:465-487).  Depth is pinned: 1 for the seed's
-    # first-request redirect, else referrer depth (override).
+    # run()'s redirect step, ``CrawlEngine._redirect_candidates``).  Depth
+    # is pinned: 1 for the seed's first-request redirect, else referrer
+    # depth (override).
     redir_mask = pc.and_(pc.equal(fetched.column("disposition"), "fetchredirect"),
                          pc.not_equal(pc.coalesce(fetched.column("location"), ""), ""))
     redirs = fetched.filter(redir_mask)

@@ -311,12 +311,11 @@ def count_process_url(monkeypatch):
 def test_store_outlives_robots_snapshot(count_process_url):
     cfg = ray.put({"filter_by_domain": False})
     robots2 = ray.put({"a.com:": _ROBOTS["a.com:"]})
-    first = C.candidate_udf(_abs_batch(_ABS), cfg_ref=cfg,
-                            robots_ref=ray.put({}))
+    first = C.candidate_processor(cfg, ray.put({}))(_abs_batch(_ABS))
     assert len(count_process_url) == len(_ABS)
     # same cfg, changed robots snapshot: a new processor, the same store
-    second = C.candidate_udf(_abs_batch(_ABS + ["http://a.com/new"]),
-                             cfg_ref=cfg, robots_ref=robots2)
+    second = C.candidate_processor(cfg, robots2)(
+        _abs_batch(_ABS + ["http://a.com/new"]))
     assert count_process_url[len(_ABS):] == ["http://a.com/new"]
     assert second.slice(0, len(_ABS)).equals(first)
 
@@ -326,7 +325,7 @@ def test_new_cfg_starts_empty(count_process_url):
     for _ in range(2):
         # an equal config put again is a new crawl's cfg_ref
         cfg = ray.put({"filter_by_domain": False})
-        C.candidate_udf(_abs_batch(_ABS), cfg_ref=cfg, robots_ref=robots)
+        C.candidate_processor(cfg, robots)(_abs_batch(_ABS))
     assert len(count_process_url) == 2 * len(_ABS)
 
 

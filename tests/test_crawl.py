@@ -6,6 +6,7 @@ resourcevalidity.integration.spec.ts, run against ConformanceWeb
 (the reference test-server route graph).
 """
 
+import contextlib
 import os
 
 import pytest
@@ -237,24 +238,27 @@ def test_manual_discovery_hook_routed_worker_side(web):
     eng.seen.shutdown()
 
 
-def test_manual_discovery_hook_driver_side_mutation(web):
-    """driver_side_hook=True keeps the legacy per-row replay for hooks
-    that mutate driver state (closures over local variables)."""
-    seen_rows = []
+def test_driver_side_hook_option_is_gone(web):
+    """The legacy per-row driver replay is retired: the option is an
+    unknown option now."""
+    with pytest.raises(TypeError, match="unknown options"):
+        CrawlEngine(web, SEED, driver_side_hook=True, seen_shards=2)
 
-    def hook(row):
-        seen_rows.append(row["url"])
-        data = (row["caption"] or "").strip()
-        return [data] if data.startswith("http") else []
 
-    eng = CrawlEngine(web, SEED, discover=False, fetch_complete_hook=hook,
-                      driver_side_hook=True, seen_shards=2)
-    assert eng.fetch_complete_hook is not None
-    eng.enqueue("http://127.0.0.1:3000/async-stage1")
-    res = eng.run(max_rounds=40)
-    urls = set(res.downloaded_urls())
-    assert "http://127.0.0.1:3000/async-stage3" in urls
-    assert set(seen_rows) == urls          # driver saw every downloaded row
+@pytest.mark.parametrize("hook", ["cache_index", "fetch_complete_hook",
+                                  "fetch_complete_batch_hook"])
+def test_run_turbo_refuses_inputs_it_would_ignore(web, tmp_path, hook):
+    """run_turbo fetches without a cache index and runs no fetch-complete
+    hook, so an engine built with either raises before its first round
+    instead of crawling without them."""
+    arg = {} if hook == "cache_index" else (lambda x: [])
+    with pytest.warns(UserWarning) if hook == "fetch_complete_hook" \
+            else contextlib.nullcontext():
+        eng = CrawlEngine(web, SEED, seen_shards=2, **{hook: arg})
+    with pytest.raises(ValueError, match="run_turbo"):
+        eng.run_turbo(str(tmp_path / "sink"), max_rounds=5)
+    assert eng.round_no == 0 and not eng.metrics
+    assert not (tmp_path / "sink").exists()
     eng.seen.shutdown()
 
 
@@ -449,8 +453,9 @@ def test_events_table(web):
 
 
 def test_conformance_mode_distributed_candidate_path():
-    """run() with a wave > 5000 fetched rows exercises the distributed
-    explode+canonicalize path (same UDFs as the driver path)."""
+    """run() over a 6,000-row wave: the fetch and explode run as batch
+    tasks, the canonicalization on the driver, and the 6,000-URL seed
+    and admit take ``check_and_add_distributed``."""
     sw = ScaleWeb(n_pages=6000, n_hosts=8, out_degree=3)
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=4,
                       store_body=False, batch_size=1024)
@@ -525,6 +530,42 @@ def test_turbo_parity_with_conformance(tmp_path):
     assert out["metrics"]["fetchredirect"] >= 1
     assert out["metrics"]["queueadd"] > 0
     eng2.seen.shutdown()
+
+
+def test_loops_count_the_same_events(tmp_path):
+    """Both loops count fetch events with one worker-side helper: on the
+    ConformanceWeb crawl, run() and run_turbo() report the same
+    dispositions, error flags and discoverycomplete."""
+    eng, res = run(ConformanceWeb(), SEED)
+    m1 = dict(res.metrics)
+    eng.seen.shutdown()
+    eng2 = CrawlEngine(ConformanceWeb(), SEED, seen_shards=2, batch_size=8)
+    m2 = eng2.run_turbo(str(tmp_path / "sink"), max_rounds=40)["metrics"]
+    eng2.seen.shutdown()
+    keys = {"cookieerror", "gziperror", "discoverycomplete"} | {
+        k for k in set(m1) | set(m2) if k.startswith("fetch")}
+    assert {k: m1.get(k, 0) for k in keys} == {k: m2.get(k, 0) for k in keys}
+    assert m1["cookieerror"] == 1 and m1["discoverycomplete"] == 6
+
+
+def test_crawl_path_starts_no_ray_data_execution(web, monkeypatch):
+    """No crawl path runs a Ray Data ``map_batches``: a ConformanceWeb
+    run(), the 6,000-row run() crawl and a seed_frontier call all pass
+    with ``Dataset.map_batches`` raising."""
+    import ray.data as rd
+
+    def refuse(*a, **kw):
+        raise AssertionError("map_batches on the crawl path")
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", refuse)
+    eng, res = run(web, SEED)
+    assert len(res.downloaded_urls()) == 6
+    eng.seen.shutdown()
+    test_conformance_mode_distributed_candidate_path()
+    sw = ScaleWeb(n_pages=300, n_hosts=4, out_degree=0)
+    eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=2)
+    assert eng.seed_frontier([sw.url_of(i) for i in range(300)]) == 300
+    eng.seen.shutdown()
 
 
 def _oracle_wave(q, budget, cap):
@@ -1057,45 +1098,6 @@ def test_dataset_checkpoint_writes_one_file_per_bucket(tmp_path):
     eng2.seen.shutdown()
 
 
-def test_ray_data_budget_excludes_actor_cpus():
-    """Every Ray Data execution the engine starts leaves the CPUs of the
-    engine's own actors out of its budget: seen shards, plus robots
-    shards once the pool is on.  A user CPU limit is kept, the global
-    DataContext is untouched, and at least one 1-CPU task always fits."""
-    import ray
-    import ray.data as rd
-    from ray.data._internal.execution.interfaces import ExecutionResources
-
-    total = ray.cluster_resources()["CPU"]
-    sw = ScaleWeb(n_pages=10, n_hosts=2, out_degree=0)
-    eng = CrawlEngine(sw, sw.url_of(0), seen_shards=2)
-    assert eng._actor_cpus() == 0.5
-    ds = eng._budgeted(rd.range(4))
-    assert ds.context.execution_options.exclude_resources.cpu == 0.5
-    glob_opts = rd.DataContext.get_current().execution_options
-    assert glob_opts.exclude_resources.cpu == 0
-    eng.cfg["robots_pool_shards"] = 2
-    eng._fetch_robots({sw.url_of(0).split("/")[2] + ":"})
-    assert eng._actor_cpus() == 1.0
-    ds = eng._budgeted(rd.range(4))
-    assert ds.context.execution_options.exclude_resources.cpu == 1.0
-    assert ds.take_all()  # still schedules
-    # a larger user exclusion is kept; a user CPU limit is left alone
-    ds = rd.range(4)
-    ds.context.execution_options.exclude_resources = ExecutionResources(cpu=1.5)
-    assert eng._budgeted(ds).context.execution_options.exclude_resources.cpu == 1.5
-    ds = rd.range(4)
-    ds.context.execution_options.resource_limits = ExecutionResources(cpu=2)
-    opts = eng._budgeted(ds).context.execution_options
-    assert opts.exclude_resources.cpu == 0 and opts.resource_limits.cpu == 2
-    # more actor CPUs than the cluster spares: one 1-CPU task still fits
-    eng._actor_cpus = lambda: 4 * total
-    ds = eng._budgeted(rd.range(4))
-    assert ds.context.execution_options.exclude_resources.cpu == total - 1
-    eng._robots_pool.shutdown()
-    eng.seen.shutdown()
-
-
 def test_manual_discovery_batched_hook(web):
     """Batched worker-side fetch-complete hook (round-3 verdict #7):
     same crawl as test_manual_discovery_hook, but the hook sees one
@@ -1371,14 +1373,16 @@ def test_turbo_batch_retry_overwrites_its_sink_part(tmp_path):
 
 
 def test_task_cpus_budget():
-    """``_task_cpus`` is the cluster's CPUs less the engine's actor CPUs,
-    never below one task, and capped by a user-set Ray Data CPU limit."""
+    """``_task_cpus`` is the cluster's CPUs less the engine's actor CPUs
+    (seen shards, plus robots shards once the pool is on), never below
+    one task, and capped by a user-set Ray Data CPU limit."""
     import ray
     import ray.data as rd
 
     total = ray.cluster_resources()["CPU"]
     sw = ScaleWeb(n_pages=10, n_hosts=2, out_degree=0)
     eng = CrawlEngine(sw, sw.url_of(0), seen_shards=2)
+    assert eng._actor_cpus() == 0.5
     assert eng._task_cpus() == total - 0.5
     opts = rd.DataContext.get_current().execution_options
     old = opts.resource_limits
@@ -1387,8 +1391,12 @@ def test_task_cpus_budget():
         assert eng._task_cpus() == 2
     finally:
         opts.resource_limits = old
+    eng.cfg["robots_pool_shards"] = 2
+    eng._fetch_robots({sw.url_of(0).split("/")[2] + ":"})
+    assert eng._actor_cpus() == 1.0
     eng._actor_cpus = lambda: 4 * total
     assert eng._task_cpus() == 1
+    eng._robots_pool.shutdown()
     eng.seen.shutdown()
 
 
@@ -1519,17 +1527,22 @@ ray.init(address="local", num_cpus=2, include_dashboard=False,
 ray.data.DataContext.get_current().enable_progress_bars = False
 sw = RecordingWeb(n_pages=600, n_hosts=8, out_degree=4)
 res = {}
-for tag in ("warm", "c1", "c2", "c3"):
+# c*: run_turbo crawls; r*: run() crawls
+for tag in ("warm", "c1", "c2", "c3", "r1", "r2", "r3"):
     sw.log_dir = os.path.join(log_dir, tag)
     eng = CrawlEngine(sw, sw.url_of(0), seen_shards=1, filter_by_domain=False,
                       store_body=False, batch_size=32,
                       checkpoint_dir=os.path.join(work, tag, "ck"))
     eng.seen.size()  # the shard actor's start is set-up, not crawl
     before = ray_workers()
-    out = eng.run_turbo(os.path.join(work, tag, "sink"), max_rounds=60)
+    if tag.startswith("r"):
+        fetched = len(eng.run(max_rounds=60).fetch_order)
+    else:
+        fetched = eng.run_turbo(os.path.join(work, tag, "sink"),
+                                max_rounds=60)["fetched"]
     res[tag] = dict(new_workers=sorted(ray_workers() - before),
-                    window=int(eng._task_cpus()), fetched=out["fetched"],
-                    rounds=out["rounds"])
+                    window=int(eng._task_cpus()), fetched=fetched,
+                    rounds=eng.round_no)
     eng.seen.shutdown()
 print(json.dumps(res))
 ray.shutdown()
@@ -1540,11 +1553,13 @@ ray.shutdown()
                     reason="counts Ray worker processes through /proc")
 def test_turbo_window_starts_no_spare_workers(tmp_path):
     """On a cluster with one CPU free of the seen shard, each of three
-    multi-round ``run_turbo`` crawls after a warm one starts no new Ray
-    worker process, and its batches never run more at once than
-    ``_task_cpus()`` allows (intervals from the web's per-get log,
-    grouped by sink part).  Without the window, a batch blocked in the
-    seen-shard RPC hands its CPU to a queued one on a new worker."""
+    multi-round ``run_turbo`` crawls and three ``run()`` crawls after a
+    warm one starts no new Ray worker process, and its batches never run
+    more at once than ``_task_cpus()`` allows (intervals from the web's
+    per-get log, grouped by sink part, or for ``run()`` by the
+    checkpoint's ``fetched-*`` part: one per batch).  Without the
+    window, a batch blocked in the seen-shard RPC hands its CPU to a
+    queued one on a new worker."""
     import glob
     import json
     import subprocess
@@ -1563,15 +1578,20 @@ def test_turbo_window_starts_no_spare_workers(tmp_path):
         capture_output=True, text=True, timeout=600, env=env, cwd=root)
     assert proc.returncode == 0, proc.stderr[-3000:]
     res = json.loads(proc.stdout.strip().splitlines()[-1])
-    for tag in ("c1", "c2", "c3"):
+    for tag in ("c1", "c2", "c3", "r1", "r2", "r3"):
         r = res[tag]
         assert r["fetched"] == 600 and r["rounds"] > 2
         assert r["window"] == 1
         assert r["new_workers"] == [], (tag, r)
-        # every get of the crawl, mapped to its (round, batch) sink part
-        sink = str(work / tag / "sink")
+        # every get of the crawl, mapped to its (round, batch) part
+        if tag.startswith("r"):
+            sink = str(work / tag / "ck")
+            parts = glob.glob(os.path.join(sink, "state-round=*",
+                                           "fetched-*.parquet"))
+        else:
+            sink = str(work / tag / "sink")
+            parts = glob.glob(os.path.join(sink, "round=*", "*.parquet"))
         part_of = {}
-        parts = glob.glob(os.path.join(sink, "round=*", "*.parquet"))
         for p in parts:
             for u in pq.read_table(p, columns=["url"]).column("url").to_pylist():
                 part_of[u] = os.path.relpath(p, sink)

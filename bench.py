@@ -254,8 +254,8 @@ def run_frontier() -> dict:
     """Production-config frontier point (round-3 verdict #8): one clean
     10M-URL politeness-budgeted crawl with the FULL production config in
     a single run — bucketed dataset frontier, per-host budget dequeue,
-    per-round checkpointing INCLUDING seen-filter snapshots
-    (``checkpoint_seen=True``).  Env knobs: BENCH_FRONTIER_URLS (10M),
+    per-round checkpointing (write-once part files, a seen base +
+    url_hash delta; ``checkpoint_seen`` is accepted and inert).  Env knobs: BENCH_FRONTIER_URLS (10M),
     BENCH_FRONTIER_HOSTS (4096), BENCH_FRONTIER_BUDGET (150 rows/host/
     round).  Seeding and engine construction are untimed setup; the
     timed section is the crawl itself (dequeue + fetch + discover +

@@ -16,7 +16,10 @@ ScaleWeb graph of N pages for dry runs).  The job is resumable: point
 
 Sizing guidance for N-node clusters is in SCALING.md; the sink and
 checkpoint directories must be shared storage (each worker writes its
-own parquet parts).
+own parquet parts, sink and checkpoint alike).  A checkpoint always
+keeps the seen set as a base snapshot plus a url_hash delta; a resume
+must use the ``--seen-backend`` and ``--seen-shards`` of the run that
+wrote it once a base exists.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ def main() -> int:
     ap.add_argument("--sink", required=True)
     ap.add_argument("--checkpoint", default=None)
     ap.add_argument("--resume", action="store_true")
-    ap.add_argument("--checkpoint-seen", action="store_true",
-                    help="snapshot seen-shard filters per checkpoint; "
-                         "resume reloads them in O(filter bytes)")
     ap.add_argument("--host-budget", type=int, default=0)
     ap.add_argument("--max-wave-rows", type=int, default=2_000_000)
     ap.add_argument("--max-rounds", type=int, default=10_000)
@@ -85,7 +85,6 @@ def main() -> int:
         timeout=args.timeout_ms,
         user_agent=args.user_agent,
         checkpoint_dir=args.checkpoint,
-        checkpoint_seen=args.checkpoint_seen,
         **extra,
     )
     if args.resume and args.checkpoint:

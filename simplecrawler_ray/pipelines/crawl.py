@@ -24,9 +24,11 @@ Scale design notes (100 TB / 10^10-URL target):
   block refs (`_DatasetFrontier`); the driver holds the refs, per-block
   row counts and seq ranges, plus per-round object refs of fetched
   blocks — payloads live in the object store / parquet checkpoints;
-* per-round checkpoint, one format for both loops: parquet frontier +
-  terminal rows not in a sink + metrics/lineage JSON (replaces
-  freeze/defrost, src/queue.ts:268-313), read back by ``resume``.
+* per-round checkpoint, one format for both loops, each byte written
+  once: write-once parquet part files (batch tasks write their own
+  admitted rows), a seen base + url_hash delta, and a per-round
+  manifest in metrics.json (replaces freeze/defrost,
+  src/queue.ts:268-313), read back by ``resume``.
 
 Event callbacks (§2.10) are replaced by metric counters + a per-row
 ``disposition`` column; user fetch/download conditions are plain
@@ -142,22 +144,22 @@ def _process_candidates(raw: pa.Table, refs: list) -> pa.Table:
 
 
 @ray.remote
-def _write_checkpoint(tmp: str, files: list, *parts: pa.Table) -> int:
-    """Worker-side write of every parquet file of one checkpoint:
-    ``files`` lists ``(file name, n_parts)``, ``parts`` the files' parts
-    in that order, as top-level arguments so Ray resolves them before
-    the task starts (no blocking ``ray.get`` in the worker; payloads
-    never transit the driver).  A file with no part is an empty
-    frontier table.  Returns the rows written."""
-    rows, k = 0, 0
+def _write_checkpoint(parts_dir: str, files: list, *parts: pa.Table) -> list:
+    """Worker-side write of a round's checkpoint rows that no batch task
+    wrote: ``files`` lists ``(file name, n_parts)``, ``parts`` the files'
+    parts in that order, as top-level arguments so Ray resolves them
+    before the task starts (no blocking ``ray.get`` in the worker;
+    payloads never transit the driver).  Each file holds its parts
+    concatenated in order.  Returns ``(rows, bytes)`` per file."""
+    out, k = [], 0
     for name, n in files:
         chunk, k = parts[k:k + n], k + n
-        tables = ([t for t in chunk if t.num_rows] or list(chunk[:1])
-                  or [FRONTIER_SCHEMA.empty_table()])
+        tables = [t for t in chunk if t.num_rows] or list(chunk[:1])
         t = pa.concat_tables(tables, promote_options="default")
-        pq.write_table(t, os.path.join(tmp, name))
-        rows += t.num_rows
-    return rows
+        path = os.path.join(parts_dir, name)
+        pq.write_table(t, path)
+        out.append((t.num_rows, os.path.getsize(path)))
+    return out
 
 
 def _host_bucket(host: str, n_buckets: int) -> int:
@@ -220,7 +222,7 @@ def _drop_uncommitted_rounds(sink_dir: Optional[str], round_no: int) -> None:
     """Delete ``sink_dir/round=NNNNN/`` for every NNNNN >= ``round_no``:
     rounds no checkpoint committed.  A crashed round's parts would
     otherwise survive next to its rerun's (whose batch count may
-    differ) and feed the seen-set hash replay."""
+    differ) and hold its URLs twice."""
     import shutil
 
     if not sink_dir or not os.path.isdir(sink_dir):
@@ -231,23 +233,58 @@ def _drop_uncommitted_rounds(sink_dir: Optional[str], round_no: int) -> None:
             shutil.rmtree(os.path.join(sink_dir, d))
 
 
+def _prune_checkpoint(ckpt: str, manifest: dict) -> None:
+    """Delete every ``parts/`` file and ``seen-r*`` base that
+    ``manifest`` does not name, and any unpublished ``.tmp`` state:
+    after a commit, the parts and base it superseded; on resume, the
+    files a crashed round's batches wrote (the sink's counterpart is
+    ``_drop_uncommitted_rounds``)."""
+    import shutil
+
+    keep = set(manifest["files"]) | set(manifest["terminal"])
+    parts_dir = os.path.join(ckpt, "parts")
+    for f in os.listdir(parts_dir) if os.path.isdir(parts_dir) else ():
+        if f not in keep:
+            os.remove(os.path.join(parts_dir, f))
+    base = (manifest["base"] or {}).get("dir")
+    for d in os.listdir(ckpt):
+        if (d.startswith("seen-r") and d != base) or (
+                d.startswith("state-round=") and d.endswith(".tmp")):
+            shutil.rmtree(os.path.join(ckpt, d))
+
+
 @ray.remote
-def _turbo_batch(batch: pa.Table, kw: dict, n_buckets: int):
+def _turbo_batch(batch: pa.Table, kw: dict, n_buckets: int,
+                 part_file: Optional[str] = None):
     """One turbo batch, one task: ``turbo_round_udf`` (looked up through
     its module at call time, so a wrapper installed there sees every
-    call), then its admitted rows split by host bucket.  Streaming
-    generator: the FIRST yield is ``(counters, [(bucket, n_rows,
-    seq_min, seq_max)])``, each later yield one bucket part, in meta
-    order.  Yields are task returns OWNED BY THE DRIVER: a worker-side
-    ``ray.put`` would leave them owned by a transient worker, and an
-    idle-worker reap would drop queued rows with OwnerDiedError."""
+    call), then its admitted rows split by host bucket.  With
+    ``part_file`` (``checkpoint_dir/parts/r<round>-b<batch>.parquet``:
+    named by batch, so a Ray retry overwrites it) the admitted rows are
+    written there once, bucket parts concatenated in bucket order,
+    before the first yield, and ``counters["__part_bytes"]`` is the
+    file's size.  Streaming generator: the FIRST yield is ``(counters,
+    [(bucket, n_rows, seq_min, seq_max, file, offset)])`` (``file`` is
+    the part file's name, or None), each later yield one bucket part,
+    in meta order.  Yields are task returns OWNED BY THE DRIVER: a
+    worker-side ``ray.put`` would leave them owned by a transient
+    worker, and an idle-worker reap would drop queued rows with
+    OwnerDiedError."""
     block = _turbo.turbo_round_udf(batch, **kw)
     counters: dict[str, int] = {}
     _turbo.merge_meta_blobs(counters, block.column(_turbo.META_COL).to_pylist())
     block = block.drop_columns([_turbo.META_COL])
     block = block.filter(pc.is_valid(block.column("url")))
     parts = _split_by_bucket(block, lambda h: _host_bucket(h, n_buckets))
-    yield counters, [(b, t.num_rows, *rng) for b, t, rng in parts]
+    name = None
+    if part_file and parts:
+        os.makedirs(os.path.dirname(part_file), exist_ok=True)
+        pq.write_table(pa.concat_tables([t for _, t, _ in parts]), part_file)
+        counters["__part_bytes"] = os.path.getsize(part_file)
+        name = os.path.basename(part_file)
+    offsets = np.cumsum([0] + [t.num_rows for _, t, _ in parts]).tolist()
+    yield counters, [(b, t.num_rows, *rng, name, off)
+                     for (b, t, rng), off in zip(parts, offsets)]
     for part in parts:
         yield part[1]
 
@@ -352,6 +389,9 @@ class _DatasetFrontier:
         # point updates probe only the covering block(s), and a
         # max_wave_rows cut only touches blocks straddling its cutoff
         self.bucket_seq: list[list[tuple[int, int]]] = [[] for _ in range(n_buckets)]
+        # where each block's rows already sit in a checkpoint part file:
+        # ``(file, offset, rows)``, or None until a checkpoint writes them
+        self.bucket_loc: list[list] = [[] for _ in range(n_buckets)]
         self._host_bucket_cache: dict[str, int] = {}
 
     @property
@@ -371,20 +411,22 @@ class _DatasetFrontier:
             self._host_bucket_cache[host] = b
         return b
 
-    def _append(self, b: int, ref, n: int, rng: tuple[int, int]) -> None:
+    def _append(self, b: int, ref, n: int, rng: tuple[int, int],
+                loc: "tuple | None" = None) -> None:
         self.buckets[b].append(ref)
         self.bucket_rows[b].append(n)
         self.bucket_seq[b].append(rng)
+        self.bucket_loc[b].append(loc)
 
     def adopt_parts(self, parts: list) -> None:
         """Adopt worker-bucketed frontier parts: ``(bucket, ref, n_rows,
-        seq_min, seq_max)`` tuples assembled from
+        seq_min, seq_max, loc)`` tuples assembled from
         ``_turbo_batch``'s yields — the rows stay in the object
-        store; the driver records refs + counts + seq ranges only
-        (the turbo-path ingestion; `add_table` remains for driver-side
-        row sources: seeds, manual enqueues, checkpoint load)."""
-        for b, ref, n, smin, smax in parts:
-            self._append(b, ref, n, (smin, smax))
+        store; the driver records refs + counts + seq ranges + part-file
+        locations only (the turbo-path ingestion; `add_table` remains
+        for driver-side row sources: seeds, manual enqueues)."""
+        for b, ref, n, smin, smax, loc in parts:
+            self._append(b, ref, n, (smin, smax), loc)
 
     def add_table(self, t: pa.Table) -> None:
         for b, part, rng in _split_by_bucket(t, self._bucket_of):
@@ -407,9 +449,11 @@ class _DatasetFrontier:
         wave = pa.concat_tables(tables, promote_options="default")
         return wave.take(pc.sort_indices(wave, sort_keys=[("seq", "ascending")]))
 
-    def _take_bucket(self, b: int) -> tuple[list, list, list]:
-        out = self.buckets[b], self.bucket_rows[b], self.bucket_seq[b]
-        self.buckets[b], self.bucket_rows[b], self.bucket_seq[b] = [], [], []
+    def _take_bucket(self, b: int) -> tuple[list, list, list, list]:
+        out = (self.buckets[b], self.bucket_rows[b], self.bucket_seq[b],
+               self.bucket_loc[b])
+        self.buckets[b], self.bucket_rows[b] = [], []
+        self.bucket_seq[b], self.bucket_loc[b] = [], []
         return out
 
     def dequeue_budget(self, budget: int) -> pa.Table:
@@ -446,11 +490,11 @@ class _DatasetFrontier:
             if not self.buckets[b]:
                 continue
             straddle = []
-            for ref, rows, rng in zip(*self._take_bucket(b)):
+            for ref, rows, rng, loc in zip(*self._take_bucket(b)):
                 if rng[1] <= cutoff:
                     direct.append(ref)
                 elif rng[0] > cutoff:
-                    self._append(b, ref, rows, rng)
+                    self._append(b, ref, rows, rng, loc)
                 else:
                     straddle.append(ref)
             if straddle:
@@ -499,9 +543,10 @@ DEFAULT_CONFIG = dict(
     fetch_threads=0,        # >1: threaded batch I/O for real transports
                             # (HttpWeb); latency-bound WAN fetches need it
     checkpoint_dir=None,
-    checkpoint_seen=False,  # snapshot seen-shard filters per checkpoint
-                            # (one .npz per shard) -> resume is O(filter
-                            # bytes), not O(crawled URLs) hash replay
+    checkpoint_seen=False,  # inert: a checkpoint always keeps the seen set
+                            # as a base snapshot + the part files' url_hash
+                            # delta (see _checkpoint); accepted so existing
+                            # configs still load
     phash_fetched=False,
     user_agent="simplecrawler-ray/1.0",
     decompress_responses=True,
@@ -598,7 +643,18 @@ class CrawlEngine:
         self.first_request = True
         self._frontier = _DatasetFrontier()
         self.terminal_refs: list = []      # ObjectRefs of fetched arrow tables
+        # checkpoint state (see _checkpoint)
         self._ckpt_terminal = 0            # terminal_refs already checkpointed
+        self._terminal_files: list[str] = []  # their part files, in order
+        self._ckpt_seq = 0                 # next_seq at the last commit
+        self._round_new = None             # wave rows admitted since then
+        self._files: dict[str, tuple] = {}  # frontier part file ->
+                                           # (round, rows, bytes)
+        self._base: Optional[dict] = None  # the seen base the delta is on
+        self._seen_bytes = 0               # last Σ SeenShard.memory_bytes
+        self._round_ckpt = {"part_rows": 0, "part_bytes": 0}
+        self._lineage: list = []           # this round's sink parts
+        self._prev_state = None            # (dir, record) of the last commit
         self._manual: list[dict] = []      # manually enqueued candidates
         self._wait_handles: list[dict] = []  # open wait() completion holds
         self._cond_seq = 0                 # add/removeFetchCondition ids
@@ -739,7 +795,9 @@ class CrawlEngine:
         self._last_update_probes = len(pending)  # test/diagnostic hook
         for b, i, f, n, r in pending:
             if ray.get(f):
-                fr.buckets[b][i] = n
+                # the rewritten block is not on disk: the next checkpoint
+                # writes it (its url_hash already is)
+                fr.buckets[b][i], fr.bucket_loc[b][i] = n, None
                 return ray.get(r)
         raise KeyError(f"no queued row with seq {seq}")
 
@@ -1031,6 +1089,15 @@ class CrawlEngine:
             wave = self._dequeue_wave()
         if wave.num_rows == 0:
             return False
+        if self.cfg["checkpoint_dir"]:
+            # the driver stamps seqs from next_seq (turbo batches stamp
+            # seqs >= 1 << 42), so the wave rows the driver admitted
+            # since the last commit are the ones in [_ckpt_seq, next_seq):
+            # rows no part file holds yet, e.g. seeds taken in round 0
+            seq = wave.column("seq")
+            self._round_new = wave.filter(pc.and_(
+                pc.greater_equal(seq, self._ckpt_seq),
+                pc.less(seq, self.next_seq)))
         if self.cfg["respect_robots_txt"]:
             with self._timed("robots"):
                 wave = self._robots_recheck(wave)
@@ -1204,24 +1271,45 @@ class CrawlEngine:
         bs = self.cfg["batch_size"]
         batches = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)]
         gens, metas, counters = [], [None] * len(batches), {}
+        ckpt = self.cfg["checkpoint_dir"]
+        parts_dir = os.path.join(ckpt, "parts") if ckpt else None
+        sunk = [0] * len(batches)
 
         def submit(i: int):
+            part_file = (os.path.join(
+                parts_dir, f"r{self.round_no:05d}-b{i:05d}.parquet")
+                if parts_dir else None)
             gens.append(_turbo_batch.remote(
-                batches[i], dict(kw, batch_no=i), self._frontier.n_buckets))
+                batches[i], dict(kw, batch_no=i), self._frontier.n_buckets,
+                part_file))
             return gens[-1]
 
         for i, gen in self._task_window(len(batches), submit):
             meta_ref = next(gen)
             with self._timed("merge"):
                 c, metas[i] = ray.get(meta_ref)
+                nbytes = c.pop("__part_bytes", 0)
+                if nbytes:
+                    # every meta tuple names the batch's one part file
+                    name, rows = metas[i][0][4], sum(m[1] for m in metas[i])
+                    self._files[name] = (self.round_no, rows, nbytes)
+                    self._round_ckpt["part_rows"] += rows
+                    self._round_ckpt["part_bytes"] += nbytes
+                # a batch sinks one row per fetched row
+                sunk[i] = c.get("fetchstart", 0)
                 for k, v in c.items():
                     counters[k] = v if isinstance(v, str) else counters.get(k, 0) + v
         ray.wait([g.completed() for g in gens], num_returns=len(gens),
                  fetch_local=False)
         with self._timed("merge"):
             for gen, meta in zip(gens, metas):
-                self._frontier.adopt_parts([(b, next(gen), n, smin, smax)
-                                            for b, n, smin, smax in meta])
+                self._frontier.adopt_parts([
+                    (b, next(gen), n, smin, smax,
+                     (name, off, n) if name else None)
+                    for b, n, smin, smax, name, off in meta])
+        if self._sink_dir:
+            self._lineage = [{"file": f"part-{i:05d}.parquet", "rows": n}
+                             for i, n in enumerate(sunk)]
         new_host = counters.pop("__new_host", None)
         if new_host and self.first_request \
                 and self.cfg["allow_initial_domain_change"]:
@@ -1234,128 +1322,226 @@ class CrawlEngine:
             self._count(k, v)
 
     def _checkpoint(self) -> None:
-        """Freeze (S3, src/queue.ts:268-313) the round into
-        ``state-round=NNNNN/``, built in a ``.tmp`` dir and published by
-        one atomic rename.  It holds the queued frontier (one
-        ``queued-<bucket>`` file per non-empty host bucket) and the
-        terminal rows no sink holds (``fetched-*``: run()'s fetched rows
-        and either loop's robots-disallowed rows), all written by one
-        worker-side ``_write_checkpoint`` task — those rows never transit
-        the driver — and, with
-        ``checkpoint_seen`` one seen-filter snapshot per shard (written
-        by the shard actor, so ``resume`` is O(filter bytes) instead of
-        an O(crawled URLs) hash replay), and ``metrics.json`` with the
-        sink lineage."""
+        """Commit the round (freeze, S3, src/queue.ts:268-313).  Every
+        checkpoint byte is written once, under ``checkpoint_dir``:
+
+        * ``parts/`` holds frontier rows.  A turbo batch writes its
+          admitted rows itself (``r<round>-b<batch>``); this method
+          writes, in one worker-side ``_write_checkpoint`` task, only
+          what no batch wrote: the live parts without a location (seeds,
+          manual, sitemap and ``run()`` admits, cut remainders, updated
+          rows) and the wave rows the driver admitted since the last
+          commit, into ONE ``r<round>-queued`` file, plus one
+          ``r<round>-fetched-<i>`` file per new terminal ref (``run()``'s
+          fetched rows, either loop's robots-disallowed rows).  Nothing
+          new to write, no task.
+        * ``state-round=NNNNN/metrics.json``, built in a ``.tmp`` dir
+          and published by one atomic rename, is the commit: the round
+          meta, the sink lineage, a per-round ``checkpoint`` record and
+          the ``parts`` manifest — each live part's ``(bucket, file,
+          offset, rows, seq range)``, the terminal files, the seen base
+          and the delta files.
+        * The seen set is a base (``seen-r<round>/``, one snapshot per
+          shard, written by the shard actors) plus a delta: every part
+          file written since the base, which holds the ``url_hash`` of
+          every row admitted since.  A new base is written only when
+          the delta files no live part needs (replay-only bytes)
+          outgrow the filter's own bytes.
+
+        After the publish, the previous state shrinks to its round
+        record (its manifest dropped), and every part file and base the
+        new manifest does not name is deleted (``_prune_checkpoint``)."""
         ckpt = self.cfg["checkpoint_dir"]
         if not ckpt:
             return
         with self._timed("checkpoint"):
+            fr, tag = self._frontier, f"r{self.round_no:05d}"
+            rec = dict(self._round_ckpt)
+            self._write_new_parts(ckpt, tag, rec)
+            delta = self._seen_delta(ckpt, tag, rec)
+            manifest = {
+                "files": self._files,
+                "live": [[b, *loc, *rng]
+                         for b in range(fr.n_buckets)
+                         for loc, rng in zip(fr.bucket_loc[b], fr.bucket_seq[b])],
+                "terminal": self._terminal_files,
+                "base": self._base, "delta": delta}
+            rec["live_parts"] = len(manifest["live"])
+            sink_dir = getattr(self, "_sink_dir", None)
+            record = {"round": self.round_no, "next_seq": self.next_seq,
+                      "first_request": self.first_request,
+                      "seed_seq": getattr(self, "_seed_seq", -1),
+                      "metrics": dict(self.metrics),
+                      "seen_shards": self.cfg["seen_shards"],
+                      "seen_backend": self.cfg["seen_backend"],
+                      "host": self.cfg["host"],
+                      "lineage": ({f"round={self.round_no:05d}": self._lineage}
+                                  if sink_dir else None),
+                      "checkpoint": rec}
             rdir = os.path.join(ckpt, f"state-round={self.round_no:05d}")
             tmp = rdir + ".tmp"
             os.makedirs(tmp, exist_ok=True)
-            terminal = self.terminal_refs[self._ckpt_terminal:]
-            files = [(f"fetched-{i:04d}.parquet", 1)
-                     for i in range(len(terminal))]
-            files += [(f"queued-{b:04d}.parquet", len(refs))
-                      for b, refs in enumerate(self._frontier.buckets) if refs]
-            if not any(self._frontier.buckets):
-                files.append(("queued.parquet", 0))
-            ray.get(_write_checkpoint.remote(
-                tmp, files, *terminal, *self._frontier.refs))
-            if self.cfg["checkpoint_seen"]:
-                self.seen.snapshot(os.path.join(tmp, "seen"))
             with open(os.path.join(tmp, "metrics.json"), "w") as f:
-                json.dump({"round": self.round_no, "next_seq": self.next_seq,
-                           "first_request": self.first_request,
-                           "seed_seq": getattr(self, "_seed_seq", -1),
-                           "metrics": self.metrics,
-                           "seen_shards": self.cfg["seen_shards"],
-                           "seen_backend": self.cfg["seen_backend"],
-                           "host": self.cfg["host"],
-                           "lineage": self._lineage_manifest()}, f)
+                json.dump({**record, "parts": manifest}, f)
             os.replace(tmp, rdir)
+            if self._prev_state is not None:
+                # the superseded state keeps its round record only: the
+                # parts its manifest named are about to go
+                prev = os.path.join(self._prev_state[0], "metrics.json")
+                with open(prev + ".tmp", "w") as f:
+                    json.dump(self._prev_state[1], f)
+                os.replace(prev + ".tmp", prev)
+            self._prev_state = (rdir, record)
+            _prune_checkpoint(ckpt, manifest)
             self._ckpt_terminal = len(self.terminal_refs)
+            self._ckpt_seq = self.next_seq
+            self._round_new, self._lineage = None, []
+            self._round_ckpt = {"part_rows": 0, "part_bytes": 0}
 
-    def _lineage_manifest(self) -> "dict | None":
-        """Per-partition lineage for this round's sink output: the
-        part files the round produced and their row counts (parquet
-        FOOTER reads only — no row data touches the driver).  A
-        resumed or auditing run can tell exactly which partitions are
-        complete without scanning them."""
-        sink_dir = getattr(self, "_sink_dir", None)
-        if not sink_dir:
-            return None
-        rdn = f"round={self.round_no:05d}"
-        rdir = os.path.join(sink_dir, rdn)
-        if not os.path.isdir(rdir):
-            return {rdn: []}
-        parts = [{"file": fn,
-                  "rows": pq.read_metadata(os.path.join(rdir, fn)).num_rows}
-                 for fn in sorted(os.listdir(rdir))
-                 if fn.endswith(".parquet")]
-        return {rdn: parts}
+    def _write_new_parts(self, ckpt: str, tag: str, rec: dict) -> None:
+        """The commit's one write task, if any: the live parts without a
+        location and the wave rows the driver admitted since the last
+        commit into ``<tag>-queued.parquet`` (the parts get their
+        locations), and each new terminal ref into its own
+        ``<tag>-fetched-<i>.parquet``.  Adds to ``rec``."""
+        fr = self._frontier
+        fresh = [(b, i) for b, locs in enumerate(fr.bucket_loc)
+                 for i, loc in enumerate(locs) if loc is None]
+        tables = [fr.buckets[b][i] for b, i in fresh]
+        if self._round_new is not None and self._round_new.num_rows:
+            tables.append(self._round_new)
+        names = [f"{tag}-fetched-{k:05d}.parquet"
+                 for k in range(self._ckpt_terminal, len(self.terminal_refs))]
+        files = [(n, 1) for n in names]
+        if tables:
+            files.insert(0, (f"{tag}-queued.parquet", len(tables)))
+        rec["terminal_rows"] = 0
+        if not files:
+            return
+        parts_dir = os.path.join(ckpt, "parts")
+        os.makedirs(parts_dir, exist_ok=True)
+        written = ray.get(_write_checkpoint.remote(
+            parts_dir, files, *tables, *self.terminal_refs[self._ckpt_terminal:]))
+        if tables:
+            (rows, nbytes), written = written[0], written[1:]
+            self._files[files[0][0]] = (self.round_no, rows, nbytes)
+            rec["part_rows"] += rows
+            rec["part_bytes"] += nbytes
+            off = 0
+            for b, i in fresh:
+                n = fr.bucket_rows[b][i]
+                fr.bucket_loc[b][i] = (files[0][0], off, n)
+                off += n
+        rec["terminal_rows"] = sum(r for r, _ in written)
+        self._terminal_files += names
+
+    def _seen_delta(self, ckpt: str, tag: str, rec: dict) -> list:
+        """The part files whose ``url_hash`` re-adds what the seen base
+        lacks: every part file written since the base.  Writes a new
+        base first when the delta files no live part needs (replay-only
+        bytes) outgrow the filter, which empties the delta.  Keeps in
+        ``_files`` only the live and delta files.  Adds to ``rec``."""
+        live = {loc[0] for locs in self._frontier.bucket_loc for loc in locs}
+        base_round = self._base["round"] if self._base else -1
+        delta = sorted(f for f, (rnd, _, _) in self._files.items()
+                       if rnd > base_round)
+        replay = sum(self._files[f][2] for f in delta if f not in live)
+        rec["base_written"] = False
+        if replay > self._seen_bytes:
+            # a filter only grows, so a stale size errs toward asking
+            self._seen_bytes = self.seen.memory_bytes()
+            if replay > self._seen_bytes:
+                self._base = {"dir": f"seen-{tag}", "round": self.round_no}
+                self.seen.snapshot(os.path.join(ckpt, self._base["dir"]))
+                delta, replay, rec["base_written"] = [], 0, True
+        rec["replay_bytes"] = replay
+        self._files = {f: self._files[f] for f in sorted(live | set(delta))}
+        return delta
 
     @classmethod
     def resume(cls, web, initial_url: str, checkpoint_dir: str,
                sink_dir: Optional[str] = None, **options) -> "CrawlEngine":
-        """Defrost (S4): rebuild an engine from the last complete
-        checkpoint of either loop.  Restores the round/seq meta and the
-        queued frontier, and re-pins every checkpoint's ``fetched-*``
-        terminal rows.  The seen set comes from the last checkpoint's
-        snapshot when its shard count and backend match; otherwise it
-        replays ``url_hash`` from the queue, every ``fetched-*`` part
-        and, for a turbo crawl, ``sink_dir/round=*``."""
-        import glob
-
-        eng = cls(web, initial_url, checkpoint_dir=checkpoint_dir, **options)
+        """Defrost (S4): rebuild an engine from the last commit of either
+        loop (see ``_checkpoint``).  Deletes the part files, bases and
+        sink rounds the commit does not name (a crashed round's), then
+        restores the round/seq meta, the queued frontier (each live
+        part read back from its file slice, keeping its location, so it
+        is not written again), the terminal rows, and the seen set: the
+        base, if there is one, plus ``seen.add`` of every delta file's
+        ``url_hash``.  A base that cannot be loaded (another shard count
+        or backend) raises: resuming with a seen set that forgets URLs
+        would fetch them twice.  ``sink_dir`` is only cleaned, never
+        read."""
         # a crash between makedirs(tmp) and the atomic os.replace leaves
         # a half-written "*.tmp" dir — never treat it as a checkpoint
         states = sorted(d for d in os.listdir(checkpoint_dir)
                         if d.startswith("state-round=")
                         and not d.endswith(".tmp"))
         if not states:
-            _drop_uncommitted_rounds(sink_dir, eng.round_no)
-            return eng
+            _prune_checkpoint(checkpoint_dir, {"files": {}, "terminal": [],
+                                               "base": None})
+            _drop_uncommitted_rounds(sink_dir, 0)
+            return cls(web, initial_url, checkpoint_dir=checkpoint_dir,
+                       **options)
         last = os.path.join(checkpoint_dir, states[-1])
         with open(os.path.join(last, "metrics.json")) as f:
             meta = json.load(f)
+        if "parts" not in meta:
+            raise ValueError(f"{last} holds no parts manifest: it is not a "
+                             "checkpoint this version can resume")
+        man = meta.pop("parts")
+        base = man["base"]
+        cfg = {**DEFAULT_CONFIG, **options}
+        wrote = (meta["seen_shards"], meta["seen_backend"])
+        if base is not None and wrote != (cfg["seen_shards"],
+                                          cfg["seen_backend"]):
+            raise ValueError(
+                f"the seen base {base['dir']} holds {wrote[0]} {wrote[1]!r} "
+                f"shards; resume with seen_shards={wrote[0]} and "
+                f"seen_backend={wrote[1]!r}")
+        _prune_checkpoint(checkpoint_dir, man)
+        eng = cls(web, initial_url, checkpoint_dir=checkpoint_dir, **options)
         eng.round_no = meta["round"] + 1
         _drop_uncommitted_rounds(sink_dir, eng.round_no)
-        eng.next_seq = meta["next_seq"]
+        eng.next_seq = eng._ckpt_seq = meta["next_seq"]
         eng.first_request = meta["first_request"]
         # restore the seed seq: with first_request still true the
         # first-request redirect special-casing keys off it, and the
         # seed is only assigned a seq at initial admission
         if meta.get("seed_seq", -1) >= 0:
             eng._seed_seq = meta["seed_seq"]
-        eng.metrics = meta["metrics"]
+        eng.metrics = dict(meta["metrics"])
         eng.cfg["host"] = meta["host"]
-        queued = [pq.read_table(f) for f in
-                  sorted(glob.glob(os.path.join(last, "queued*.parquet")))]
-        for t in queued:
-            eng._frontier.add_table(t)
-        terminal = [pq.read_table(f) for st in states for f in sorted(
-            glob.glob(os.path.join(checkpoint_dir, st, "fetched-*.parquet")))]
-        eng.terminal_refs = [ray.put(t) for t in terminal]
+        eng._prev_state = (last, meta)
+
+        parts_dir = os.path.join(checkpoint_dir, "parts")
+        tables: dict[str, pa.Table] = {}
+
+        def part(name: str) -> pa.Table:
+            if name not in tables:
+                tables[name] = pq.read_table(os.path.join(parts_dir, name))
+            return tables[name]
+
+        for b, name, off, n, smin, smax in man["live"]:
+            eng._frontier._append(b, ray.put(part(name).slice(off, n)), n,
+                                  (smin, smax), (name, off, n))
+        eng._files = {f: tuple(v) for f, v in man["files"].items()}
+        eng._terminal_files = list(man["terminal"])
+        eng.terminal_refs = [ray.put(pq.read_table(os.path.join(parts_dir, f)))
+                             for f in eng._terminal_files]
         eng._ckpt_terminal = len(eng.terminal_refs)
-        seen_dir = os.path.join(last, "seen")
-        if os.path.isdir(seen_dir) \
-                and meta.get("seen_shards") == eng.cfg["seen_shards"] \
-                and meta.get("seen_backend", eng.cfg["seen_backend"]) \
-                == eng.cfg["seen_backend"]:
+
+        eng._base = base
+        if base is not None:
             try:
-                eng.seen.restore(seen_dir)
-                return eng
-            except ValueError:
-                # e.g. a snapshot from an older fingerprint format —
-                # fall back to the url_hash replay below
-                pass
-        sunk = (glob.glob(os.path.join(sink_dir, "round=*", "*.parquet"))
-                if sink_dir else [])
-        hashes = [t.column("url_hash").to_numpy(zero_copy_only=False)
-                  for t in queued + terminal]
-        hashes += [pq.read_table(f, columns=["url_hash"]).column("url_hash")
-                   .to_numpy(zero_copy_only=False) for f in sunk]
+                eng.seen.restore(os.path.join(checkpoint_dir, base["dir"]))
+            except Exception:
+                eng.seen.shutdown()
+                raise
+        hashes = [(tables[f] if f in tables else pq.read_table(
+                      os.path.join(parts_dir, f), columns=["url_hash"]))
+                  .column("url_hash").to_numpy(zero_copy_only=False)
+                  for f in man["delta"]]
         if hashes:
             eng.seen.add(np.concatenate(hashes).astype(np.uint64))
         return eng

@@ -357,13 +357,12 @@ class CuckooBackend:
     def load_state(self, st: dict) -> None:
         if int(st.get("fpv", 1)) != self._FP_FORMAT:
             # v1 snapshots hold odd-forced fingerprints; v2 lookups
-            # would miss half the keys — refuse loudly so the resume
-            # path falls back to the url_hash replay
+            # would miss half the keys — refuse loudly rather than
+            # resume with a filter that forgets URLs
             raise ValueError(
                 "cuckoo snapshot uses fingerprint format "
                 f"v{st.get('fpv', 1)}, this build writes "
-                f"v{self._FP_FORMAT}; rebuild the filter or resume via "
-                "hash replay")
+                f"v{self._FP_FORMAT}; rebuild the filter")
         self.table = st["table"]
         self.nbuckets = self.table.shape[0]
         self.mask = _U64(self.nbuckets - 1)
@@ -494,8 +493,7 @@ class SeenShard:
             raise ValueError(
                 f"seen snapshot was written by the {kind!r} backend but "
                 f"this shard is configured as {mine!r} — restore into a "
-                "matching seen_backend, or resume without the snapshot "
-                "(url_hash replay)")
+                "matching seen_backend")
         self.backend.load_state(st)
         return len(self.backend)
 
@@ -610,9 +608,10 @@ class SeenSet:
 
     def snapshot(self, dir_path: str) -> int:
         """Checkpoint every shard's filter to ``dir_path/shard-<i>.npz``
-        in parallel (one file per shard, written by the shard actor).
-        Resume with ``restore`` — O(filter bytes), not O(crawled URLs)
-        like the url_hash replay path.
+        in parallel (one file per shard, written by the shard actor):
+        the base of a crawl checkpoint's seen set, which ``restore``
+        reloads in O(filter bytes) before the url_hash delta written
+        since is re-added.
 
         Multi-node caveat: each shard actor writes its file from its
         own node, and the crawl engine's checkpoint publish is an

@@ -928,28 +928,39 @@ def test_robots_cache_auto_shards_and_bounded_driver(tmp_path):
     eng.seen.shutdown()
 
 
-def test_turbo_resume_from_seen_snapshot(tmp_path):
-    """checkpoint_seen=True: resume reloads shard filters from the
-    snapshot (no url_hash replay) and still fetches each page once."""
-    import os
+def _last_manifest(ck: str) -> dict:
+    import json
 
+    last = sorted(d for d in os.listdir(ck) if d.startswith("state-round="))[-1]
+    with open(os.path.join(ck, last, "metrics.json")) as f:
+        return json.load(f)["parts"]
+
+
+#: a cuckoo filter of 1 KiB per shard: its checkpoints outgrow it in a
+#: round or two, so a seen base is written before the resume round
+SMALL_SEEN = dict(seen_backend="cuckoo", seen_capacity_per_shard=256)
+
+
+def test_turbo_resume_from_seen_snapshot(tmp_path):
+    """Resume reloads shard filters from the seen base (plus the delta
+    written since) and still fetches each page once."""
     import ray.data as rd
 
     sw = ScaleWeb(n_pages=40, n_hosts=3, out_degree=2)
     sink = str(tmp_path / "sink")
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=2,
                       store_body=False, batch_size=16, max_wave_rows=10,
-                      checkpoint_dir=str(tmp_path / "ck"), checkpoint_seen=True)
+                      checkpoint_dir=str(tmp_path / "ck"), **SMALL_SEEN)
     eng.seed_frontier([sw.url_of(i) for i in range(40)])
     out1 = eng.run_turbo(sink, max_rounds=2)
     eng.seen.shutdown()
-    states = sorted(d for d in os.listdir(str(tmp_path / "ck"))
-                    if d.startswith("state-round="))
-    assert os.path.isdir(os.path.join(str(tmp_path / "ck"), states[-1], "seen"))
+    base = _last_manifest(str(tmp_path / "ck"))["base"]
+    assert base is not None
+    assert os.path.isdir(os.path.join(str(tmp_path / "ck"), base["dir"]))
     eng2 = CrawlEngine.resume(sw, sw.url_of(0), str(tmp_path / "ck"),
                               sink_dir=sink, filter_by_domain=False,
                               seen_shards=2, store_body=False, batch_size=16,
-                              max_wave_rows=10, checkpoint_seen=True)
+                              max_wave_rows=10, **SMALL_SEEN)
     out2 = eng2.run_turbo(sink, max_rounds=60)
     t = rd.read_parquet(sink).to_pandas()
     assert t["url"].nunique() == 40
@@ -960,14 +971,15 @@ def test_turbo_resume_from_seen_snapshot(tmp_path):
 
 
 def test_conformance_resume_from_seen_snapshot(web, tmp_path):
-    """checkpoint_seen on the conformance path: resume restores shard
-    filters from the snapshot and the combined crawl has no dupes."""
+    """The conformance path: resume restores shard filters from the seen
+    base and the combined crawl has no dupes."""
     eng = CrawlEngine(web, SEED, seen_shards=2,
-                      checkpoint_dir=str(tmp_path / "ck"), checkpoint_seen=True)
+                      checkpoint_dir=str(tmp_path / "ck"), **SMALL_SEEN)
     eng.run(max_rounds=2)
     eng.seen.shutdown()
+    assert _last_manifest(str(tmp_path / "ck"))["base"] is not None
     eng2 = CrawlEngine.resume(web, SEED, str(tmp_path / "ck"), seen_shards=2,
-                              checkpoint_seen=True)
+                              **SMALL_SEEN)
     res2 = eng2.run(max_rounds=40)
     urls = res2.fetched_table().column("url").to_pylist()
     assert len(urls) == len(set(urls))  # fetched exactly once overall
@@ -1069,12 +1081,11 @@ def test_dataset_frontier_wave_cut_keeps_buckets():
     eng.seen.shutdown()
 
 
-def test_dataset_checkpoint_writes_one_file_per_bucket(tmp_path):
-    """The dataset frontier checkpoints one queued file per non-empty
-    host bucket, and a resume reads back every queued row."""
-    import glob
-    import os
-
+def test_dataset_checkpoint_lists_every_queued_row_once(tmp_path):
+    """The last checkpoint's manifest lists every queued row exactly once
+    (as a slice of a part file, with its bucket and seq range), and a
+    resume reads back every queued row."""
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     sw = ScaleWeb(n_pages=60, n_hosts=6, out_degree=3)
@@ -1087,14 +1098,21 @@ def test_dataset_checkpoint_writes_one_file_per_bucket(tmp_path):
     fr = eng._frontier
     queued = fr.num_rows
     assert queued > 0
-    last = sorted(glob.glob(os.path.join(ck, "state-round=*")))[-1]
-    files = sorted(glob.glob(os.path.join(last, "queued*.parquet")))
-    assert len(files) == sum(1 for refs in fr.buckets if refs)
-    assert sum(pq.read_metadata(f).num_rows for f in files) == queued
+    want = eng.queued_table()
     eng.seen.shutdown()
+    live = _last_manifest(ck)["live"]
+    assert len(live) == len(fr.refs)
+    listed = pa.concat_tables([
+        pq.read_table(os.path.join(ck, "parts", name)).slice(off, n)
+        for _, name, off, n, _, _ in live])
+    assert sorted(listed.column("seq").to_pylist()) == sorted(
+        want.column("seq").to_pylist())
+    assert listed.num_rows == len(set(listed.column("seq").to_pylist()))
     eng2 = CrawlEngine.resume(sw, sw.url_of(0), ck,
                               sink_dir=str(tmp_path / "sink"), **opts)
     assert eng2._frontier.num_rows == queued
+    assert sorted(eng2.queued_table().column("url").to_pylist()) == sorted(
+        want.column("url").to_pylist())
     eng2.seen.shutdown()
 
 
@@ -1287,7 +1305,9 @@ def test_turbo_all_disallowed_round_is_checkpointed(web, tmp_path):
     assert "fetchstart" not in eng.metrics
     states = sorted(glob.glob(os.path.join(ck, "state-round=*")))
     assert [os.path.basename(d) for d in states] == ["state-round=00000"]
-    parts = glob.glob(os.path.join(states[0], "fetched-*.parquet"))
+    parts = glob.glob(os.path.join(ck, "parts", "*-fetched-*.parquet"))
+    assert sorted(os.path.basename(f) for f in parts) == sorted(
+        _last_manifest(ck)["terminal"])
     rows = [r for f in parts for r in pq.read_table(f).to_pylist()]
     assert [(r["url"], r["status"]) for r in rows] == [
         ("http://127.0.0.1:3001/disallowed", "disallowed")]
@@ -1401,9 +1421,11 @@ def test_task_cpus_budget():
 
 
 def test_turbo_checkpoint_is_one_write_task(web, tmp_path, monkeypatch):
-    """Each ``_checkpoint()`` writes every ``fetched-*`` and ``queued-*``
-    file of its round with ONE ``_write_checkpoint`` task, in both
-    loops."""
+    """Each ``_checkpoint()`` writes the rows no batch task wrote (the
+    round's ``queued`` file and its ``fetched-*`` terminal files) with at
+    most ONE ``_write_checkpoint`` task, in both loops, and with none
+    when nothing new is queued: a ``run_turbo`` crawl needs the task
+    only for its round-0 seed."""
     import glob
 
     from simplecrawler_ray.pipelines import crawl as crawl_mod
@@ -1435,14 +1457,14 @@ def test_turbo_checkpoint_is_one_write_task(web, tmp_path, monkeypatch):
     eng.seen.shutdown()
     states = glob.glob(os.path.join(ck, "state-round=*"))
     assert len(states) == len(checkpoints) > 2
-    assert checkpoints == [1] * len(checkpoints)
+    assert checkpoints == [1] + [0] * (len(checkpoints) - 1)
     # run(): fetched-* terminal parts and queued parts in the same task
     ck2 = str(tmp_path / "ck2")
     checkpoints.clear()
     eng, res = run(web, SEED, checkpoint_dir=ck2)
     eng.seen.shutdown()
     assert checkpoints and checkpoints == [1] * len(checkpoints)
-    fetched = glob.glob(os.path.join(ck2, "state-round=*", "fetched-*.parquet"))
+    fetched = glob.glob(os.path.join(ck2, "parts", "*-fetched-*.parquet"))
     assert len(fetched) == len(eng.terminal_refs)
 
 
@@ -1557,7 +1579,7 @@ def test_turbo_window_starts_no_spare_workers(tmp_path):
     warm one starts no new Ray worker process, and its batches never run
     more at once than ``_task_cpus()`` allows (intervals from the web's
     per-get log, grouped by sink part, or for ``run()`` by the
-    checkpoint's ``fetched-*`` part: one per batch).  Without the
+    checkpoint's ``parts/*-fetched-*`` file: one per batch).  Without the
     window, a batch blocked in the seen-shard RPC hands its CPU to a
     queued one on a new worker."""
     import glob
@@ -1586,8 +1608,8 @@ def test_turbo_window_starts_no_spare_workers(tmp_path):
         # every get of the crawl, mapped to its (round, batch) part
         if tag.startswith("r"):
             sink = str(work / tag / "ck")
-            parts = glob.glob(os.path.join(sink, "state-round=*",
-                                           "fetched-*.parquet"))
+            parts = glob.glob(os.path.join(sink, "parts",
+                                           "*-fetched-*.parquet"))
         else:
             sink = str(work / tag / "sink")
             parts = glob.glob(os.path.join(sink, "round=*", "*.parquet"))

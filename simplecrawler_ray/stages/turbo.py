@@ -3,7 +3,7 @@ function for the scale path.
 
 ``CrawlEngine.run_turbo`` runs each round as one task wave: one
 ``_turbo_batch`` task per batch calls ``turbo_round_udf`` and then
-buckets its output into the frontier (``pipelines/crawl.py``).  Per
+splits its rows into frontier parts (``pipelines/crawl.py``).  Per
 input batch of queued frontier rows, inside the task:
   fetch -> parse/discover -> redirect re-queue -> explode (Arrow list
   kernels) -> canonicalize each distinct link once (the worker's store
@@ -15,9 +15,9 @@ parquet sink from the worker — they never travel to the driver.  The
 sink part is named by the batch's index within the round
 (``round=NNNNN/part-<batch:05d>.parquet``), so a Ray retry of a batch
 overwrites its part instead of adding duplicate rows.  The function
-returns only the thin new-frontier rows (the next wave) plus one
-in-band ``__meta`` JSON counter row per batch (no metrics actor, no
-per-batch RPC — see A8 / crawler.ts event counters).
+returns only the thin new-frontier rows (the next wave) and the batch's
+event counters, ``(rows, counters)`` (no metrics actor, no per-batch
+RPC — see A8 / crawler.ts event counters).
 
 This trades the conformance mode's exact FIFO ordering for one task
 wave per round and near-zero driver work:
@@ -32,7 +32,7 @@ wave per round and near-zero driver work:
 * ``allow_initial_domain_change`` (crawler.ts:1951-1953 first-request
   redirect special case) IS applied: the batch holding the seed's
   redirect adopts the target host for its own candidate filtering and
-  reports it via ``__meta`` (``__new_host``); the driver rewrites
+  reports it in its counters (``__new_host``); the driver rewrites
   ``cfg.host`` and rebroadcasts before the next round.
 
 Politeness still holds: the driver applies the per-host budget when
@@ -41,14 +41,12 @@ building the next wave from the returned rows.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 
 from ..schemas import FRONTIER_SCHEMA
 from .candidates import (CandidateProcessor, candidate_processor,
@@ -57,43 +55,11 @@ from .candidates import (CandidateProcessor, candidate_processor,
 from .fetch import fetch_counters, worker_fetcher
 
 _SEQ_MASK = (1 << 42) - 1
-META_COL = "__meta"
-
-_META_SCHEMA = pa.schema(list(FRONTIER_SCHEMA) + [pa.field(META_COL, pa.string())])
-
-
-def _with_meta(frontier: pa.Table, counters: dict) -> pa.Table:
-    """Attach the batch's counters as an in-band JSON column.
-
-    Row 0 carries the JSON; other rows carry "".  A zero-row frontier
-    still needs its counters delivered, so it becomes ONE all-null row
-    with url == null — the adopting task strips such rows after
-    aggregating (`pipelines.crawl._turbo_batch`).
-    """
-    blob = json.dumps(counters, separators=(",", ":"))
-    if frontier.num_rows == 0:
-        cols = [pa.nulls(1, f.type) for f in FRONTIER_SCHEMA]
-        return pa.table(cols + [pa.array([blob])], schema=_META_SCHEMA)
-    meta = pa.array([blob] + [""] * (frontier.num_rows - 1), pa.string())
-    return frontier.append_column(pa.field(META_COL, pa.string()), meta)
-
-
-def merge_meta_blobs(counters: dict, blobs) -> None:
-    """Merge META_COL JSON blobs into ``counters`` in place: int values
-    accumulate, string values (e.g. the __new_host marker) overwrite —
-    the ONE implementation of the in-band counter convention."""
-    for blob in blobs:
-        if blob:
-            for k, v in json.loads(blob).items():
-                if isinstance(v, str):
-                    counters[k] = v
-                else:
-                    counters[k] = counters.get(k, 0) + int(v)
 
 
 def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
                     seen_shards, round_no, sink_dir, batch_no=0,
-                    first_request=False, first_seq=-1) -> pa.Table:
+                    first_request=False, first_seq=-1) -> tuple[pa.Table, dict]:
     # the fetcher does not read robots: a new robots snapshot rebuilds
     # only the candidate processor (which keeps the config's store)
     fetcher = worker_fetcher(web_ref, cfg_ref)
@@ -131,7 +97,8 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
                 and first_seq in seqs:
             # first-request redirect host rewrite (crawler.ts:1951-1953):
             # adopt the target host for THIS batch's candidate filtering
-            # and report it in-band so the driver rewrites cfg.host
+            # and report it in the counters so the driver rewrites
+            # cfg.host
             from ..urlnorm import process_url
 
             first_i = seqs.index(first_seq)
@@ -156,7 +123,7 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
                if raw.num_rows else redir_cands)
 
     if raw.num_rows == 0:
-        return _with_meta(FRONTIER_SCHEMA.empty_table(), counters)
+        return FRONTIER_SCHEMA.empty_table(), counters
 
     cands = proc(raw)
     for e in pc.value_counts(cands.column("reject_reason")).to_pylist():
@@ -165,7 +132,7 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
                                      + int(e["counts"]))
     cands = cands.filter(pc.equal(cands.column("reject_reason"), ""))
     if cands.num_rows == 0:
-        return _with_meta(FRONTIER_SCHEMA.empty_table(), counters)
+        return FRONTIER_SCHEMA.empty_table(), counters
 
     # distributed dedup: scatter to the seen shards, first-wins (the
     # ONE shard-routing implementation lives in state/seen.py)
@@ -178,10 +145,10 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
     counters["queueduplicate"] = int((~mask).sum())
     admitted = cands.filter(pa.array(mask))
     if admitted.num_rows == 0:
-        return _with_meta(FRONTIER_SCHEMA.empty_table(), counters)
+        return FRONTIER_SCHEMA.empty_table(), counters
 
     seqs = (((round_no + 1) << 42)
             | (np.asarray(admitted.column("url_hash").to_numpy(zero_copy_only=False),
                           dtype=np.uint64) & np.uint64(_SEQ_MASK))).astype(np.int64)
     rows = candidates_to_frontier_rows(admitted, seqs, round_no + 1)
-    return _with_meta(rows, counters)
+    return rows, counters

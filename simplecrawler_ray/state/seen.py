@@ -386,25 +386,28 @@ class CuckooBackend:
 BACKENDS = {"exact": ExactBackend, "cuckoo": CuckooBackend}
 
 
+def _scatter(hashes: np.ndarray, shards: list, method: str) -> np.ndarray:
+    """Send each hash to shard ``hash % n_shards``, one call of the
+    shard's ``method`` per shard that gets any, and gather its per-hash
+    mask in input order — the ONE shard-routing implementation."""
+    hashes = np.asarray(hashes, dtype=_U64)
+    shard_of = (hashes % _U64(len(shards))).astype(np.int64)
+    idxs = [np.flatnonzero(shard_of == s) for s in range(len(shards))]
+    sent = [s for s, idx in enumerate(idxs) if len(idx)]
+    answers = ray.get([getattr(shards[s], method).remote(hashes[idxs[s]])
+                       for s in sent])
+    out = np.zeros(len(hashes), dtype=bool)
+    for s, m in zip(sent, answers):
+        out[idxs[s]] = m
+    return out
+
+
 def scatter_check_and_add(hashes: np.ndarray, shards: list) -> np.ndarray:
     """Scatter a hash array to the seen shards and gather the first-wins
-    mask — the ONE shard-routing implementation (hash % n_shards);
-    called in-process from the turbo-round UDF (each fetch task dedup-
-    checks its own out-links through this, so shard RPCs from different
-    tasks already overlap without a driver funnel)."""
-    n = len(shards)
-    hashes = np.asarray(hashes, dtype=_U64)
-    shard_of = (hashes % _U64(n)).astype(np.int64)
-    out = np.zeros(len(hashes), dtype=bool)
-    refs, idxs = [], []
-    for s in range(n):
-        idx = np.nonzero(shard_of == s)[0]
-        if len(idx):
-            refs.append(shards[s].check_and_add.remote(hashes[idx]))
-            idxs.append(idx)
-    for idx, m in zip(idxs, ray.get(refs)):
-        out[idx] = m
-    return out
+    mask; called in-process from the turbo-round UDF (each fetch task
+    dedup-checks its own out-links through this, so shard RPCs from
+    different tasks already overlap without a driver funnel)."""
+    return _scatter(hashes, shards, "check_and_add")
 
 
 @ray.remote
@@ -448,10 +451,6 @@ class SeenShard:
 
     def contains(self, hashes: np.ndarray) -> np.ndarray:
         return self.backend.contains(np.asarray(hashes, dtype=np.uint64))
-
-    def add(self, hashes: np.ndarray) -> int:
-        self.backend.add(np.asarray(hashes, dtype=np.uint64))
-        return len(self.backend)
 
     def size(self) -> int:
         return len(self.backend)
@@ -518,17 +517,8 @@ class SeenSet:
             SeenShard.remote(backend, capacity_per_shard) for _ in range(num_shards)
         ]
 
-    def _scatter(self, hashes: np.ndarray):
-        shard_of = (hashes % _U64(self.num_shards)).astype(np.int64)
-        order = np.argsort(shard_of, kind="stable")
-        return shard_of, order
-
     def check_and_add(self, hashes: np.ndarray) -> np.ndarray:
-        hashes = np.asarray(hashes, dtype=np.uint64)
-        if len(hashes) == 0:
-            return np.zeros(0, dtype=bool)
-        # the ONE shard-routing implementation (shared with the
-        # worker-side turbo path) — no per-pool reimplementation
+        # the worker-side turbo path's routing, not a per-pool copy
         return scatter_check_and_add(hashes, self.shards)
 
     #: chunk size for the distributed check path; ~2 MiB of hashes per
@@ -579,32 +569,10 @@ class SeenSet:
         return out
 
     def contains(self, hashes: np.ndarray) -> np.ndarray:
-        hashes = np.asarray(hashes, dtype=np.uint64)
-        if len(hashes) == 0:
-            return np.zeros(0, dtype=bool)
-        shard_of, order = self._scatter(hashes)
-        out = np.zeros(len(hashes), dtype=bool)
-        refs, idxs = [], []
-        for s in range(self.num_shards):
-            idx = order[shard_of[order] == s]
-            if len(idx):
-                refs.append(self.shards[s].contains.remote(hashes[idx]))
-                idxs.append(idx)
-        for idx, mask in zip(idxs, ray.get(refs)):
-            out[idx] = mask
-        return out
+        return _scatter(hashes, self.shards, "contains")
 
     def add(self, hashes: np.ndarray) -> None:
-        hashes = np.asarray(hashes, dtype=np.uint64)
-        if len(hashes) == 0:
-            return
-        shard_of, _ = self._scatter(hashes)
-        refs = []
-        for s in range(self.num_shards):
-            sel = hashes[shard_of == s]
-            if len(sel):
-                refs.append(self.shards[s].add.remote(sel))
-        ray.get(refs)
+        self.check_and_add(hashes)
 
     def snapshot(self, dir_path: str) -> int:
         """Checkpoint every shard's filter to ``dir_path/shard-<i>.npz``

@@ -9,6 +9,7 @@ leaves on disk and what ``CrawlEngine.resume`` rebuilds from it.
 import glob
 import json
 import os
+import re
 import shutil
 
 import pyarrow.parquet as pq
@@ -229,30 +230,79 @@ def test_resume_refuses_a_base_it_cannot_load(tmp_path):
 
 def test_turbo_batch_retry_overwrites_its_checkpoint_part(tmp_path):
     """A batch's checkpoint part is named by round and batch, so a rerun
-    of the batch (as a Ray retry does) overwrites it, and each meta
-    tuple locates its bucket part in the file."""
+    of the batch (as a Ray retry does) overwrites it, and each part
+    record locates its bucket's rows in the file.  A batch whose
+    out-links are all seen already still returns its counters, and
+    writes no part."""
     sw = ScaleWeb(n_pages=40, n_hosts=4, out_degree=3)
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=1,
                       store_body=False)
     eng.seed_frontier([sw.url_of(i) for i in range(10)])
     batch = eng.queued_table()
     eng.seen.shutdown()
-    part_file = str(tmp_path / "ck" / "parts" / "r00000-b00003.parquet")
+    nb = eng._frontier.n_buckets
+    task = _turbo_batch.options(num_returns=1 + nb)
+    parts_dir = tmp_path / "ck" / "parts"
+    part_file = str(parts_dir / "r00000-b00003.parquet")
     for _ in range(2):
         # a fresh seen set, so the rerun admits the same rows
         seen = SeenSet(num_shards=1, backend="cuckoo")
         kw = dict(web_ref=sw, cfg_ref=eng.cfg, robots_ref={},
                   seen_shards=seen.shards, round_no=0, sink_dir=None,
                   batch_no=3)
-        gen = _turbo_batch.remote(batch, kw, eng._frontier.n_buckets,
-                                  part_file)
-        counters, meta = ray.get(next(gen))
-        parts = [ray.get(next(gen)) for _ in meta]
-        seen.shutdown()
-        assert counters["__part_bytes"] == os.path.getsize(part_file)
-    assert os.listdir(os.path.dirname(part_file)) == ["r00000-b00003.parquet"]
+        refs = task.remote(batch, kw, nb, part_file)
+        counters, nbytes, parts = ray.get(refs[0])
+        tables = ray.get(refs[1:])
+        assert nbytes == os.path.getsize(part_file)
+    assert os.listdir(parts_dir) == ["r00000-b00003.parquet"]
     t = pq.read_table(part_file)
-    assert t.num_rows == sum(p.num_rows for p in parts) > 0
-    for (_, n, _, _, name, off), p in zip(meta, parts):
-        assert name == "r00000-b00003.parquet"
-        assert t.slice(off, n).equals(p)
+    assert t.num_rows == sum(p.rows for p in parts.values()) > 0
+    assert [b for b, tb in enumerate(tables) if tb is not None] == list(parts)
+    for b, p in parts.items():
+        assert p.ref is None and p.file == "r00000-b00003.parquet"
+        assert t.slice(p.offset, p.rows).equals(tables[b])
+
+    # the same batch again on the same seen set: every out-link is seen
+    admitted = counters["queueadd"]
+    refs = task.remote(batch, dict(kw, batch_no=4), nb,
+                       str(parts_dir / "r00000-b00004.parquet"))
+    counters, nbytes, parts = ray.get(refs[0])
+    tables = ray.get(refs[1:])
+    seen.shutdown()
+    assert counters["fetchstart"] == 10
+    assert counters["queueduplicate"] >= admitted > 0
+    assert counters.get("queueadd", 0) == 0
+    assert (nbytes, parts) == (0, {})
+    assert tables == [None] * nb
+    assert os.listdir(parts_dir) == ["r00000-b00003.parquet"]
+
+
+def test_part_files_read_back_equal(tmp_path):
+    """Part files are written without the stored Arrow schema (it is
+    most of a small part's footer), yet each kind — a turbo batch's
+    ``b`` part, a ``queued`` part, a ``fetched`` part — reads back equal
+    to the rows written, schema included."""
+    sw = ScaleWeb(n_pages=40, n_hosts=4, out_degree=3)
+    kinds = set()
+    for loop in ("turbo", "run"):
+        ck = str(tmp_path / loop)
+        eng = CrawlEngine(sw, sw.url_of(0), checkpoint_dir=ck,
+                          **dict(OPTS, max_wave_rows=5))
+        eng.seed_frontier([sw.url_of(i) for i in range(0, 40, 3)])
+        if loop == "run":
+            eng.run(max_rounds=1)
+        else:
+            eng.run_turbo(str(tmp_path / "sink"), max_rounds=1)
+        written = [(p.file, p.offset, p.rows, p.ref)
+                   for ps in eng._frontier.buckets for p in ps]
+        written += [(f, 0, None, r) for f, r in zip(eng._terminal_files,
+                                                    eng.terminal_refs)]
+        for name, off, n, ref in written:
+            path = os.path.join(ck, "parts", name)
+            assert b"ARROW:schema" not in (pq.read_metadata(path).metadata
+                                           or {})
+            assert pq.read_table(path).slice(off, n).equals(
+                ray.get(ref), check_metadata=True)
+            kinds.add(re.match(r"r\d+-(b|queued|fetched)", name).group(1))
+        eng.seen.shutdown()
+    assert kinds == {"b", "queued", "fetched"}

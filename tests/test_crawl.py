@@ -894,8 +894,9 @@ def test_update_queued_dataset_backend(web):
 @pytest.mark.parametrize("backend", ["dataset"])
 def test_turbo_initial_domain_change_allowed(tmp_path, backend):
     """Round-2 verdict #9: turbo applies allow_initial_domain_change —
-    the seed's redirect target host becomes cfg.host (threaded back via
-    __meta) and the changed-domain page is crawled, like run()."""
+    the seed's redirect target host becomes cfg.host (threaded back in
+    the batch's counters) and the changed-domain page is crawled, like
+    run()."""
     import ray.data as rd
 
     web = ConformanceWeb()
@@ -1069,12 +1070,11 @@ def test_dataset_frontier_wave_cut_keeps_buckets():
         wave = eng._dequeue_wave()
         assert 0 < wave.num_rows <= 13
         taken.extend(wave.column("seq").to_pylist())
-        for b, refs in enumerate(fr.buckets):
-            for t, n, (lo, hi) in zip(ray.get(refs), fr.bucket_rows[b],
-                                      fr.bucket_seq[b]):
-                assert t.num_rows == n
+        for b, parts in enumerate(fr.buckets):
+            for t, p in zip(ray.get([p.ref for p in parts]), parts):
+                assert t.num_rows == p.rows
                 seqs = t.column("seq").to_pylist()
-                assert (min(seqs), max(seqs)) == (lo, hi)
+                assert (min(seqs), max(seqs)) == (p.seq_min, p.seq_max)
                 assert {_host_bucket(h, fr.n_buckets)
                         for h in t.column("host").to_pylist()} == {b}
     assert taken == list(range(60))  # FIFO across rounds, nothing lost
@@ -1101,7 +1101,7 @@ def test_dataset_checkpoint_lists_every_queued_row_once(tmp_path):
     want = eng.queued_table()
     eng.seen.shutdown()
     live = _last_manifest(ck)["live"]
-    assert len(live) == len(fr.refs)
+    assert len(live) == sum(len(parts) for parts in fr.buckets)
     listed = pa.concat_tables([
         pq.read_table(os.path.join(ck, "parts", name)).slice(off, n)
         for _, name, off, n, _, _ in live])
@@ -1380,9 +1380,10 @@ def test_turbo_batch_retry_overwrites_its_sink_part(tmp_path):
     kw = dict(web_ref=sw, cfg_ref=eng.cfg, robots_ref={},
               seen_shards=eng.seen.shards, round_no=0, sink_dir=sink,
               batch_no=3)
+    nb = eng._frontier.n_buckets
     for _ in range(2):
-        gen = _turbo_batch.remote(batch, kw, eng._frontier.n_buckets)
-        counters, _meta = ray.get(next(gen))
+        refs = _turbo_batch.options(num_returns=1 + nb).remote(batch, kw, nb)
+        counters, _nbytes, _parts = ray.get(refs[0])
         assert counters["fetchstart"] == 10
     eng.seen.shutdown()
     parts = glob.glob(os.path.join(sink, "*", "*.parquet"))
@@ -1395,22 +1396,14 @@ def test_turbo_batch_retry_overwrites_its_sink_part(tmp_path):
 def test_task_cpus_budget():
     """``_task_cpus`` is the cluster's CPUs less the engine's actor CPUs
     (seen shards, plus robots shards once the pool is on), never below
-    one task, and capped by a user-set Ray Data CPU limit."""
+    one task."""
     import ray
-    import ray.data as rd
 
     total = ray.cluster_resources()["CPU"]
     sw = ScaleWeb(n_pages=10, n_hosts=2, out_degree=0)
     eng = CrawlEngine(sw, sw.url_of(0), seen_shards=2)
     assert eng._actor_cpus() == 0.5
     assert eng._task_cpus() == total - 0.5
-    opts = rd.DataContext.get_current().execution_options
-    old = opts.resource_limits
-    opts.resource_limits = old.copy(cpu=2)
-    try:
-        assert eng._task_cpus() == 2
-    finally:
-        opts.resource_limits = old
     eng.cfg["robots_pool_shards"] = 2
     eng._fetch_robots({sw.url_of(0).split("/")[2] + ":"})
     assert eng._actor_cpus() == 1.0

@@ -255,7 +255,7 @@ def run_frontier() -> dict:
     10M-URL politeness-budgeted crawl with the FULL production config in
     a single run — bucketed dataset frontier, per-host budget dequeue,
     per-round checkpointing (write-once part files, a seen base +
-    url_hash delta; ``checkpoint_seen`` is accepted and inert).  Env knobs: BENCH_FRONTIER_URLS (10M),
+    url_hash delta).  Env knobs: BENCH_FRONTIER_URLS (10M),
     BENCH_FRONTIER_HOSTS (4096), BENCH_FRONTIER_BUDGET (150 rows/host/
     round).  Seeding and engine construction are untimed setup; the
     timed section is the crawl itself (dequeue + fetch + discover +
@@ -280,10 +280,10 @@ def run_frontier() -> dict:
         # table (and so every per-round seen snapshot) 8x larger
         seen_shards=min(16, NUM_CPUS), seen_backend="cuckoo",
         seen_capacity_per_shard=max(1 << 18, n // 8), batch_size=4096,
-        frontier_backend="dataset", max_wave_rows=1_000_000,
+        max_wave_rows=1_000_000,
         host_budget_per_round=budget, respect_robots_txt=False,
         track_fetch_order=False,
-        checkpoint_dir=ckpt, checkpoint_seen=True,
+        checkpoint_dir=ckpt,
     )
     eng.seed_frontier([sw.url_of(i) for i in range(n)])
     rounds = int(os.environ.get("BENCH_FRONTIER_ROUNDS", "20"))
@@ -306,9 +306,8 @@ def run_frontier() -> dict:
     return {
         "config": {"urls": n, "hosts": hosts,
                    "host_budget_per_round": budget,
-                   "max_wave_rows": 1_000_000, "checkpoint_seen": True,
-                   "seen": f"cuckoo x {min(16, NUM_CPUS)}",
-                   "frontier_backend": "dataset"},
+                   "max_wave_rows": 1_000_000,
+                   "seen": f"cuckoo x {min(16, NUM_CPUS)}"},
         "num_cpus": NUM_CPUS,
         "sec": round(dt, 1),
         "urls_fetched": out["fetched"],

@@ -53,26 +53,29 @@ import ray.data as rd
 from ..robots import RobotsRules
 from ..schemas import FRONTIER_SCHEMA, STATUS_DISALLOWED
 from ..stages.candidates import (
+    FIRST_KEY,
     CandidateProcessor,
     candidate_processor,
     candidate_table,
     candidates_to_frontier_rows,
     explode_discovered,
+    redirect_candidates,
 )
 from ..stages import turbo as _turbo
 from ..stages.fetch import fetch_counters, worker_fetcher
 from ..state.seen import SeenSet
-from ..urlnorm import CanonOpts, process_url
+from ..urlnorm import process_url
 
-PAYLOAD_COLS = ["body", "caption", "image_id", "disposition", "error_flags", "location",
-                "discovered", "mime_supported"]
+#: a fetched row's payload columns, null in a robots-disallowed record
+_PAYLOAD = [("body", pa.binary()), ("caption", pa.string()),
+            ("image_id", pa.string()), ("disposition", pa.string()),
+            ("error_flags", pa.string()), ("location", pa.string()),
+            ("mime_supported", pa.bool_())]
 
 # canonical column order for stored fetched tables ("discovered" is
 # transient — consumed by the candidate stage, not stored)
-_FETCHED_ORDER = [f.name for f in FRONTIER_SCHEMA] + [
-    "body", "caption", "image_id", "disposition", "error_flags", "location",
-    "mime_supported", "phash"
-]
+_FETCHED_ORDER = ([f.name for f in FRONTIER_SCHEMA]
+                  + [name for name, _ in _PAYLOAD] + ["phash"])
 
 
 def _normalize_fetched(t: pa.Table) -> pa.Table:
@@ -89,36 +92,42 @@ def _disallowed_rows(rows: pa.Table) -> pa.Table:
                         pa.array([STATUS_DISALLOWED] * n))
     t = t.set_column(t.schema.get_field_index("fetched"), "fetched",
                      pa.array([True] * n))
-    for name, typ in zip(
-        PAYLOAD_COLS,
-        [pa.binary(), pa.string(), pa.string(), pa.string(), pa.string(),
-         pa.string(), pa.list_(pa.string()), pa.bool_()],
-    ):
+    for name, typ in _PAYLOAD:
         t = t.append_column(name, pa.nulls(n, typ))
     return _normalize_fetched(t)
 
 
-#: the fetched columns run()'s driver reads: the cache-index update and
-#: the redirect and first-request step
-_THIN_COLS = ["seq", "url", "depth", "disposition", "location",
-              "state_code", "state_headers"]
-
-
-@ray.remote(num_returns=3)
-def _fetch_batch(batch: pa.Table, kw: dict, hook):
+@ray.remote(num_returns=2)
+def _fetch_batch(batch: pa.Table, kw: dict, hook, first_url: Optional[str]):
     """One ``run()`` batch, one task: fetch with the worker's cached
     ``Fetcher`` (``kw`` holds the web, config and cache-index refs,
     nested so the worker cache keys on them), explode the discovered
-    links, and run the batched fetch-complete ``hook`` (§2.10 manual
-    discovery) on the downloaded rows in seq order.  Returns the
-    normalized fetched block (a driver-owned return the driver keeps
-    as a terminal ref and never pulls), its thin body-less view, and
-    ``(raw candidates, hook candidates, counters)``."""
+    links and add the redirect targets (``redirect_candidates``, whose
+    first-request outcome rides in the counters), and run the batched
+    fetch-complete ``hook`` (§2.10 manual discovery) on the downloaded
+    rows in seq order.  Returns the normalized fetched block (a
+    driver-owned return the driver keeps as a terminal ref and never
+    pulls) and ``(raw candidates, hook candidates, counters, cache
+    entries)``; the cache entries, ``{url: (etag, last-modified)}``, are
+    built only with a ``cache_ref``."""
     fetcher = worker_fetcher(kw["web_ref"], kw["cfg_ref"], kw["cache_ref"])
+    cfg = fetcher.cfg
     fetched = fetcher(batch)
-    counters = fetch_counters(fetched, fetcher.cfg["discover"])
-    raw = explode_discovered(fetched, fetcher.cfg["max_depth"])
+    counters = fetch_counters(fetched, cfg["discover"])
+    raw = explode_discovered(fetched, cfg["max_depth"])
+    redirs, first = redirect_candidates(fetched, cfg, first_url)
+    if redirs is not None:
+        raw = pa.concat_tables([raw, redirs])
+    if first is not None:
+        counters[FIRST_KEY] = first
     norm = _normalize_fetched(fetched)
+    cached = {}
+    if kw["cache_ref"] is not None:
+        for u, hj, code in zip(*(norm.column(c).to_pylist() for c in
+                                 ("url", "state_headers", "state_code"))):
+            h = json.loads(hj) if hj and 200 <= code < 300 else {}
+            if h.get("etag") or h.get("last-modified"):
+                cached[u] = (h.get("etag"), h.get("last-modified"))
     manual = []
     if hook is not None:
         dl = norm.filter(pc.equal(norm.column("status"), "downloaded"))
@@ -133,7 +142,7 @@ def _fetch_batch(batch: pa.Table, kw: dict, hook):
                                referrer_depth=int(e.get("referrer_depth", 0)),
                                parent_seq=int(e.get("parent_seq", -1)),
                                pos=int(e.get("pos", 0))))
-    return norm, norm.select(_THIN_COLS), (raw, manual, counters)
+    return norm, (raw, manual, counters, cached)
 
 
 @ray.remote
@@ -594,7 +603,7 @@ class CrawlEngine:
         self.fetch_order: list[str] = []
         self.next_seq = 0
         self.round_no = 0
-        self.first_request = True
+        self.first_url: Optional[str] = None  # see redirect_candidates
         self._frontier = _DatasetFrontier()
         self.terminal_refs: list = []      # ObjectRefs of fetched arrow tables
         # checkpoint state (see _checkpoint)
@@ -848,10 +857,8 @@ class CrawlEngine:
             {**self.cfg, "fetch_conditions": None, "filter_by_domain": False,
              "respect_robots_txt": False}, {})
         admitted = self._admit_candidates(proc(cands))
-        if admitted.num_rows and not hasattr(self, "_seed_seq"):
-            # the seed's seq scopes first-request special-casing in the
-            # turbo UDF (only THIS row is "the first request")
-            self._seed_seq = int(admitted.column("seq")[0].as_py())
+        if admitted.num_rows:
+            self.first_url = admitted.column("url")[0].as_py()
 
     def _admit_candidates(self, cands: pa.Table) -> pa.Table:
         """Filter counters -> dedup (first-wins in (parent_seq,pos) order)
@@ -1052,10 +1059,11 @@ class CrawlEngine:
 
     def _ordered_wave(self, wave: pa.Table) -> None:
         """``run()``'s wave step: one ``_fetch_batch`` task per batch
-        through the task window, then, on the driver, the cache-index
-        update, the redirect and first-request step, one
-        ``CandidateProcessor`` over the round's raw and redirect
-        candidates, and the admit in ``(parent_seq, pos)`` order."""
+        through the task window, then, on the driver, each batch's
+        counters and cache entries, one ``CandidateProcessor`` over the
+        round's raw candidates (built after the counters, so a host
+        adopted from the seed's redirect filters them too), and the
+        admit in ``(parent_seq, pos)`` order."""
         if self.cfg["track_fetch_order"]:
             self.fetch_order.extend(wave.column("url").to_pylist())
         if self._batch_hook_ref is None \
@@ -1063,14 +1071,17 @@ class CrawlEngine:
             self._batch_hook_ref = ray.put(self.fetch_complete_batch_hook)
         kw = dict(web_ref=self._web_broadcast(),
                   cfg_ref=self._broadcast("cfg", self.cfg),
-                  cache_ref=self._broadcast("cache", self.cache_index))
+                  cache_ref=(self._broadcast("cache", self.cache_index)
+                             if self.use_cache else None))
         bs = self.cfg["batch_size"]
         batches = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)]
         refs: list = []
 
         def submit(i: int):
-            refs.append(_fetch_batch.remote(batches[i], kw, self._batch_hook_ref))
-            return refs[-1][2]
+            refs.append(_fetch_batch.remote(batches[i], kw,
+                                            self._batch_hook_ref,
+                                            self.first_url))
+            return refs[-1][1]
 
         with self._timed("fetch"):
             for _ in self._task_window(len(batches), submit):
@@ -1078,72 +1089,32 @@ class CrawlEngine:
         with self._timed("merge"):
             # the normalized blocks stay in the object store
             self.terminal_refs.extend(r[0] for r in refs)
-            fetched = pa.concat_tables(ray.get([r[1] for r in refs]))
-            raws, nonredirect = [], 0
-            for raw, manual, counters in ray.get([r[2] for r in refs]):
+            raws = []
+            for raw, manual, counters, cached in ray.get([r[1] for r in refs]):
                 raws.append(raw)
                 self._manual.extend(manual)
-                nonredirect += counters.pop("__nonredirect", 0)
-                for k, v in counters.items():
-                    self._count(k, v)
-
-        # ---- cache index update (etag / last-modified) ----
-        if self.use_cache:
-            for u, hj, code in zip(fetched.column("url").to_pylist(),
-                                   fetched.column("state_headers").to_pylist(),
-                                   fetched.column("state_code").to_pylist()):
-                if hj and 200 <= code < 300:
-                    h = json.loads(hj)
-                    etag, lastmod = h.get("etag"), h.get("last-modified")
-                    if etag or lastmod:
-                        self.cache_index[u] = (etag, lastmod)
-
-        # ---- redirect candidates (depth pinning + initial domain change) ----
-        redirect_cands = []
-        redir_mask = pc.equal(fetched.column("disposition"), "fetchredirect")
-        redirects = fetched.filter(redir_mask)
-        # first_request stays True through the initial redirect chain:
-        # in seq order it flips on the first non-redirect row, so only
-        # redirect rows with seq < that row's seq are "first requests"
-        # (crawler.ts:1947-1953).
-        first_cutoff = None
-        if self.first_request and nonredirect:
-            first_cutoff = pc.min(
-                fetched.filter(pc.invert(redir_mask)).column("seq")).as_py()
-        if redirects.num_rows:
-            redirects = redirects.take(
-                pc.sort_indices(redirects, sort_keys=[("seq", "ascending")]))
-            for seq, url, depth, loc in zip(*(
-                    redirects.column(c).to_pylist()
-                    for c in ("seq", "url", "depth", "location"))):
-                if not loc:
-                    continue
-                is_first = self.first_request and (
-                    first_cutoff is None or seq < first_cutoff)
-                target = process_url(loc, url, depth, CanonOpts(
-                    strip_querystring=self.cfg["strip_querystring"],
-                    sort_query_parameters=self.cfg["sort_query_parameters"],
-                    strip_www_domain=self.cfg["strip_www_domain"]))
-                override = 1 if is_first else -1
-                if target is not None and is_first and self.cfg["allow_initial_domain_change"]:
-                    self.cfg["host"] = target.host
-                redirect_cands.append(dict(candidate=loc, referrer_url=url,
-                                           referrer_depth=depth, parent_seq=seq,
-                                           pos=0, depth_override=override))
-        if nonredirect:
-            self.first_request = False
-
-        # ---- one processor over discovered + redirect candidates; it is
-        # built after the redirect step, so a host adopted from a
-        # first-request redirect filters this round's candidates too ----
-        if redirect_cands:
-            raws.append(candidate_table(redirect_cands))
+                self._batch_counters(counters)
+                if self.use_cache:
+                    self.cache_index.update(cached)
         raw = pa.concat_tables(raws)
         if raw.num_rows:
             with self._timed("candidates"):
                 cands = CandidateProcessor(self.cfg, self.robots_cache)(raw)
             with self._timed("admit"):
                 self._admit_candidates(cands)
+
+    def _batch_counters(self, counters: dict) -> None:
+        """Count a batch's events after applying its first-request
+        outcome (``redirect_candidates``), if it has one: ``first_url``
+        moves on (None ends the chain) and a named host becomes
+        ``cfg.host`` (``_broadcast`` sends it to the next round)."""
+        first = counters.pop(FIRST_KEY, None)
+        if first is not None:
+            self.first_url, host = first
+            if host:
+                self.cfg["host"] = host
+        for k, v in counters.items():
+            self._count(k, v)
 
     # ------------------------------------------------------------- public
 
@@ -1210,14 +1181,12 @@ class CrawlEngine:
                   cfg_ref=self._broadcast("cfg", self.cfg),
                   robots_ref=self._broadcast("robots", self.robots_cache),
                   seen_shards=self.seen.shards, round_no=self.round_no,
-                  sink_dir=self._sink_dir, first_request=self.first_request,
-                  first_seq=getattr(self, "_seed_seq", -1))
+                  sink_dir=self._sink_dir, first_url=self.first_url)
         bs = self.cfg["batch_size"]
         batches = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)]
         nb = self._frontier.n_buckets
         task = _turbo_batch.options(num_returns=1 + nb)
         refs, parts = [None] * len(batches), [None] * len(batches)
-        counters: dict = {}
         ckpt = self.cfg["checkpoint_dir"]
         parts_dir = os.path.join(ckpt, "parts") if ckpt else None
         sunk = [0] * len(batches)
@@ -1243,8 +1212,7 @@ class CrawlEngine:
                     self._round_ckpt["part_bytes"] += nbytes
                 # a batch sinks one row per fetched row
                 sunk[i] = c.get("fetchstart", 0)
-                for k, v in c.items():
-                    counters[k] = v if isinstance(v, str) else counters.get(k, 0) + v
+                self._batch_counters(c)
         with self._timed("merge"):
             for r, ps in zip(refs, parts):
                 for b, p in ps.items():
@@ -1252,16 +1220,6 @@ class CrawlEngine:
         if self._sink_dir:
             self._lineage = [{"file": f"part-{i:05d}.parquet", "rows": n}
                              for i, n in enumerate(sunk)]
-        new_host = counters.pop("__new_host", None)
-        if new_host and self.first_request \
-                and self.cfg["allow_initial_domain_change"]:
-            # first-request redirect adopted a new crawl host
-            # (crawler.ts:1951-1953); ``_broadcast`` sends it next round
-            self.cfg["host"] = new_host
-        if counters.pop("__nonredirect", 0):
-            self.first_request = False
-        for k, v in counters.items():
-            self._count(k, v)
 
     def _checkpoint(self) -> None:
         """Commit the round (freeze, S3, src/queue.ts:268-313).  Every
@@ -1310,8 +1268,7 @@ class CrawlEngine:
             rec["live_parts"] = len(manifest["live"])
             sink_dir = getattr(self, "_sink_dir", None)
             record = {"round": self.round_no, "next_seq": self.next_seq,
-                      "first_request": self.first_request,
-                      "seed_seq": getattr(self, "_seed_seq", -1),
+                      "first_url": self.first_url,
                       "metrics": dict(self.metrics),
                       "seen_shards": self.cfg["seen_shards"],
                       "seen_backend": self.cfg["seen_backend"],
@@ -1445,12 +1402,9 @@ class CrawlEngine:
         eng.round_no = meta["round"] + 1
         _drop_uncommitted_rounds(sink_dir, eng.round_no)
         eng.next_seq = eng._ckpt_seq = meta["next_seq"]
-        eng.first_request = meta["first_request"]
-        # restore the seed seq: with first_request still true the
-        # first-request redirect special-casing keys off it, and the
-        # seed is only assigned a seq at initial admission
-        if meta.get("seed_seq", -1) >= 0:
-            eng._seed_seq = meta["seed_seq"]
+        # an older record has no first_url: its resume drops only a seed
+        # redirect chain that was still open
+        eng.first_url = meta.get("first_url")
         eng.metrics = dict(meta["metrics"])
         eng.cfg["host"] = meta["host"]
         eng._prev_state = (last, meta)
@@ -1504,9 +1458,7 @@ class CrawlResult:
         refs = self.engine.terminal_refs
         if not refs:
             return FRONTIER_SCHEMA.empty_table()
-        tables = [ray.get(r) for r in refs]
-        tables = [t.drop_columns([c for c in ("discovered",) if c in t.column_names]) for t in tables]
-        t = pa.concat_tables(tables, promote_options="default")
+        t = pa.concat_tables(ray.get(refs), promote_options="default")
         return t.take(pc.sort_indices(t, sort_keys=[("seq", "ascending")]))
 
     def frontier_table(self) -> pa.Table:

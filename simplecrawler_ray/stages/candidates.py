@@ -24,6 +24,8 @@ robots rebroadcasts and spans a whole crawl.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -103,6 +105,56 @@ def explode_discovered(batch: pa.Table, max_depth: int) -> pa.Table:
         ],
         schema=RAW_SCHEMA,
     )
+
+
+def canon_opts(cfg: dict) -> CanonOpts:
+    """The canonicalization options a crawl config sets (processURL's
+    strip/sort/www/encoding options, src/crawler.ts:895-958)."""
+    return CanonOpts(
+        strip_querystring=cfg.get("strip_querystring", False),
+        sort_query_parameters=cfg.get("sort_query_parameters", False),
+        strip_www_domain=cfg.get("strip_www_domain", False),
+        url_encoding=cfg.get("url_encoding", "unicode"),
+    )
+
+
+#: the counters key under which a batch task reports its first-request
+#: outcome (``redirect_candidates``) to the driver
+FIRST_KEY = "first"
+
+
+def redirect_candidates(fetched: pa.Table, cfg: dict, first_url: Optional[str]
+                        ) -> tuple[Optional[pa.Table], Optional[tuple]]:
+    """A fetched batch's redirect targets as raw candidates, None when no
+    row redirected (crawler.ts 3xx handling), and its first-request
+    outcome.
+
+    The first request is the seed and the redirect chain that starts at
+    it: the row whose ``url`` is ``first_url``.  If it redirects, its
+    target keeps depth 1 (crawler.ts:1947-1949) and is the next
+    ``first_url``; under ``allow_initial_domain_change`` the target's
+    host becomes the crawl's host (crawler.ts:1951-1953).  Any other
+    response ends the chain.  The outcome is ``(next first_url, new host
+    or None)``, or None when the batch does not hold the first request."""
+    first = None
+    if first_url is not None and pc.index(fetched.column("url"),
+                                          first_url).as_py() >= 0:
+        first = (None, None)
+    redirs = fetched.filter(pc.and_(
+        pc.equal(fetched.column("disposition"), "fetchredirect"),
+        pc.not_equal(pc.coalesce(fetched.column("location"), ""), "")))
+    cands = []
+    for loc, url, depth, seq in zip(*(redirs.column(c).to_pylist() for c in
+                                      ("location", "url", "depth", "seq"))):
+        is_first = url == first_url
+        if is_first:
+            t = process_url(loc, url, opts=canon_opts(cfg))
+            adopt = t is not None and cfg.get("allow_initial_domain_change")
+            first = (t.url if t is not None else None,
+                     (t.host or None) if adopt else None)
+        cands.append(dict(candidate=loc, referrer_url=url, referrer_depth=depth,
+                          parent_seq=seq, depth_override=1 if is_first else -1))
+    return (candidate_table(cands) if cands else None), first
 
 
 def candidate_table(cands: list[dict]) -> pa.Table:
@@ -226,12 +278,7 @@ class CandidateProcessor:
     def __init__(self, config_ref, robots_ref, store: CanonStore | None = None):
         cfg = ray.get(config_ref) if isinstance(config_ref, ray.ObjectRef) else config_ref
         self.cfg = cfg
-        self.canon = CanonOpts(
-            strip_querystring=cfg.get("strip_querystring", False),
-            sort_query_parameters=cfg.get("sort_query_parameters", False),
-            strip_www_domain=cfg.get("strip_www_domain", False),
-            url_encoding=cfg.get("url_encoding", "unicode"),
-        )
+        self.canon = canon_opts(cfg)
         robots = ray.get(robots_ref) if isinstance(robots_ref, ray.ObjectRef) else robots_ref
         self.robots: dict[str, RobotsRules] = robots or {}
         self.fetch_conditions = cfg.get("fetch_conditions") or []

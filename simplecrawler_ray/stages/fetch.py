@@ -139,20 +139,12 @@ def worker_fetcher(web_ref, cfg_ref, cache_ref=None) -> "Fetcher":
 def fetch_counters(fetched: pa.Table, discover: bool) -> dict:
     """A fetched batch's event counters, the same for both crawl loops:
     ``fetchstart``, one count per disposition, per ``error_flags`` flag
-    (``cookieerror``, ``gziperror``), ``discoverycomplete`` (downloaded
-    rows of a supported mime type, when discovery is on), and the
-    ``__nonredirect`` marker (rows that were not redirects) the driver
-    strips for its first-request bookkeeping."""
+    (``cookieerror``, ``gziperror``) and ``discoverycomplete``
+    (downloaded rows of a supported mime type, when discovery is on)."""
     counters = {"fetchstart": fetched.num_rows}
-    nonredir = 0
     for e in pc.value_counts(fetched.column("disposition")).to_pylist():
-        d, c = e["values"], int(e["counts"])
-        if d:
-            counters[d] = c
-        if d != "fetchredirect":
-            nonredir += c
-    if nonredir:
-        counters["__nonredirect"] = nonredir
+        if e["values"]:
+            counters[e["values"]] = int(e["counts"])
     flags = pc.list_flatten(pc.split_pattern(
         pc.coalesce(fetched.column("error_flags"), ""), ","))
     for e in pc.value_counts(flags).to_pylist():

@@ -5,7 +5,7 @@ function for the scale path.
 ``_turbo_batch`` task per batch calls ``turbo_round_udf`` and then
 splits its rows into frontier parts (``pipelines/crawl.py``).  Per
 input batch of queued frontier rows, inside the task:
-  fetch -> parse/discover -> redirect re-queue -> explode (Arrow list
+  fetch -> parse/discover -> explode + redirect re-queue (Arrow list
   kernels) -> canonicalize each distinct link once (the worker's store
   for this crawl config, ``candidates.canon_store``) -> domain/robots/
   depth filters -> global dedup (RPC to the sharded seen-set actors)
@@ -29,11 +29,14 @@ wave per round and near-zero driver work:
 * duplicate-candidate ties within a round are won by whichever task
   reaches the seen shard first (the reference's first-wins per
   arrival order — arrival order is just no longer deterministic).
-* ``allow_initial_domain_change`` (crawler.ts:1951-1953 first-request
-  redirect special case) IS applied: the batch holding the seed's
-  redirect adopts the target host for its own candidate filtering and
-  reports it in its counters (``__new_host``); the driver rewrites
-  ``cfg.host`` and rebroadcasts before the next round.
+* the first request (the seed and the redirect chain that starts at
+  it, ``candidates.redirect_candidates``) is handled as in ``run()``:
+  its redirect target keeps depth 1, and under
+  ``allow_initial_domain_change`` (crawler.ts:1951-1953) the batch
+  holding it adopts the target host for its own candidate filtering.
+  The batch reports the outcome in its counters (``FIRST_KEY``); the
+  driver moves ``first_url`` on, rewrites ``cfg.host`` and rebroadcasts
+  before the next round.
 
 Politeness still holds: the driver applies the per-host budget when
 building the next wave from the returned rows.
@@ -49,9 +52,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..schemas import FRONTIER_SCHEMA
-from .candidates import (CandidateProcessor, candidate_processor,
-                         candidate_table, candidates_to_frontier_rows,
-                         explode_discovered)
+from .candidates import (FIRST_KEY, CandidateProcessor, candidate_processor,
+                         candidates_to_frontier_rows, explode_discovered,
+                         redirect_candidates)
 from .fetch import fetch_counters, worker_fetcher
 
 _SEQ_MASK = (1 << 42) - 1
@@ -59,7 +62,7 @@ _SEQ_MASK = (1 << 42) - 1
 
 def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
                     seen_shards, round_no, sink_dir, batch_no=0,
-                    first_request=False, first_seq=-1) -> tuple[pa.Table, dict]:
+                    first_url=None) -> tuple[pa.Table, dict]:
     # the fetcher does not read robots: a new robots snapshot rebuilds
     # only the candidate processor (which keeps the config's store)
     fetcher = worker_fetcher(web_ref, cfg_ref)
@@ -77,50 +80,16 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
 
     counters = fetch_counters(fetched, cfg.get("discover", True))
     raw = explode_discovered(fetched, cfg.get("max_depth", 0))
-
-    # redirect targets re-queue (crawler.ts 3xx handling; parity with
-    # run()'s redirect step, ``CrawlEngine._redirect_candidates``).  Depth
-    # is pinned: 1 for the seed's first-request redirect, else referrer
-    # depth (override).
-    redir_mask = pc.and_(pc.equal(fetched.column("disposition"), "fetchredirect"),
-                         pc.not_equal(pc.coalesce(fetched.column("location"), ""), ""))
-    redirs = fetched.filter(redir_mask)
-    if redirs.num_rows:
-        # first-request special-casing applies ONLY to the seed row
-        # itself (seq == first_seq), not to every redirect in round 0 —
-        # a multi-URL seeded frontier has thousands of round-0 rows and
-        # treating each batch's min-seq redirect as "the first request"
-        # mislabels depths and can rewrite cfg.host to an arbitrary
-        # third-party host
-        seqs = redirs.column("seq").to_pylist()
-        if first_request and cfg.get("allow_initial_domain_change") \
-                and first_seq in seqs:
-            # first-request redirect host rewrite (crawler.ts:1951-1953):
-            # adopt the target host for THIS batch's candidate filtering
-            # and report it in the counters so the driver rewrites
-            # cfg.host
-            from ..urlnorm import process_url
-
-            first_i = seqs.index(first_seq)
-            tgt = process_url(redirs.column("location")[first_i].as_py(),
-                              redirs.column("url")[first_i].as_py())
-            if tgt is not None and tgt.host:
-                counters["__new_host"] = tgt.host
-                proc = CandidateProcessor({**cfg, "host": tgt.host},
-                                          proc.robots, proc.store)
-        redir_cands = candidate_table([
-            dict(candidate=loc, referrer_url=url, referrer_depth=dep,
-                 parent_seq=seq, pos=0,
-                 depth_override=(1 if first_request and seq == first_seq
-                                 else -1))
-            for loc, url, dep, seq in zip(
-                redirs.column("location").to_pylist(),
-                redirs.column("url").to_pylist(),
-                redirs.column("depth").to_pylist(),
-                seqs)
-        ])
-        raw = (pa.concat_tables([raw, redir_cands], promote_options="default")
-               if raw.num_rows else redir_cands)
+    redirs, first = redirect_candidates(fetched, cfg, first_url)
+    if first is not None:
+        counters[FIRST_KEY] = first
+        if first[1]:
+            # the seed chain's redirect adopts the target host for THIS
+            # batch's candidates; the driver takes it from the counters
+            proc = CandidateProcessor({**cfg, "host": first[1]},
+                                      proc.robots, proc.store)
+    if redirs is not None:
+        raw = pa.concat_tables([raw, redirs])
 
     if raw.num_rows == 0:
         return FRONTIER_SCHEMA.empty_table(), counters

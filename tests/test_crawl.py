@@ -1206,22 +1206,76 @@ def test_turbo_checkpoint_records_lineage(tmp_path):
     assert total_lineage_rows == sunk > 0
 
 
-def test_turbo_nonseed_redirect_does_not_rewrite_host(tmp_path):
-    """First-request special-casing is scoped to the SEED row: with a
-    multi-URL seeded frontier, a round-0 redirect on a non-seed row
-    must neither rewrite cfg.host nor get the seed's depth-1 override."""
+CHAIN_SEED = "http://127.0.0.1:3000/domain-redirect2"  # -> localhost
+CHAIN_OPTS = dict(seen_shards=2, allow_initial_domain_change=True,
+                  respect_robots_txt=False)
+
+
+def _crawl_depths(eng, loop, tmp_path, max_rounds=40) -> dict:
+    """Crawl with ``run()`` or ``run_turbo()``; {url: depth} of every
+    fetched row (for ``run_turbo``, every row in its sink)."""
     import ray.data as rd
 
+    if loop == "run":
+        t = eng.run(max_rounds=max_rounds).fetched_table().to_pandas()
+    else:
+        eng.run_turbo(str(tmp_path / "sink"), max_rounds=max_rounds)
+        t = rd.read_parquet(str(tmp_path / "sink")).to_pandas()
+    return dict(zip(t["url"], t["depth"]))
+
+
+@pytest.mark.parametrize("loop", ["run", "run_turbo"])
+def test_seed_redirect_chain_pins_depth_and_host(tmp_path, loop):
+    """The first request is the seed and the redirect chain that starts
+    at it: on the two-hop chain /domain-redirect2 -> localhost
+    /domain-redirect -> localhost/, both loops give each target depth 1
+    and adopt the final target's host."""
+    eng = CrawlEngine(ConformanceWeb(), CHAIN_SEED, **CHAIN_OPTS)
+    depths = _crawl_depths(eng, loop, tmp_path)
+    eng.seen.shutdown()
+    assert depths["http://localhost:3000/domain-redirect"] == 1
+    assert depths["http://localhost:3000/"] == 1
+    assert eng.cfg["host"] == "localhost"
+
+
+@pytest.mark.parametrize("loop", ["run", "run_turbo"])
+def test_nonseed_redirect_does_not_rewrite_host(tmp_path, loop):
+    """First-request special-casing is scoped to the SEED row: with a
+    multi-URL seeded frontier, a round-0 redirect on a non-seed row
+    (here seeded, and so fetched, before the seed) must not rewrite
+    cfg.host, on either loop."""
     web = ConformanceWeb()
     # seed = plain page on 127.0.0.1; the frontier also carries an
     # off-site redirecting URL in the same round-0 wave
     eng = CrawlEngine(web, "http://127.0.0.1:3000/",
                       seen_shards=2, allow_initial_domain_change=True)
     eng.seed_frontier(["http://127.0.0.1:3000/domain-redirect2"])
-    eng.run_turbo(str(tmp_path / "sink"), max_rounds=10)
+    _crawl_depths(eng, loop, tmp_path, max_rounds=10)
     # the non-seed redirect must not have adopted localhost as the host
     assert eng.cfg["host"] == "127.0.0.1"
     eng.seen.shutdown()
+
+
+@pytest.mark.parametrize("loop", ["run", "run_turbo"])
+def test_seed_redirect_chain_survives_resume(tmp_path, loop):
+    """A checkpoint taken inside the seed's redirect chain keeps it open:
+    stopped after round 0 (the seed's redirect) and resumed, the second
+    hop's target still gets depth 1 and its host is adopted."""
+    ck = str(tmp_path / "ck")
+    eng = CrawlEngine(ConformanceWeb(), CHAIN_SEED, checkpoint_dir=ck,
+                      **CHAIN_OPTS)
+    _crawl_depths(eng, loop, tmp_path, max_rounds=1)
+    eng.seen.shutdown()
+    eng2 = CrawlEngine.resume(
+        ConformanceWeb(), CHAIN_SEED, ck,
+        sink_dir=str(tmp_path / "sink") if loop == "run_turbo" else None,
+        **CHAIN_OPTS)
+    depths = _crawl_depths(eng2, loop, tmp_path)
+    eng2.seen.shutdown()
+    assert depths[CHAIN_SEED] == 1  # the seed row, from the checkpoint
+    assert depths["http://localhost:3000/domain-redirect"] == 1
+    assert depths["http://localhost:3000/"] == 1
+    assert eng2.cfg["host"] == "localhost"
 
 
 def test_disallowed_rows_survive_resume(web, tmp_path):

@@ -15,7 +15,12 @@ on a cluster with lance available; nothing else changes.
   its corpus row by reading (and LRU-caching) only the bucket files it
   needs.  This is the J4 "fetch = keyed lookup into the corpus" path
   (SURVEY §2.4); the generator-backed ``ScaleWeb.get`` is the
-  test-server analogue.
+  test-server analogue.  ``BroadcastCorpus`` serves the same lookups
+  from object-store bucket tables; both resolve a URL through one
+  per-bucket (table, image_id -> row) index.
+* ``CorpusWeb`` — the corpus as a web.  ``get`` fetches one URL;
+  ``get_many`` fetches a batch: its URLs grouped by bucket, one
+  ``Table.take`` of the three response columns per bucket.
 """
 
 from __future__ import annotations
@@ -78,7 +83,55 @@ def build_corpus(web: ScaleWeb, out_dir: str, n_buckets: int = 16,
     return out_dir
 
 
-class CorpusReader:
+#: a bucket table and its image_id -> row index
+_Indexed = tuple[pa.Table, dict[str, int]]
+
+
+class _BucketedCorpus:
+    """Keyed lookup over bucket tables.  A subclass supplies
+    ``_bucket(b)``: bucket ``b``'s (table, image_id -> row) index, or
+    None for a bucket with no rows."""
+
+    n_buckets: int
+
+    def _bucket(self, b: int) -> Optional[_Indexed]:
+        raise NotImplementedError
+
+    def lookup(self, url: str) -> Optional[dict]:
+        found = self._bucket(url_hash64(url) % self.n_buckets)
+        i = found[1].get(url) if found else None
+        if i is None:
+            return None
+        t = found[0]
+        return {c: t.column(c)[i].as_py() for c in t.column_names}
+
+    def take(self, urls: list[str], columns: list[str]) -> list[Optional[tuple]]:
+        """``columns`` of each URL's row, None for a miss: one
+        ``Table.take`` and one ``to_pylist`` per column per bucket."""
+        out: list[Optional[tuple]] = [None] * len(urls)
+        by_bucket: dict[int, list[int]] = {}
+        for k, u in enumerate(urls):
+            by_bucket.setdefault(url_hash64(u) % self.n_buckets, []).append(k)
+        for b, ks in by_bucket.items():
+            found = self._bucket(b)
+            if found is None:
+                continue
+            t, index = found
+            hits = [(k, index[urls[k]]) for k in ks if urls[k] in index]
+            if not hits:
+                continue
+            rows = t.select(columns).take([i for _, i in hits])
+            values = zip(*(rows.column(c).to_pylist() for c in columns))
+            for (k, _), row in zip(hits, values):
+                out[k] = row
+        return out
+
+
+def _indexed(t: pa.Table) -> _Indexed:
+    return t, {u: i for i, u in enumerate(t.column("image_id").to_pylist())}
+
+
+class CorpusReader(_BucketedCorpus):
     """URL -> corpus row via bucketed-parquet lookup with a per-actor LRU.
 
     Each fetcher actor holds one; a fetch touches only the one bucket
@@ -90,43 +143,28 @@ class CorpusReader:
         self.dir = corpus_dir
         self.n_buckets = n_buckets
         self.max_cached = max_cached_buckets
-        self._cache: OrderedDict[int, dict[str, int]] = OrderedDict()
-        self._tables: dict[int, pa.Table] = {}
+        self._cache: OrderedDict[int, Optional[_Indexed]] = OrderedDict()
 
-    def _load_bucket(self, b: int) -> dict[str, int]:
+    def _bucket(self, b: int) -> Optional[_Indexed]:
         if b in self._cache:
             self._cache.move_to_end(b)
             return self._cache[b]
         path = os.path.join(self.dir, f"bucket={b}")
-        if not os.path.isdir(path):
-            # write_parquet only creates dirs for NON-EMPTY partitions:
-            # a URL hashing to an empty bucket is a miss (404), not a
-            # FileNotFoundError out of the fetch task
-            self._cache[b] = {}
-            return self._cache[b]
-        t = pq.read_table(path)
-        index = {u: i for i, u in enumerate(t.column("image_id").to_pylist())}
-        self._cache[b] = index
-        self._tables[b] = t
+        # write_parquet only creates dirs for NON-EMPTY partitions:
+        # a URL hashing to an empty bucket is a miss (404), not a
+        # FileNotFoundError out of the fetch task
+        found = _indexed(pq.read_table(path)) if os.path.isdir(path) else None
+        self._cache[b] = found
         while len(self._cache) > self.max_cached:
-            old, _ = self._cache.popitem(last=False)
-            self._tables.pop(old, None)
-        return index
-
-    def lookup(self, url: str) -> Optional[dict]:
-        b = url_hash64(url) % self.n_buckets
-        idx = self._load_bucket(b).get(url)
-        if idx is None:
-            return None
-        t = self._tables[b]
-        return {c: t.column(c)[idx].as_py() for c in t.column_names}
+            self._cache.popitem(last=False)
+        return found
 
 
 _READER_CACHE: dict = {}
 _INDEX_CACHE: dict = {}
 
 
-class BroadcastCorpus:
+class BroadcastCorpus(_BucketedCorpus):
     """Object-store-broadcast corpus: each bucket table is ``ray.put``
     once (driver), workers ``ray.get`` it zero-copy from shared memory.
 
@@ -151,25 +189,18 @@ class BroadcastCorpus:
                 refs[b] = ray.put(pq.read_table(path))
         return cls(refs, n_buckets)
 
-    def lookup(self, url: str) -> Optional[dict]:
+    def _bucket(self, b: int) -> Optional[_Indexed]:
         import ray
 
-        b = url_hash64(url) % self.n_buckets
         ref = self.bucket_refs.get(b)
         if ref is None:
             return None
         key = ref.hex()
-        cached = _INDEX_CACHE.get(key)
-        if cached is None:
-            t = ray.get(ref)  # zero-copy shared-memory read
-            index = {u: i for i, u in enumerate(t.column("image_id").to_pylist())}
-            cached = (t, index)
-            _INDEX_CACHE[key] = cached
-        t, index = cached
-        i = index.get(url)
-        if i is None:
-            return None
-        return {c: t.column(c)[i].as_py() for c in t.column_names}
+        found = _INDEX_CACHE.get(key)
+        if found is None:
+            # zero-copy shared-memory read
+            found = _INDEX_CACHE[key] = _indexed(ray.get(ref))
+        return found
 
 
 class CorpusWeb:
@@ -217,20 +248,43 @@ class CorpusWeb:
             self._reader = r
         return self._reader
 
+    def _src(self) -> _BucketedCorpus:
+        return self._broadcast if self._broadcast is not None else self._r()
+
     def get(self, url: str, request_headers: Optional[dict] = None) -> Optional[WebResponse]:
         from ..urlnorm import Uri
 
-        u = Uri.parse(url)
-        if u.path == "/robots.txt":
-            return _resp(200, "User-agent: *\nDisallow:\n", "text/plain")
-        src = self._broadcast if self._broadcast is not None else self._r()
-        row = src.lookup(url)
+        if Uri.parse(url).path == "/robots.txt":
+            return _robots()
+        row = self._src().lookup(url)
         if row is None:
             return _resp(404, "Page not found.")
         # image+caption pair: body = image payload, caption = link text
         return WebResponse(200, row["bytes"], f"image/{row['fmt']}", {},
                            caption=row["caption"])
 
+    def get_many(self, urls: list[str], paths: list[str]) -> list[WebResponse]:
+        """``get`` of every URL of a batch; ``paths`` are the URLs'
+        path+query (the frontier's ``path`` column) and decide
+        ``/robots.txt``.  Takes no request headers: a web may offer
+        ``get_many`` only when its responses do not depend on them, as
+        CorpusWeb's do not."""
+        rows = self._src().take(urls, ["bytes", "fmt", "caption"])
+        out = []
+        for path, row in zip(paths, rows):
+            if path.partition("#")[0].partition("?")[0] == "/robots.txt":
+                out.append(_robots())
+            elif row is None:
+                out.append(_resp(404, "Page not found."))
+            else:
+                body, fmt, caption = row
+                out.append(WebResponse(200, body, f"image/{fmt}", {},
+                                       caption=caption))
+        return out
+
     def image(self, url: str) -> Optional[dict]:
-        src = self._broadcast if self._broadcast is not None else self._r()
-        return src.lookup(url)
+        return self._src().lookup(url)
+
+
+def _robots() -> WebResponse:
+    return _resp(200, "User-agent: *\nDisallow:\n", "text/plain")

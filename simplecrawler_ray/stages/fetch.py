@@ -172,7 +172,13 @@ class Fetcher:
 
       body, caption, image_id, disposition, location (redirect target),
       discovered (list<string> cleaned absolute URLs, per-doc deduped),
-      mime_supported (bool)
+      mime_supported (bool), phash (``phash_fetched`` only)
+
+    A web with ``get_many(urls, paths)`` (``CorpusWeb``) answers the
+    whole batch in one call and is sent no request headers; any other
+    web is asked per row through ``get(url, headers)``, sequentially or
+    on ``fetch_threads`` threads.  With ``phash_fetched`` the batch's
+    image payloads decode and hash in one ``phash_blobs`` call.
     """
 
     def __init__(self, web_ref, config_ref, cache_ref=None):
@@ -269,10 +275,14 @@ class Fetcher:
         discovered: list[list[str]] = [[] for _ in range(n)]
         mime_ok = [False] * n
         latency = [0] * n
-        pending_phash: list[tuple] = []  # (row, decoded arr) — batch-hashed
+        phash_rows: list[int] = []  # image rows, hashed at batch end
+        images: list[bytes] = []
 
         prefetched = None
-        if self.fetch_threads > 1:
+        get_many = getattr(self.web, "get_many", None)
+        if get_many is not None:
+            prefetched = get_many(urls, paths)
+        elif self.fetch_threads > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             if self._pool is None:
@@ -400,14 +410,8 @@ class Fetcher:
                     mime_supported = True
                     mime_ok[i] = True
                     if self.phash_fetched and body:
-                        # decode now, hash at batch end (one broadcast
-                        # DCT matmul for the whole batch)
-                        from ..functions.imagecodec import decode_image
-
-                        try:
-                            pending_phash.append((i, decode_image(body)))
-                        except (ValueError, NotImplementedError):
-                            pass
+                        phash_rows.append(i)
+                        images.append(body)
                 else:
                     text = decode_body(data, ct)
                 captions[i] = text
@@ -438,12 +442,13 @@ class Fetcher:
                 fetched[i] = True
                 dispositions[i] = "fetcherror"
 
-        if pending_phash:
-            from ..functions.imagecodec import phash64_batch
+        if phash_rows:
+            from ..functions.imagecodec import phash_blobs
 
-            hs = phash64_batch([a for _, a in pending_phash])
-            for (i, _), h in zip(pending_phash, hs):
-                phashes[i] = int(h)
+            # the whole batch's images decode and hash at once; a blob
+            # that does not decode leaves its row's phash null
+            for i, h in zip(phash_rows, phash_blobs(images)):
+                phashes[i] = h
 
         out = batch.drop_columns(
             [c for c in ("fetched", "status", "state_request_latency_ms",

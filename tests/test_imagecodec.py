@@ -18,6 +18,7 @@ from simplecrawler_ray.functions.imagecodec import (
     encode_png,
     phash64,
     phash64_batch,
+    phash_blobs,
     psnr,
 )
 from simplecrawler_ray.sources.web import ScaleWeb
@@ -139,6 +140,68 @@ def test_corpus_phash_unchanged_by_decode():
     for r, h in zip(rows, got.tolist()):
         if r["fmt"] == "png":
             assert h == r["phash"]
+
+
+def _per_row_phash(blob):
+    try:
+        return int(phash64_batch([decode_image(blob)])[0])
+    except Exception:
+        return None
+
+
+def _blob_cases():
+    rng = np.random.default_rng(11)
+    img = rng.integers(0, 256, (9, 7, 3)).astype(np.uint8)
+    sw = ScaleWeb(n_pages=40, n_hosts=4, seed=7, image_side=24)
+    corpus = [sw.corpus_row(i)["bytes"] for i in range(40)]
+    filtered = [_png(7, 9, _filtered_scanlines(img, f)) for f in
+                ([1] * 9, [2] * 9, [3] * 9, [4] * 9,
+                 [0, 1, 2, 3, 4, 4, 3, 2, 1], [0] * 8 + [2])]
+    odd = [encode_fakejpeg(_test_image(s)[:h, :w], q)
+           for s, (h, w, q) in enumerate([(37, 41, 95), (37, 41, 95),
+                                          (9, 7, 50), (1, 1, 85),
+                                          (17, 26, 30)])]
+    return {
+        "png_filter0": [encode_png(_test_image(s)[:h, :w]) for s, (h, w) in
+                        enumerate([(48, 48), (48, 48), (37, 41), (1, 1)])],
+        "png_filters_1_to_4": filtered,
+        "fjpg_odd_sides": odd,
+        "mixed": corpus + filtered[:2] + odd + [b"garbage"] + corpus[:3],
+        "stub_and_garbage": [b"\xff\xd8\xff\xe0" + b"\x00" * 20, b"garbage",
+                             b"\x89PNG\r\n\x1a\n\x00\x00", b"FJPG\x00",
+                             b"FJPG" + struct.pack(">IIH", 8, 8, 0)
+                             + zlib.compress(bytes(384)),  # quality 0
+                             corpus[0][:40], corpus[1][:-6], b""],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_blob_cases()))
+def test_phash_blobs_matches_per_row_decode(case):
+    """The grouped batch decode + hash gives, for every blob, the phash
+    of its own ``decode_image`` (None where that raises)."""
+    blobs = _blob_cases()[case]
+    want = [_per_row_phash(b) for b in blobs]
+    assert phash_blobs(blobs) == want
+    if case == "stub_and_garbage":
+        assert want == [None] * len(blobs)
+    else:
+        assert (None in want) == (case == "mixed")
+
+
+def test_phash64_values_pinned():
+    """Stored corpus phashes keep their values, alone or in a batch.
+    Flat images pin the float32 DCT's operand layout: every AC term is
+    ~0, so their bits come from rounding, which the layout moves."""
+    rng = np.random.default_rng(3)
+    imgs = [np.full((1, 1, 3), 7, np.uint8), np.full((5, 3, 3), 200, np.uint8),
+            rng.integers(0, 256, (24, 24, 3)).astype(np.uint8),
+            rng.integers(0, 256, (37, 41, 3)).astype(np.uint8)]
+    want = [-8935141660703064064, -8935141110947250176,
+            -8102106241377486709, -5442090949074160783]
+    assert [phash64(a) for a in imgs] == want
+    mates = [rng.integers(0, 256, (24, 24, 3)).astype(np.uint8)
+             for _ in range(20)]
+    assert phash64_batch(mates + imgs).tolist()[20:] == want
 
 
 def test_fakejpeg_lossy_psnr():

@@ -21,12 +21,10 @@ No image libraries exist in this container (no PIL / imageio / cv2), so:
   against the einsum reference.
 
 All functions are deterministic.  ``phash_blobs`` hashes a batch of
-encoded images at once: blobs with the same header (FJPG ``(h, w,
-quality)``; PNG ``(h, w)`` laid out as ``encode_png`` writes it, with
-filter-0 scanlines) decode as one stacked inverse DCT or one reshape,
-each shape is resampled to 32x32 gray in one gather, and every
-blob's DCT runs in one matmul.  Any other blob decodes through
-``decode_image``; a blob that fails to decode hashes to None.
+encoded images: each decodes on its own (images are per-row payloads),
+then the images of one shape resample to 32x32 gray in one gather and
+every DCT runs in one matmul.  A blob that fails to decode hashes to
+None.
 """
 
 from __future__ import annotations
@@ -157,11 +155,6 @@ def _dct_matrix(n: int = 8) -> np.ndarray:
 _DCT8 = _dct_matrix(8)
 
 
-def _quant_table(quality: int) -> np.ndarray:
-    scale = (5000.0 / quality if quality < 50 else 200.0 - 2 * quality) / 100.0
-    return np.clip(np.floor(_QTABLE * scale + 0.5), 1, 255).astype(np.float32)
-
-
 def _blockify(chan: np.ndarray) -> np.ndarray:
     h, w = chan.shape
     return chan.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
@@ -174,7 +167,8 @@ def encode_fakejpeg(arr: np.ndarray, quality: int = 85) -> bytes:
     """
     assert arr.dtype == np.uint8 and arr.ndim == 3 and arr.shape[2] == 3
     h, w, _ = arr.shape
-    q = _quant_table(quality)
+    scale = (5000.0 / quality if quality < 50 else 200.0 - 2 * quality) / 100.0
+    q = np.clip(np.floor(_QTABLE * scale + 0.5), 1, 255).astype(np.float32)
     ph, pw = (h + 7) // 8 * 8, (w + 7) // 8 * 8
     padded = np.pad(arr, ((0, ph - h), (0, pw - w), (0, 0)), mode="edge")
     payload = bytearray()
@@ -191,29 +185,17 @@ def decode_fakejpeg(data: bytes) -> np.ndarray:
     if data[:4] != _FJPG_MAGIC:
         raise ValueError("not FJPG")
     h, w, quality = struct.unpack(">IIH", data[4:14])
-    raw = zlib.decompress(data[14:])
-    if len(raw) != _fjpg_payload_size(h, w):
-        raise ValueError("truncated FJPG payload")
-    return _fjpg_pixels(h, w, quality, [raw])[0]
-
-
-def _fjpg_payload_size(h: int, w: int) -> int:
-    """Bytes of int16 coefficients an ``h`` x ``w`` FJPG inflates to."""
-    return 3 * ((h + 7) // 8) * ((w + 7) // 8) * 64 * 2
-
-
-def _fjpg_pixels(h: int, w: int, quality: int, raws: "list[bytes]") -> np.ndarray:
-    """Inflated FJPG payloads of one ``(h, w, quality)`` -> (N, h, w, 3)
-    uint8: the inverse DCT of every block of every channel of every
-    image is one stacked matmul."""
+    scale = (5000.0 / quality if quality < 50 else 200.0 - 2 * quality) / 100.0
+    q = np.clip(np.floor(_QTABLE * scale + 0.5), 1, 255).astype(np.float32)
     ph, pw = (h + 7) // 8 * 8, (w + 7) // 8 * 8
-    raw = np.frombuffer(b"".join(raws), np.int16)
-    coeffs = (raw.reshape(len(raws), 3, ph // 8, pw // 8, 8, 8)
-              .astype(np.float32) * _quant_table(quality))
-    blocks = _DCT8.T @ coeffs @ _DCT8
-    # (n, c, by, bx, y, x) -> (n, by, y, bx, x, c) = (n, ph, pw, 3)
-    out = blocks.transpose(0, 2, 4, 3, 5, 1).reshape(len(raws), ph, pw, 3) + 128.0
-    return np.clip(np.round(out[:, :h, :w]), 0, 255).astype(np.uint8)
+    raw = np.frombuffer(zlib.decompress(data[14:]), np.int16)
+    if raw.size != 3 * (ph // 8) * (pw // 8) * 64:
+        raise ValueError("truncated FJPG payload")
+    coeffs = raw.reshape(3, ph // 8, pw // 8, 8, 8).astype(np.float32) * q
+    blocks = _DCT8.T @ coeffs @ _DCT8  # every block of every channel
+    # (c, by, bx, y, x) -> (by, y, bx, x, c) = (ph, pw, 3)
+    out = blocks.transpose(1, 3, 2, 4, 0).reshape(ph, pw, 3) + 128.0
+    return np.clip(np.round(out[:h, :w]), 0, 255).astype(np.uint8)
 
 
 # ---------------------------------------------------------------- dispatch
@@ -277,29 +259,6 @@ def _phash_dct(smalls: np.ndarray) -> np.ndarray:
     return packed.view(">u8").ravel().astype(np.uint64).view(np.int64)
 
 
-def _hash_stacks(stacks: "list[tuple[list[int], np.ndarray]]") -> "tuple[list[int], np.ndarray]":
-    """(rows, (k, h, w, 3) image stack) groups -> (their rows, (n,)
-    int64 phash) in one order: one resample per stack, one DCT for all."""
-    rows = [i for r, _ in stacks for i in r]
-    # each plane column-major: the DCT matmul's float32 rounding depends
-    # on its operands' layout, and every stored phash was made with this one
-    smalls = np.empty((len(rows), 32, 32), np.float32).swapaxes(1, 2)
-    start = 0
-    for r, stack in stacks:
-        smalls[start: start + len(r)] = _phash_smalls(stack)
-        start += len(r)
-    return rows, _phash_dct(smalls)
-
-
-def _stack_by_shape(arrs) -> "list[tuple[list[int], np.ndarray]]":
-    """(row, image) pairs -> (rows, stacked images) per (shape, dtype)."""
-    groups: dict = {}
-    for i, a in arrs:
-        groups.setdefault((a.shape, a.dtype.str), []).append((i, a))
-    return [([i for i, _ in g], np.stack([a for _, a in g]))
-            for g in groups.values()]
-
-
 def phash64(arr: np.ndarray) -> int:
     """Perceptual hash: resize to 32x32 gray (box mean), 8x8 low-freq DCT
     sign-vs-median bits -> signed int64."""
@@ -307,90 +266,38 @@ def phash64(arr: np.ndarray) -> int:
 
 
 def phash64_batch(arrs: "list[np.ndarray]") -> np.ndarray:
-    """Vectorized phash of N decoded images: one 32x32 gray resample per
-    distinct image shape, then one broadcast DCT matmul for all N.
-    Bit-identical to phash64 per element."""
-    rows, hashes = _hash_stacks(_stack_by_shape(enumerate(arrs)))
-    out = np.empty(len(arrs), np.int64)
-    out[rows] = hashes
-    return out
-
-
-def _inflate(data: bytes):
-    """A blob the grouped decode takes -> (group key, inflated payload);
-    None for any other blob.  Keys: ``("fjpg", h, w, quality)`` for a
-    quality that has a quantization table (not 0), and ``("png", h, w)``
-    for an 8-bit RGB non-interlaced PNG laid out as IHDR, one IDAT, IEND."""
-    if data[:4] == _FJPG_MAGIC:
-        h, w, quality = struct.unpack_from(">IIH", data, 4)
-        if not quality:
-            return None
-        return ("fjpg", h, w, quality), zlib.decompress(data[14:])
-    if data[:16] != _PNG_SIG + b"\x00\x00\x00\x0dIHDR":
-        return None
-    w, h, bitdepth, color, _, _, interlace = struct.unpack_from(">IIBBBBB", data, 16)
-    (n,) = struct.unpack_from(">I", data, 33)
-    if ((bitdepth, color, interlace) != (8, 2, 0) or data[37:41] != b"IDAT"
-            or data[49 + n: 53 + n] != b"IEND"):
-        return None
-    return ("png", h, w), zlib.decompress(data[41: 41 + n])
-
-
-def _decode_group(key: tuple, raws: "list[bytes]"):
-    """One header group's inflated payloads -> (indices into ``raws``
-    decoded, (k, h, w, 3) uint8 stack).  A payload of the wrong size,
-    or a PNG with any non-zero scanline filter, is left out."""
-    fmt, h, w = key[:3]
-    size = _fjpg_payload_size(h, w) if fmt == "fjpg" else h * (3 * w + 1)
-    ok = [j for j, r in enumerate(raws) if len(r) == size]
-    if not ok or h == 0 or w == 0:
-        return [], None
-    if fmt == "fjpg":
-        return ok, _fjpg_pixels(h, w, key[3], [raws[j] for j in ok])
-    lines = np.frombuffer(b"".join(raws[j] for j in ok), np.uint8)
-    lines = lines.reshape(len(ok), h, 3 * w + 1)
-    plain = ~lines[:, :, 0].any(axis=1)  # every scanline uses filter 0
-    return ([j for j, p in zip(ok, plain) if p],
-            lines[plain, :, 1:].reshape(-1, h, w, 3))
+    """Vectorized phash of N decoded images: the images of one shape
+    are stacked and resampled to 32x32 gray in one gather, then ONE
+    broadcast (N,32,32) matmul runs all DCTs.  Bit-identical to phash64
+    per element."""
+    shapes: dict = {}
+    for i, a in enumerate(arrs):
+        shapes.setdefault((a.shape, a.dtype.str), []).append(i)
+    # each plane column-major: the DCT matmul's float32 rounding depends
+    # on its operands' layout, and every stored phash was made with this one
+    smalls = np.empty((len(arrs), 32, 32), np.float32).swapaxes(1, 2)
+    for rows in shapes.values():
+        smalls[rows] = _phash_smalls(np.stack([arrs[i] for i in rows]))
+    return _phash_dct(smalls)
 
 
 def phash_blobs(blobs: "list[bytes]") -> "list[int | None]":
-    """phash of each encoded image, None where it does not decode (to a
-    non-empty image); each hash equals ``phash64(decode_image(blob))``.
-
-    Blobs are grouped by header and each group decodes at once (see
-    the module docstring); the rest decode one by one through
-    ``decode_image``."""
-    groups: dict = {}
-    rest: list = []  # rows that decode through decode_image
+    """phash of each encoded image, None where it does not decode to a
+    non-empty image: each blob decodes through ``decode_image``, then
+    one ``phash64_batch`` hashes them all."""
+    rows, arrs = [], []
     for i, blob in enumerate(blobs):
         try:
-            found = _inflate(blob)
-        except (struct.error, zlib.error):
-            found = None  # decode_image below reports it
-        if found is None:
-            rest.append(i)
-            continue
-        rows, raws = groups.setdefault(found[0], ([], []))
-        rows.append(i)
-        raws.append(found[1])
-    stacks = []
-    for key, (rows, raws) in groups.items():
-        ok, stack = _decode_group(key, raws)
-        if ok:
-            stacks.append(([rows[j] for j in ok], stack))
-        taken = set(ok)
-        rest += [i for j, i in enumerate(rows) if j not in taken]
-    decoded = []
-    for i in rest:
-        try:
-            arr = decode_image(blobs[i])
+            arr = decode_image(blob)
         except Exception:
-            continue  # a corrupt or stubbed blob hashes to None
+            # corrupt (struct.error, zlib.error, ...) or stubbed: this
+            # row's phash is null, the batch goes on
+            continue
         if arr.size:
-            decoded.append((i, arr))
-    rows, hashes = _hash_stacks(stacks + _stack_by_shape(decoded))
+            rows.append(i)
+            arrs.append(arr)
     out: "list[int | None]" = [None] * len(blobs)
-    for i, h in zip(rows, hashes.tolist()):
-        out[i] = h
+    if arrs:
+        for i, h in zip(rows, phash64_batch(arrs).tolist()):
+            out[i] = h
     return out

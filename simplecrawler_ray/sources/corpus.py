@@ -98,12 +98,13 @@ class _BucketedCorpus:
         raise NotImplementedError
 
     def lookup(self, url: str) -> Optional[dict]:
+        """``url``'s whole row as a dict, None for a miss."""
         found = self._bucket(url_hash64(url) % self.n_buckets)
-        i = found[1].get(url) if found else None
-        if i is None:
+        if found is None:
             return None
-        t = found[0]
-        return {c: t.column(c)[i].as_py() for c in t.column_names}
+        names = found[0].column_names
+        row = self.take([url], names)[0]
+        return None if row is None else dict(zip(names, row))
 
     def take(self, urls: list[str], columns: list[str]) -> list[Optional[tuple]]:
         """``columns`` of each URL's row, None for a miss: one
@@ -254,21 +255,15 @@ class CorpusWeb:
     def get(self, url: str, request_headers: Optional[dict] = None) -> Optional[WebResponse]:
         from ..urlnorm import Uri
 
-        if Uri.parse(url).path == "/robots.txt":
-            return _robots()
-        row = self._src().lookup(url)
-        if row is None:
-            return _resp(404, "Page not found.")
-        # image+caption pair: body = image payload, caption = link text
-        return WebResponse(200, row["bytes"], f"image/{row['fmt']}", {},
-                           caption=row["caption"])
+        return self.get_many([url], [Uri.parse(url).path])[0]
 
     def get_many(self, urls: list[str], paths: list[str]) -> list[WebResponse]:
-        """``get`` of every URL of a batch; ``paths`` are the URLs'
+        """The response to each URL of a batch; ``paths`` are the URLs'
         path+query (the frontier's ``path`` column) and decide
-        ``/robots.txt``.  Takes no request headers: a web may offer
-        ``get_many`` only when its responses do not depend on them, as
-        CorpusWeb's do not."""
+        ``/robots.txt``.  Each page is an image+caption pair: body =
+        image payload, caption = link text.  Takes no request headers:
+        a web may offer ``get_many`` only when its responses do not
+        depend on them, as CorpusWeb's do not."""
         rows = self._src().take(urls, ["bytes", "fmt", "caption"])
         out = []
         for path, row in zip(paths, rows):

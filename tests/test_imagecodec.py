@@ -177,8 +177,8 @@ def _blob_cases():
 
 @pytest.mark.parametrize("case", sorted(_blob_cases()))
 def test_phash_blobs_matches_per_row_decode(case):
-    """The grouped batch decode + hash gives, for every blob, the phash
-    of its own ``decode_image`` (None where that raises)."""
+    """The batch hash gives, for every blob, the phash of its own
+    ``decode_image`` (None where that raises)."""
     blobs = _blob_cases()[case]
     want = [_per_row_phash(b) for b in blobs]
     assert phash_blobs(blobs) == want

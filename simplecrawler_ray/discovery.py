@@ -7,10 +7,13 @@ Parity targets:
 
 The extracted-URL goldens (incl. ordering) are pinned by
 test/specs/discovery.unit.spec.ts:22-189 and reproduced in
-tests/test_discovery.py.  Pure Python; runs per-row inside the
-fetch+parse stage (``Fetcher`` in stages/fetch.py, called by both crawl
-loops' batch tasks) with regexes compiled once at import time (and thus
-once per worker process).
+tests/test_discovery.py.  ``discover_resources`` takes a batch of
+documents: the fetch+parse stage (``Fetcher`` in stages/fetch.py,
+called by both crawl loops' batch tasks) passes every parsed text of a
+batch in one call.  Five of the default extractors run as one
+Rust-regex pass each over the whole batch (polars, imported on first
+use); the rest run per text where their literal occurs.
+``clean_expand_resources`` runs per document.
 """
 
 from __future__ import annotations
@@ -70,22 +73,25 @@ DISCOVER_REGEX: list[re.Pattern | Extractor] = [
     _meta_refresh_2,
 ]
 
-# Literals without which a default extractor cannot match: a document
-# lacking one skips that scan.  ``url\(`` carries the url() regexes' own
-# flag (re.I); the srcset regex is case-sensitive, so a plain substring
-# test is exact for it.
-_RE_URL_CALL = re.compile(r"url\(", re.I)
-_URLFUNC_EXTRACTORS = (_RE_URLFUNC_QUOTED, _RE_URLFUNC_UNQUOTED)
-
-
-def _unmatchable_defaults(text: str) -> tuple:
-    skip: tuple = ()
-    if not _RE_URL_CALL.search(text):
-        skip += _URLFUNC_EXTRACTORS
-    if "srcset" not in text:
-        skip += (_srcset_extract,)
-    return skip
-
+# ``DISCOVER_REGEX[:5]`` as Rust-regex (polars) scans of a whole batch.
+# Rust's ``regex`` is leftmost-first like ``re``, and each twin finds
+# the same matches as its ``re`` pattern on any str once three
+# differences are spelled out: Python's str ``\s`` also matches
+# U+001C-U+001F; Rust has no back-references, so ``(["']).*?\1`` names
+# each quote; ``re.I`` is ``(?i)``.  The rest of the table stays in
+# Python: ``^javascript:`` is anchored and cheap, and ``re.I`` folds
+# ``i`` with ``ı``/``İ`` where Rust does not.
+_WS = r"[\s\x1c-\x1f]"
+_NOT_WS = r"\s\x1c-\x1f"  # the same set inside a negated class
+_BATCH_PATTERNS = (
+    rf"(?i){_WS}(?:href|src){_WS}*={_WS}*(?:\"[^\"\n]*\"|'[^'\n]*')",
+    rf"(?i){_WS}(?:href|src){_WS}*={_WS}*[^\"'{_NOT_WS}][^{_NOT_WS}>]+",
+    rf"(?i){_WS}?url\((?:\"[^\n]*?\"\)|'[^\n]*?'\))",
+    rf"(?i){_WS}?url\([^\"')]*?\)",
+    rf"(?i)https?://[^?{_NOT_WS}><'\",]+",
+)
+# both meta refresh regexes and the meta robots check need this literal
+_META_TAG = r"(?i)<meta"
 
 _RE_HTML_COMMENT = re.compile(r"<!--([\s\S]+?)-->")
 _RE_SCRIPT_TAG = re.compile(r"<script(.*?)>([\s\S]*?)</script>", re.I)
@@ -94,35 +100,70 @@ _RE_META_CONTENT = re.compile(r"<meta(?:\s[^>]*)?\scontent\s*=\s*[\"']?([\w\s,]+
 _RE_NOFOLLOW = re.compile(r"nofollow", re.I)
 
 
+def _nofollow(text: str) -> bool:
+    """The document carries a meta robots tag whose content says nofollow."""
+    if not _RE_META_ROBOTS.search(text):
+        return False
+    m = _RE_META_CONTENT.search(text.lower())
+    return bool(m and _RE_NOFOLLOW.search(m.group(1)))
+
+
+def _extract(text: str, extractors: list[re.Pattern | Extractor]) -> list[str]:
+    out: list[str] = []
+    for ex in extractors:
+        if isinstance(ex, re.Pattern):
+            out.extend(ex.findall(text) if ex.groups == 0 else [m.group(0) for m in ex.finditer(text)])
+        else:
+            out.extend(ex(text))
+    return out
+
+
 def discover_resources(
-    text: str,
+    texts: list[str],
     *,
     parse_html_comments: bool = True,
     parse_script_tags: bool = True,
     respect_robots_txt: bool = True,
     extractors: Optional[list[re.Pattern | Extractor]] = None,
-) -> list[str]:
-    """Raw candidate extraction (duplicates retained; cleaning is separate)."""
+) -> list[list[str]]:
+    """Raw candidate extraction for a batch of documents: one list per
+    text, in extractor order (duplicates retained; cleaning is separate).
+
+    The default table runs its first five extractors as one Rust-regex
+    scan each over the whole batch (``_BATCH_PATTERNS``); the javascript
+    extractor, srcset (only where the literal occurs) and the meta
+    refresh and meta robots regexes (only where ``<meta`` occurs) run
+    per text.  An explicit ``extractors`` list (the reference's
+    ``discoverRegex`` override) runs per text as given."""
     if not parse_html_comments:
-        text = _RE_HTML_COMMENT.sub("", text)
+        texts = [_RE_HTML_COMMENT.sub("", t) for t in texts]
     if not parse_script_tags:
-        text = _RE_SCRIPT_TAG.sub("", text)
-    if respect_robots_txt and _RE_META_ROBOTS.search(text):
-        m = _RE_META_CONTENT.search(text.lower())
-        if m and _RE_NOFOLLOW.search(m.group(1)):
-            return []
-    skip: tuple = ()
-    if extractors is None:
-        extractors = DISCOVER_REGEX
-        skip = _unmatchable_defaults(text)
-    out: list[str] = []
-    for ex in extractors:
-        if ex in skip:
+        texts = [_RE_SCRIPT_TAG.sub("", t) for t in texts]
+    if extractors is not None:
+        return [[] if respect_robots_txt and _nofollow(t) else _extract(t, extractors)
+                for t in texts]
+    if not texts:
+        return []
+    # imported here: the process that plans the crawl imports this
+    # module but parses no document, so only the workers pay polars' ~40 MB
+    import polars as pl
+
+    col = pl.Series(texts, dtype=pl.String)
+    scans = [col.str.extract_all(p) for p in _BATCH_PATTERNS]
+    found_per_text = scans[0].list.concat(scans[1:]).to_list()
+    meta = col.str.contains(_META_TAG).to_list()
+    srcset = col.str.contains("srcset", literal=True).to_list()
+    out: list[list[str]] = []
+    for text, found, has_meta, has_srcset in zip(texts, found_per_text, meta, srcset):
+        if has_meta and respect_robots_txt and _nofollow(text):
+            out.append([])
             continue
-        if isinstance(ex, re.Pattern):
-            out.extend(ex.findall(text) if ex.groups == 0 else [m.group(0) for m in ex.finditer(text)])
-        else:
-            out.extend(ex(text))
+        found += _RE_JAVASCRIPT.findall(text)
+        if has_srcset:
+            found += _srcset_extract(text)
+        if has_meta:
+            found += _meta_refresh_1(text) + _meta_refresh_2(text)
+        out.append(found)
     return out
 
 
@@ -196,15 +237,3 @@ def _cache_abs(key, value) -> None:
     if len(_ABS_CLEAN_CACHE) > 500_000:
         _ABS_CLEAN_CACHE.clear()
     _ABS_CLEAN_CACHE[key] = value
-
-
-def discover(
-    text: str,
-    referrer_url: str = "",
-    referrer_protocol: Optional[str] = None,
-    **opts,
-) -> list[str]:
-    """discoverResources + cleanExpandResources fused (the parse-stage UDF)."""
-    return clean_expand_resources(
-        discover_resources(text, **opts), referrer_url, referrer_protocol
-    )

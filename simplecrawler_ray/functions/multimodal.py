@@ -69,6 +69,10 @@ class ImageDecodeStage:
                 # lands in decode_error, never kills the batch
                 err[i] = f"{type(e).__name__}: {e}"
                 continue
+            if not arr.size:
+                # decodes, but a zero-area image has no mean and no phash
+                err[i] = "empty image"
+                continue
             h[i], w[i] = arr.shape[:2]
             means = arr.reshape(-1, 3).mean(axis=0)
             mean_r[i], mean_g[i], mean_b[i] = map(float, means)

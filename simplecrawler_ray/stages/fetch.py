@@ -178,7 +178,10 @@ class Fetcher:
     whole batch in one call and is sent no request headers; any other
     web is asked per row through ``get(url, headers)``, sequentially or
     on ``fetch_threads`` threads.  With ``phash_fetched`` the batch's
-    image payloads decode and hash in one ``phash_blobs`` call.
+    image payloads decode and hash in one ``phash_blobs`` call.  Link
+    discovery likewise extracts every parsed row's links in one
+    ``discover_resources`` call, then resolves each row's against its
+    url.
     """
 
     def __init__(self, web_ref, config_ref, cache_ref=None):
@@ -277,6 +280,8 @@ class Fetcher:
         latency = [0] * n
         phash_rows: list[int] = []  # image rows, hashed at batch end
         images: list[bytes] = []
+        parse_rows: list[int] = []  # rows whose text is parsed at batch end
+        texts: list[str] = []
 
         prefetched = None
         get_many = getattr(self.web, "get_many", None)
@@ -417,14 +422,8 @@ class Fetcher:
                 captions[i] = text
                 image_ids[i] = url
                 if self.discover_enabled and mime_supported:
-                    raw = discover_resources(
-                        text,
-                        parse_html_comments=self.parse_html_comments,
-                        parse_script_tags=self.parse_script_tags,
-                        respect_robots_txt=self.respect_robots_txt,
-                    )
-                    proto = url.split(":", 1)[0] if ":" in url else "http"
-                    discovered[i] = clean_expand_resources(raw, url, proto)
+                    parse_rows.append(i)
+                    texts.append(text)
             elif resp.code == 304:
                 fetched[i] = True  # status stays spooled (crawler.ts:1905-1926)
                 dispositions[i] = "notmodified"
@@ -449,6 +448,20 @@ class Fetcher:
             # that does not decode leaves its row's phash null
             for i, h in zip(phash_rows, phash_blobs(images)):
                 phashes[i] = h
+
+        if parse_rows:
+            # the whole batch's links are extracted at once, then each
+            # row's are resolved against its own url
+            raws = discover_resources(
+                texts,
+                parse_html_comments=self.parse_html_comments,
+                parse_script_tags=self.parse_script_tags,
+                respect_robots_txt=self.respect_robots_txt,
+            )
+            for i, raw in zip(parse_rows, raws):
+                url = urls[i]
+                proto = url.split(":", 1)[0] if ":" in url else "http"
+                discovered[i] = clean_expand_resources(raw, url, proto)
 
         out = batch.drop_columns(
             [c for c in ("fetched", "status", "state_request_latency_ms",

@@ -4,11 +4,13 @@ Transcribed from reference test/specs/discovery.unit.spec.ts:22-189 —
 exact expected URL lists including ordering.
 """
 
+import pytest
+
 from simplecrawler_ray.discovery import discover_resources, clean_expand_resources
 
 
 def discover(text, url="", protocol=None, **opts):
-    return clean_expand_resources(discover_resources(text, **opts), url, protocol)
+    return clean_expand_resources(discover_resources([text], **opts)[0], url, protocol)
 
 
 def test_http_prefixed_urls():
@@ -251,14 +253,19 @@ def test_resolve_cache_bypassed_by_non_default_protocols():
     assert not discovery._ABS_CLEAN_CACHE
 
 
-# --- literal prefilter: the default extractor list skips the url() and
-# srcset scans on documents without those literals ---
+# --- batch scan: the default table (five extractors as one Rust-regex
+# pass each over the batch) equals the per-text ``re`` loop over the same
+# table, on texts built from the pieces where Rust and ``re`` differ ---
 
 _HTML_PIECES = ["url(", "URL(", "Url (", "uRl(", "url((", "srcset", "SRCSET",
                 " srcset=", " srcset='", "'", '"', ")", "(", " ", ",", "=",
-                "<meta", "<meta http-equiv='refresh' content='0; url=",
-                " href=", " src=", "http://a.com/x", "/p.png 2x", "x", ">",
-                "<a", "\n"]
+                "<meta", "<META", "<meta http-equiv='refresh' content='0; url=",
+                "<meta name='robots' content='nofollow'>", " href=", " src=",
+                " HREF=", "http://a.com/x", "HTTP://b.com/", "/p.png 2x", "x",
+                ">", "<a", "\n", "JavaScript:", "javascript:go('", "url(\"a'b\")",
+                "url('a\"b')", "'a\nb'", "<!--", "-->", "<script>", "</script>",
+                "\u017f", "\u0131", "\u0130", "\u212a", "\x1c", "\x1f", "\x85",
+                "\xa0", "\u2028", "\u3000", "\v"]
 
 
 def _html_like():
@@ -267,15 +274,97 @@ def _html_like():
     return st.lists(st.sampled_from(_HTML_PIECES), max_size=40).map("".join)
 
 
-def test_prefilter_matches_full_extractor_list():
+def test_batch_scan_matches_per_text_extractors():
     from hypothesis import given, settings
+    from hypothesis import strategies as st
 
     from simplecrawler_ray.discovery import DISCOVER_REGEX
 
-    @given(_html_like())
-    @settings(max_examples=500, deadline=None)
-    def check(text):
-        assert discover_resources(text) == discover_resources(
-            text, extractors=DISCOVER_REGEX)
+    opts = st.fixed_dictionaries({"parse_html_comments": st.booleans(),
+                                  "parse_script_tags": st.booleans(),
+                                  "respect_robots_txt": st.booleans()})
+
+    @given(st.lists(_html_like(), max_size=8), opts)
+    @settings(max_examples=300, deadline=None)
+    def check(texts, opts):
+        assert discover_resources(texts, **opts) == discover_resources(
+            texts, extractors=DISCOVER_REGEX, **opts)
 
     check()
+
+
+def test_batch_scan_keeps_each_text_apart():
+    texts = ["<a href='/a'>", "", "<meta name='robots' content='nofollow'>"
+             "<a href='/b'>", "url(/c) http://d.com/e"]
+    assert discover_resources(texts) == [
+        [" href='/a'"], [], [], ["url(/c)", "http://d.com/e"]]
+    assert discover_resources([]) == []
+
+
+# --- the Fetcher extracts a batch's links in one call and maps each
+# row's back: a mixed batch equals the per-row, per-text reference ---
+
+class _MixedWeb:
+    """The conformance routes plus one image+caption (corpus) page."""
+
+    def __init__(self):
+        from simplecrawler_ray.sources.web import ConformanceWeb, ScaleWeb
+
+        self.web = ConformanceWeb()
+        sw = ScaleWeb(n_pages=8, caption_words=20)
+        self.caption_url = "http://127.0.0.1:3000/corpus/3"
+        self.caption = sw.caption_of(3)
+
+    def get(self, url, request_headers=None):
+        from simplecrawler_ray.sources.web import WebResponse
+
+        if url == self.caption_url:
+            return WebResponse(200, b"\x89PNG", "image/png", {},
+                               caption=self.caption)
+        return self.web.get(url, request_headers)
+
+
+_MIXED_PATHS = ["/", "/nofollow", "/stage5", "/404", "/img/1", "/corpus/3",
+                "/css", "/script", "/stage2", "/depth/3"]
+
+
+@pytest.mark.parametrize("opts", [
+    {},
+    {"parse_script_tags": False, "parse_html_comments": False,
+     "respect_robots_txt": False},
+])
+def test_fetcher_batch_discovery_matches_per_row(opts):
+    import pyarrow as pa
+
+    from simplecrawler_ray.discovery import DISCOVER_REGEX
+    from simplecrawler_ray.stages.fetch import Fetcher
+    from simplecrawler_ray.urlnorm import process_url
+
+    rows = [process_url("http://127.0.0.1:3000" + p) for p in _MIXED_PATHS]
+    batch = pa.table({"url": [r.url for r in rows],
+                      "host": [r.host for r in rows],
+                      "path": [r.path for r in rows]})
+    out = Fetcher(_MixedWeb(), dict(opts))(batch)
+    assert out.column("disposition").to_pylist()[2:4] == ["fetchredirect",
+                                                          "fetch404"]
+    assert out.column("mime_supported").to_pylist()[4] is False
+    want = []
+    for url, status, ok, text in zip(
+            out.column("url").to_pylist(), out.column("status").to_pylist(),
+            out.column("mime_supported").to_pylist(),
+            out.column("caption").to_pylist()):
+        if status == "downloaded" and ok:
+            raw = discover_resources([text], extractors=DISCOVER_REGEX,
+                                     **opts)[0]
+            want.append(clean_expand_resources(raw, url, "http"))
+        else:
+            want.append([])
+    got = out.column("discovered").to_pylist()
+    assert got == want
+    # the nofollow page yields nothing only while robots are respected;
+    # the caption row's ring and random out-links all come through
+    assert (got[1] == []) == opts.get("respect_robots_txt", True)
+    assert len(got[5]) >= 2 and got[6] and got[8]
+
+    off = Fetcher(_MixedWeb(), {**opts, "discover": False})(batch)
+    assert off.column("discovered").to_pylist() == [[]] * len(rows)

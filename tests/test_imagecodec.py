@@ -538,6 +538,22 @@ def test_image_decode_stage_corrupt_blob_is_per_row(ray_session):
     assert out["phash_decoded"][0] != 0
 
 
+def test_image_decode_stage_zero_area_image_is_per_row():
+    """A PNG of width 0 decodes to an empty array: that row reports
+    "empty image" and the good row of the same batch is still hashed."""
+    import pyarrow as pa
+
+    from simplecrawler_ray.functions.multimodal import ImageDecodeStage
+
+    good_px = np.full((4, 4, 3), 7, np.uint8)
+    out = ImageDecodeStage()(pa.table({"bytes": pa.array(
+        [encode_png(good_px), encode_png(np.zeros((4, 0, 3), np.uint8))],
+        pa.binary())}))
+    assert out.column("decode_error").to_pylist() == ["", "empty image"]
+    assert out.column("phash_decoded").to_pylist() == [phash64(good_px), 0]
+    assert out.column("img_w").to_pylist() == [4, 0]
+
+
 def test_audio_stage_malformed_and_empty_per_row(ray_session):
     import pyarrow as pa
     import ray.data as rd

@@ -130,10 +130,11 @@ def discover_resources(
     text, in extractor order (duplicates retained; cleaning is separate).
 
     The default table runs its first five extractors as one Rust-regex
-    scan each over the whole batch (``_BATCH_PATTERNS``); the javascript
-    extractor, srcset (only where the literal occurs) and the meta
-    refresh and meta robots regexes (only where ``<meta`` occurs) run
-    per text.  An explicit ``extractors`` list (the reference's
+    scan each over the whole batch (``_BATCH_PATTERNS``), in one polars
+    ``select`` with their concat and the ``<meta``/srcset masks; the
+    javascript extractor, srcset (only where the literal occurs) and the
+    meta refresh and meta robots regexes (only where ``<meta`` occurs)
+    run per text.  An explicit ``extractors`` list (the reference's
     ``discoverRegex`` override) runs per text as given."""
     if not parse_html_comments:
         texts = [_RE_HTML_COMMENT.sub("", t) for t in texts]
@@ -148,13 +149,15 @@ def discover_resources(
     # module but parses no document, so only the workers pay polars' ~40 MB
     import polars as pl
 
-    col = pl.Series(texts, dtype=pl.String)
-    scans = [col.str.extract_all(p) for p in _BATCH_PATTERNS]
-    found_per_text = scans[0].list.concat(scans[1:]).to_list()
-    meta = col.str.contains(_META_TAG).to_list()
-    srcset = col.str.contains("srcset", literal=True).to_list()
+    # one select: the scans, their concat and both masks in one collect
+    t = pl.col("t")
+    scan = pl.DataFrame({"t": texts}, schema={"t": pl.String}).select(
+        pl.concat_list([t.str.extract_all(p) for p in _BATCH_PATTERNS]),
+        t.str.contains(_META_TAG).alias("meta"),
+        t.str.contains("srcset", literal=True).alias("srcset"))
     out: list[list[str]] = []
-    for text, found, has_meta, has_srcset in zip(texts, found_per_text, meta, srcset):
+    for text, found, has_meta, has_srcset in zip(
+            texts, *(c.to_list() for c in scan.get_columns())):
         if has_meta and respect_robots_txt and _nofollow(text):
             out.append([])
             continue

@@ -21,10 +21,11 @@ Scale design notes (100 TB / 10^10-URL target):
 * fetch+parse co-located: bodies never cross stage boundaries;
 * dedup state: hash-sharded actors (state/seen.py), NOT a driver set;
 * frontier: queued rows live in the object store as host-bucketed
-  parts (`_DatasetFrontier`); the driver holds one ``Part`` record per
-  part (ref, row count, seq range, part-file location), plus per-round
-  object refs of fetched blocks — payloads live in the object store /
-  parquet checkpoints;
+  parts, each one Arrow IPC buffer (`_DatasetFrontier`, ``_pack``),
+  and wave batches travel packed too; the driver holds one ``Part``
+  record per part (ref, row count, seq range, part-file location),
+  plus per-round object refs of fetched blocks — payloads live in the
+  object store / parquet checkpoints;
 * per-round checkpoint, one format for both loops, each byte written
   once: write-once parquet part files (batch tasks write their own
   admitted rows), a seen base + url_hash delta, and a per-round
@@ -78,6 +79,21 @@ _FETCHED_ORDER = ([f.name for f in FRONTIER_SCHEMA]
                   + [name for name, _ in _PAYLOAD] + ["phash"])
 
 
+def _pack(t: pa.Table) -> pa.Buffer:
+    """Frontier rows as one Arrow IPC stream buffer: the wire format of
+    every frontier crossing (see ``_DatasetFrontier``).  Writes only a
+    sliced table's own range."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue()
+
+
+def _unpack(buf: pa.Buffer) -> pa.Table:
+    """The rows ``_pack`` wrote, zero-copy over ``buf``."""
+    return pa.ipc.open_stream(buf).read_all()
+
+
 def _normalize_fetched(t: pa.Table) -> pa.Table:
     cols = [c for c in _FETCHED_ORDER if c in t.column_names]
     return t.select(cols)
@@ -98,21 +114,21 @@ def _disallowed_rows(rows: pa.Table) -> pa.Table:
 
 
 @ray.remote(num_returns=2)
-def _fetch_batch(batch: pa.Table, kw: dict, hook, first_url: Optional[str]):
-    """One ``run()`` batch, one task: fetch with the worker's cached
-    ``Fetcher`` (``kw`` holds the web, config and cache-index refs,
-    nested so the worker cache keys on them), explode the discovered
-    links and add the redirect targets (``redirect_candidates``, whose
-    first-request outcome rides in the counters), and run the batched
-    fetch-complete ``hook`` (§2.10 manual discovery) on the downloaded
-    rows in seq order.  Returns the normalized fetched block (a
-    driver-owned return the driver keeps as a terminal ref and never
-    pulls) and ``(raw candidates, hook candidates, counters, cache
-    entries)``; the cache entries, ``{url: (etag, last-modified)}``, are
-    built only with a ``cache_ref``."""
+def _fetch_batch(batch: pa.Buffer, kw: dict, hook, first_url: Optional[str]):
+    """One ``run()`` batch (``_pack``ed rows), one task: fetch with the
+    worker's cached ``Fetcher`` (``kw`` holds the web, config and
+    cache-index refs, nested so the worker cache keys on them), explode
+    the discovered links and add the redirect targets
+    (``redirect_candidates``, whose first-request outcome rides in the
+    counters), and run the batched fetch-complete ``hook`` (§2.10 manual
+    discovery) on the downloaded rows in seq order.  Returns the
+    normalized fetched block (a driver-owned return the driver keeps as
+    a terminal ref and never pulls) and ``(raw candidates, hook
+    candidates, counters, cache entries)``; the cache entries, ``{url:
+    (etag, last-modified)}``, are built only with a ``cache_ref``."""
     fetcher = worker_fetcher(kw["web_ref"], kw["cfg_ref"], kw["cache_ref"])
     cfg = fetcher.cfg
-    fetched = fetcher(batch)
+    fetched = fetcher(_unpack(batch))
     counters = fetch_counters(fetched, cfg["discover"])
     raw = explode_discovered(fetched, cfg["max_depth"])
     redirs, first = redirect_candidates(fetched, cfg, first_url)
@@ -154,13 +170,17 @@ def _process_candidates(raw: pa.Table, refs: list) -> pa.Table:
 
 
 @ray.remote
-def _write_checkpoint(parts_dir: str, files: list, *parts: pa.Table) -> list:
+def _write_checkpoint(parts_dir: str, files: list, packed: int,
+                      *parts) -> list:
     """Worker-side write of a round's checkpoint rows that no batch task
     wrote: ``files`` lists ``(file name, n_parts)``, ``parts`` the files'
     parts in that order, as top-level arguments so Ray resolves them
     before the task starts (no blocking ``ray.get`` in the worker;
-    payloads never transit the driver).  Each file holds its parts
-    concatenated in order.  Returns ``(rows, bytes)`` per file."""
+    payloads never transit the driver).  The first ``packed`` parts are
+    frontier rows (``_pack``ed), the rest terminal tables.  Each file
+    holds its parts concatenated in order.  Returns ``(rows, bytes)``
+    per file."""
+    parts = [_unpack(p) for p in parts[:packed]] + list(parts[packed:])
     out, k = [], 0
     for name, n in files:
         chunk, k = parts[k:k + n], k + n
@@ -197,6 +217,27 @@ def _row_hook_adapter(hook):
                                 parent_seq=row["seq"], pos=0))
         return out
     return batch_hook
+
+
+def _distinct(t: pa.Table, cols: tuple) -> tuple[list, np.ndarray]:
+    """The distinct value tuples of ``t``'s ``cols``, in first-occurrence
+    order, and each row's index into them: one dictionary encoding per
+    column, Python only per distinct tuple."""
+    code = np.zeros(t.num_rows, dtype=np.int64)
+    dicts, idx = [], []
+    for c in cols:
+        enc = pc.dictionary_encode(t.column(c).combine_chunks(),
+                                   null_encoding="encode")
+        dicts.append(enc.dictionary.to_pylist())
+        idx.append(enc.indices.to_numpy())
+        code = code * len(dicts[-1]) + idx[-1]
+    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    rows = first[order]
+    return ([tuple(d[i[r]] for d, i in zip(dicts, idx)) for r in rows],
+            rank[inv])
 
 
 def _robots_schemes(hklist: list, protocols: list) -> dict:
@@ -281,22 +322,25 @@ def _prune_checkpoint(ckpt: str, manifest: dict) -> None:
 
 
 @ray.remote
-def _turbo_batch(batch: pa.Table, kw: dict, n_buckets: int,
+def _turbo_batch(batch: pa.Buffer, kw: dict, n_buckets: int,
                  part_file: Optional[str] = None):
-    """One turbo batch, one task: ``turbo_round_udf`` (looked up through
-    its module at call time, so a wrapper installed there sees every
-    call), then its admitted rows split by host bucket.  With
-    ``part_file`` (``checkpoint_dir/parts/r<round>-b<batch>.parquet``:
+    """One turbo batch (``_pack``ed rows), one task: ``turbo_round_udf``
+    (looked up through its module at call time, so a wrapper installed
+    there sees every call), then its admitted rows split by host bucket.
+    With ``part_file`` (``checkpoint_dir/parts/r<round>-b<batch>.parquet``:
     named by batch, so a Ray retry overwrites it) the admitted rows are
     written there once, bucket parts concatenated in bucket order.  Run
     with ``num_returns = 1 + n_buckets``: the first return is
     ``(counters, part_bytes, {bucket: Part without its ref})``
     (``part_bytes`` is the part file's size, 0 when none was written),
-    then one table per bucket, None when the bucket is empty.  Every
-    return is OWNED BY THE DRIVER: a worker-side ``ray.put`` would
-    leave it owned by a transient worker, and an idle-worker reap would
-    drop queued rows with OwnerDiedError."""
-    rows, counters = _turbo.turbo_round_udf(batch, **kw)
+    then one ``_pack``ed bucket part per bucket, None when the bucket is
+    empty.  Packed, a part crosses Ray as one IPC buffer (some 70 µs to
+    write, serialize and read) instead of through Ray's ``pa.Table``
+    reducer (about 1 ms per 22-column part; see ``_DatasetFrontier``).
+    Every return is OWNED BY THE DRIVER: a worker-side
+    ``ray.put`` would leave it owned by a transient worker, and an
+    idle-worker reap would drop queued rows with OwnerDiedError."""
+    rows, counters = _turbo.turbo_round_udf(_unpack(batch), **kw)
     split = _split_by_bucket(rows, n_buckets)
     name, nbytes = None, 0
     if part_file and split:
@@ -309,7 +353,8 @@ def _turbo_batch(batch: pa.Table, kw: dict, n_buckets: int,
         parts[b] = Part.of(t, file=name, offset=off)
         off += t.num_rows
     return ((counters, nbytes, parts),
-            *(split.get(b) for b in range(n_buckets)))
+            *(_pack(split[b]) if b in split else None
+              for b in range(n_buckets)))
 
 
 def _patch_row(t: pa.Table, idx: int, flat: dict) -> tuple[pa.Table, dict]:
@@ -331,20 +376,22 @@ def _patch_row(t: pa.Table, idx: int, flat: dict) -> tuple[pa.Table, dict]:
 
 
 @ray.remote(num_returns=3)
-def _update_frontier_block(block, seq: int, flat: dict):
+def _update_frontier_block(block: pa.Buffer, seq: int, flat: dict):
     """Worker-side point update (J3 / src/queue.ts:157-174) of one
-    frontier block: if the block holds ``seq``, rewrite the row and
-    return (True, new_block, row_dict); else (False, None, None).  The
-    driver swaps the block ref — rows never transit the driver."""
+    ``_pack``ed frontier block: if the block holds ``seq``, rewrite the
+    row and return (True, packed new block, row_dict); else (False,
+    None, None).  The driver swaps the block ref — rows never transit
+    the driver."""
+    block = _unpack(block)
     idx = pc.index(block.column("seq"), pa.scalar(seq)).as_py()
     if idx is None or idx < 0:
         return False, None, None
     t, row = _patch_row(block, idx, flat)
-    return True, t, row
+    return True, _pack(t), row
 
 
 @ray.remote(num_returns=3)
-def _bucket_cut(budget: int, cutoff: "int | None", *parts: pa.Table):
+def _bucket_cut(budget: int, cutoff: "int | None", *parts: pa.Buffer):
     """Worker-side cut of ONE host bucket: the oldest ``budget`` rows
     per host (0 = no per-host cap) with ``seq <= cutoff`` (None = no
     seq cap).  All of a host's rows live in exactly one bucket (rows
@@ -353,12 +400,12 @@ def _bucket_cut(budget: int, cutoff: "int | None", *parts: pa.Table):
     resolves them before the task starts, so the worker never blocks in
     ``ray.get`` (a blocked worker hands its CPU back and the raylet may
     start a spare worker for it).  Returns (wave, remainder, the
-    remainder's ``Part`` without its ref, or None when it is empty); the
-    remainder is a task return, so its ref is owned by the driver,
-    which never pulls it."""
-    tables = [t for t in parts if t.num_rows]
+    remainder's ``Part`` without its ref, or None when it is empty),
+    wave and remainder ``_pack``ed; the remainder is a task return, so
+    its ref is owned by the driver, which never pulls it."""
+    tables = [t for t in map(_unpack, parts) if t.num_rows]
     if not tables:
-        empty = FRONTIER_SCHEMA.empty_table()
+        empty = _pack(FRONTIER_SCHEMA.empty_table())
         return empty, empty, None
     t = pa.concat_tables(tables, promote_options="default")
     t = t.take(pc.sort_indices(t, sort_keys=[("seq", "ascending")]))
@@ -371,13 +418,15 @@ def _bucket_cut(budget: int, cutoff: "int | None", *parts: pa.Table):
     take = pa.array(take)
     wave = t.filter(take)
     rem = t.filter(pc.invert(take))
-    return wave, rem, Part.of(rem) if rem.num_rows else None
+    return _pack(wave), _pack(rem), Part.of(rem) if rem.num_rows else None
 
 
 @ray.remote
-def _head_seqs(w: int, *parts: pa.Table) -> np.ndarray:
-    """The ``w`` smallest seqs of one bucket's parts (thin: int64 only)."""
-    seqs = [t.column("seq").to_numpy() for t in parts if t.num_rows]
+def _head_seqs(w: int, *parts: pa.Buffer) -> np.ndarray:
+    """The ``w`` smallest seqs of one bucket's ``_pack``ed parts (thin:
+    int64 only)."""
+    seqs = [t.column("seq").to_numpy() for t in map(_unpack, parts)
+            if t.num_rows]
     return np.sort(np.concatenate(seqs))[:w] if seqs else np.zeros(0, np.int64)
 
 
@@ -395,7 +444,14 @@ class _DatasetFrontier:
     spill from — the Ray object store.  Every dequeue keeps that
     layout (``dequeue``): a host's rows never leave their bucket, so
     no cut needs a global shuffle, and remainders stay in their buckets
-    as driver-owned refs that are never gathered."""
+    as driver-owned refs that are never gathered.
+
+    Every part ref points to an Arrow IPC stream buffer (``_pack``), and
+    every task that reads parts ``_unpack``s them.  Ray's own
+    ``pa.Table`` reducer walks each column and chunk: it took about 1 ms
+    to serialize a 22-column frontier part of 30 or of 512 rows, where
+    the IPC stream took 21–29 µs to write, 30 µs to read and 15 µs to
+    serialize as one buffer (1-CPU VM, ``BENCH_wire.json``)."""
 
     def __init__(self, n_buckets: int = 16):
         self.n_buckets = n_buckets
@@ -407,7 +463,7 @@ class _DatasetFrontier:
 
     def add_table(self, t: pa.Table) -> None:
         for b, part in _split_by_bucket(t, self.n_buckets).items():
-            self.buckets[b].append(Part.of(part, ray.put(part)))
+            self.buckets[b].append(Part.of(part, ray.put(_pack(part))))
 
     def dequeue(self, budget: int, cap: int) -> pa.Table:
         """Politeness dequeue, seq-sorted: the oldest ``budget`` rows per
@@ -448,7 +504,8 @@ class _DatasetFrontier:
             self.buckets[b] = keep
             if cut:
                 cuts[b] = _bucket_cut.remote(budget, cutoff, *cut)
-        tables = ray.get(direct + [c[0] for c in cuts.values()])
+        tables = [_unpack(buf) for buf in
+                  ray.get(direct + [c[0] for c in cuts.values()])]
         for (b, c), rem in zip(cuts.items(),
                                ray.get([c[2] for c in cuts.values()])):
             if rem is not None:
@@ -469,7 +526,7 @@ class _DatasetFrontier:
         if not refs:
             return FRONTIER_SCHEMA.empty_table()
         return pa.concat_tables(
-            [t for t in ray.get(refs) if t.num_rows],
+            [t for t in map(_unpack, ray.get(refs)) if t.num_rows],
             promote_options="default")
 
 DEFAULT_CONFIG = dict(
@@ -870,10 +927,9 @@ class CrawlEngine:
             cands, sort_keys=[("parent_seq", "ascending"), ("pos", "ascending")]
         )
         cands = cands.take(order)
-        reasons = cands.column("reject_reason").to_pylist()
-        for r in reasons:
-            if r:
-                self._count(r)
+        for e in pc.value_counts(cands.column("reject_reason")).to_pylist():
+            if e["values"]:
+                self._count(e["values"], int(e["counts"]))
         keep = pc.equal(cands.column("reject_reason"), "")
         cands = cands.filter(keep)
         if cands.num_rows == 0:
@@ -996,18 +1052,20 @@ class CrawlEngine:
         terminal records (`_disallowed_rows`).  Returns the allowed
         wave."""
         # robots keys match CandidateProcessor: "host:port" built from the
-        # frontier columns (NOT host_key(), which expects a full URL)
-        hks = [f"{h}:{p or ''}"
-               for h, p in zip(wave.column("host").to_pylist(),
-                               wave.column("port").to_pylist())]
+        # frontier columns (NOT host_key(), which expects a full URL),
+        # once per distinct (host, port)
+        pairs, inv = _distinct(wave, ("host", "port"))
+        hks = [f"{h}:{p or ''}" for h, p in pairs]
         hosts = set(hks)
         if hosts - self.robots_cache.keys():
             # pass the FULL wave host set: _fetch_robots only fetches new
             # hosts, but its cache eviction keeps `k in hosts` — passing
             # just the new ones could evict a current-wave host's rules,
             # and the recheck below would treat it as allowed
-            sitemaps = self._fetch_robots(
-                hosts, _robots_schemes(hks, wave.column("protocol").to_pylist()))
+            triples, _ = _distinct(wave, ("host", "port", "protocol"))
+            sitemaps = self._fetch_robots(hosts, _robots_schemes(
+                [f"{h}:{p or ''}" for h, p, _ in triples],
+                [proto for _, _, proto in triples]))
             if sitemaps is not None:
                 proc = CandidateProcessor(self.cfg, self.robots_cache)
                 self._admit_candidates(proc(sitemaps))
@@ -1018,9 +1076,14 @@ class CrawlEngine:
                   and (r._rules or r.error)}
         if not active:
             return wave
-        allowed = pa.array([
-            hk not in active or self.robots_cache[hk].is_allowed(u)
-            for hk, u in zip(hks, wave.column("url").to_pylist())])
+        rules = [self.robots_cache[hk] if hk in active else None
+                 for hk in hks]
+        rows = np.flatnonzero(np.array([r is not None for r in rules])[inv])
+        allowed = np.ones(wave.num_rows, dtype=bool)
+        allowed[rows] = [
+            rules[inv[i]].is_allowed(u)
+            for i, u in zip(rows, wave.column("url").take(rows).to_pylist())]
+        allowed = pa.array(allowed)
         disallowed = wave.filter(pc.invert(allowed))
         if disallowed.num_rows:
             self._count("fetchdisallowed", disallowed.num_rows)
@@ -1078,7 +1141,7 @@ class CrawlEngine:
         refs: list = []
 
         def submit(i: int):
-            refs.append(_fetch_batch.remote(batches[i], kw,
+            refs.append(_fetch_batch.remote(_pack(batches[i]), kw,
                                             self._batch_hook_ref,
                                             self.first_url))
             return refs[-1][1]
@@ -1195,7 +1258,7 @@ class CrawlEngine:
             part_file = (os.path.join(
                 parts_dir, f"r{self.round_no:05d}-b{i:05d}.parquet")
                 if parts_dir else None)
-            refs[i] = task.remote(batches[i], dict(kw, batch_no=i), nb,
+            refs[i] = task.remote(_pack(batches[i]), dict(kw, batch_no=i), nb,
                                   part_file)
             return refs[i][0]
 
@@ -1307,7 +1370,7 @@ class CrawlEngine:
                  for i, p in enumerate(ps) if p.file is None]
         tables = [buckets[b][i].ref for b, i in fresh]
         if self._round_new is not None and self._round_new.num_rows:
-            tables.append(self._round_new)
+            tables.append(_pack(self._round_new))
         names = [f"{tag}-fetched-{k:05d}.parquet"
                  for k in range(self._ckpt_terminal, len(self.terminal_refs))]
         files = [(n, 1) for n in names]
@@ -1319,7 +1382,8 @@ class CrawlEngine:
         parts_dir = os.path.join(ckpt, "parts")
         os.makedirs(parts_dir, exist_ok=True)
         written = ray.get(_write_checkpoint.remote(
-            parts_dir, files, *tables, *self.terminal_refs[self._ckpt_terminal:]))
+            parts_dir, files, len(tables), *tables,
+            *self.terminal_refs[self._ckpt_terminal:]))
         if tables:
             (rows, nbytes), written = written[0], written[1:]
             self._files[files[0][0]] = (self.round_no, rows, nbytes)
@@ -1419,7 +1483,8 @@ class CrawlEngine:
 
         for b, name, off, n, smin, smax in man["live"]:
             eng._frontier.buckets[b].append(Part(
-                ray.put(part(name).slice(off, n)), n, smin, smax, name, off))
+                ray.put(_pack(part(name).slice(off, n))), n, smin, smax, name,
+                off))
         eng._files = {f: tuple(v) for f, v in man["files"].items()}
         eng._terminal_files = list(man["terminal"])
         eng.terminal_refs = [ray.put(pq.read_table(os.path.join(parts_dir, f)))

@@ -17,7 +17,8 @@ import pytest
 import ray
 
 from simplecrawler_ray.pipelines.crawl import (CrawlEngine, CrawlResult,
-                                               _turbo_batch, sink_dataset)
+                                               _pack, _turbo_batch, _unpack,
+                                               sink_dataset)
 from simplecrawler_ray.sources.web import ConformanceWeb, ScaleWeb
 from simplecrawler_ray.state.seen import SeenSet
 
@@ -250,7 +251,7 @@ def test_turbo_batch_retry_overwrites_its_checkpoint_part(tmp_path):
         kw = dict(web_ref=sw, cfg_ref=eng.cfg, robots_ref={},
                   seen_shards=seen.shards, round_no=0, sink_dir=None,
                   batch_no=3)
-        refs = task.remote(batch, kw, nb, part_file)
+        refs = task.remote(_pack(batch), kw, nb, part_file)
         counters, nbytes, parts = ray.get(refs[0])
         tables = ray.get(refs[1:])
         assert nbytes == os.path.getsize(part_file)
@@ -260,11 +261,11 @@ def test_turbo_batch_retry_overwrites_its_checkpoint_part(tmp_path):
     assert [b for b, tb in enumerate(tables) if tb is not None] == list(parts)
     for b, p in parts.items():
         assert p.ref is None and p.file == "r00000-b00003.parquet"
-        assert t.slice(p.offset, p.rows).equals(tables[b])
+        assert t.slice(p.offset, p.rows).equals(_unpack(tables[b]))
 
     # the same batch again on the same seen set: every out-link is seen
     admitted = counters["queueadd"]
-    refs = task.remote(batch, dict(kw, batch_no=4), nb,
+    refs = task.remote(_pack(batch), dict(kw, batch_no=4), nb,
                        str(parts_dir / "r00000-b00004.parquet"))
     counters, nbytes, parts = ray.get(refs[0])
     tables = ray.get(refs[1:])
@@ -293,16 +294,17 @@ def test_part_files_read_back_equal(tmp_path):
             eng.run(max_rounds=1)
         else:
             eng.run_turbo(str(tmp_path / "sink"), max_rounds=1)
-        written = [(p.file, p.offset, p.rows, p.ref)
+        # frontier parts are packed, terminal refs are tables
+        written = [(p.file, p.offset, p.rows, _unpack(ray.get(p.ref)))
                    for ps in eng._frontier.buckets for p in ps]
-        written += [(f, 0, None, r) for f, r in zip(eng._terminal_files,
-                                                    eng.terminal_refs)]
-        for name, off, n, ref in written:
+        written += [(f, 0, None, ray.get(r)) for f, r in zip(
+            eng._terminal_files, eng.terminal_refs)]
+        for name, off, n, rows in written:
             path = os.path.join(ck, "parts", name)
             assert b"ARROW:schema" not in (pq.read_metadata(path).metadata
                                            or {})
             assert pq.read_table(path).slice(off, n).equals(
-                ray.get(ref), check_metadata=True)
+                rows, check_metadata=True)
             kinds.add(re.match(r"r\d+-(b|queued|fetched)", name).group(1))
         eng.seen.shutdown()
     assert kinds == {"b", "queued", "fetched"}

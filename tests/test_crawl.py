@@ -78,6 +78,61 @@ def test_cross_host_robots(web):
     eng.seen.shutdown()
 
 
+def test_robots_recheck_keys_each_distinct_host_once():
+    """The robots recheck builds one ``host:port`` key per distinct
+    (host, port) and gives each row the verdict of its own host's rules;
+    the robots fetch scheme of a host seen over both http and https is
+    https, whatever the row order."""
+    import pyarrow as pa
+    import ray
+
+    from simplecrawler_ray.pipelines.crawl import _distinct
+    from simplecrawler_ray.robots import RobotsRules
+    from simplecrawler_ray.schemas import FRONTIER_SCHEMA
+
+    specs = [("a.test", None, "http", "/x"),
+             ("b.test", 81, "http", "/no/1"),
+             ("a.test", None, "https", "/no/2"),
+             ("b.test", None, "http", "/no"),
+             ("b.test", 81, "https", "/ok"),
+             ("c.test", None, "http", "/no/3"),
+             ("a.test", None, "http", "/no/4"),
+             (None, None, "http", "/")]
+    wave = pa.Table.from_pylist(
+        [dict(seq=i, url=f"{pr}://{h}{':' + str(p) if p else ''}{path}",
+              host=h, port=p, protocol=pr, path=path, depth=0, fetched=False)
+         for i, (h, p, pr, path) in enumerate(specs)], schema=FRONTIER_SCHEMA)
+    pairs, inv = _distinct(wave, ("host", "port"))
+    assert pairs == [("a.test", None), ("b.test", 81), ("b.test", None),
+                     ("c.test", None), (None, None)]
+    assert list(inv) == [0, 1, 0, 2, 1, 3, 0, 4]
+
+    sw = ScaleWeb(n_pages=10, n_hosts=2, out_degree=0)
+    eng = CrawlEngine(sw, sw.url_of(0), seen_shards=1)
+    no = RobotsRules.parse("http://x/robots.txt",
+                           "User-agent: *\nDisallow: /no\n")
+    eng.robots_cache = {"a.test:": no, "b.test:81": no, "b.test:": no,
+                        "None:": RobotsRules("http://x/robots.txt")}
+    asked = {}
+
+    def fetch(hosts, schemes=None):
+        asked.update(hosts=hosts, schemes=schemes)
+        eng.robots_cache["c.test:"] = RobotsRules("http://c/robots.txt")
+
+    eng._fetch_robots = fetch
+    kept = eng._robots_recheck(wave)
+    eng.seen.shutdown()
+    assert asked["hosts"] == {"a.test:", "b.test:81", "b.test:", "c.test:",
+                              "None:"}
+    assert asked["schemes"] == {"a.test:": "https", "b.test:81": "https",
+                                "b.test:": "http", "c.test:": "http",
+                                "None:": "http"}
+    assert kept.column("seq").to_pylist() == [0, 4, 5, 7]
+    assert eng.metrics["fetchdisallowed"] == 4
+    assert ray.get(eng.terminal_refs[-1]).column("seq").to_pylist() == [
+        1, 2, 3, 6]
+
+
 def test_robots_redirect_to_other_domain(web):
     eng, res = run(web, "http://127.0.0.1:3002/", filter_by_domain=False)
     assert any("redirected to a disallowed domain" in e for e in res.robots_errors)
@@ -1061,7 +1116,7 @@ def test_dataset_frontier_wave_cut_keeps_buckets():
     correct seq range (the store never loses bucket identity)."""
     import ray
 
-    from simplecrawler_ray.pipelines.crawl import _host_bucket
+    from simplecrawler_ray.pipelines.crawl import _host_bucket, _unpack
 
     eng = _seeded_dataset_engine(n_pages=60, n_hosts=6, max_wave_rows=13)
     fr = eng._frontier
@@ -1071,7 +1126,8 @@ def test_dataset_frontier_wave_cut_keeps_buckets():
         assert 0 < wave.num_rows <= 13
         taken.extend(wave.column("seq").to_pylist())
         for b, parts in enumerate(fr.buckets):
-            for t, p in zip(ray.get([p.ref for p in parts]), parts):
+            for t, p in zip(map(_unpack, ray.get([p.ref for p in parts])),
+                            parts):
                 assert t.num_rows == p.rows
                 seqs = t.column("seq").to_pylist()
                 assert (min(seqs), max(seqs)) == (p.seq_min, p.seq_max)
@@ -1079,6 +1135,92 @@ def test_dataset_frontier_wave_cut_keeps_buckets():
                         for h in t.column("host").to_pylist()} == {b}
     assert taken == list(range(60))  # FIFO across rounds, nothing lost
     eng.seen.shutdown()
+
+
+def test_pack_round_trip():
+    """Frontier rows cross Ray as Arrow IPC stream buffers: an empty
+    table, nulls, a multi-chunk table and a slice all come back equal,
+    and a slice packs only its own rows, not the buffers it views."""
+    import pyarrow as pa
+
+    from simplecrawler_ray.pipelines.crawl import _pack, _unpack
+    from simplecrawler_ray.schemas import FRONTIER_SCHEMA
+
+    empty = FRONTIER_SCHEMA.empty_table()
+    assert _unpack(_pack(empty)).equals(empty, check_metadata=True)
+    t = pa.Table.from_pylist(
+        [dict(seq=i, url=f"http://h{i % 5}.test/p{i}", host=f"h{i % 5}.test",
+              port=None if i % 3 else 8080, depth=i % 4, fetched=False,
+              referrer=None if i % 2 else f"http://h0.test/r{i}")
+         for i in range(1000)], schema=FRONTIER_SCHEMA)
+    assert t.column("port").null_count and t.column("status").null_count
+    assert _unpack(_pack(t)).equals(t, check_metadata=True)
+    multi = pa.concat_tables([t.slice(0, 300), t.slice(300, 400),
+                              t.slice(700)])
+    assert multi.column("url").num_chunks == 3
+    assert _unpack(_pack(multi)).equals(multi, check_metadata=True)
+    sl = t.slice(500, 50)
+    packed = _pack(sl)
+    assert _unpack(packed).equals(sl, check_metadata=True)
+    fresh = _pack(pa.Table.from_pylist(sl.to_pylist(), schema=sl.schema))
+    assert packed.size <= 1.1 * fresh.size < _pack(t).size
+
+
+def _assert_parts_packed(fr):
+    """Every bucket ref of ``fr`` unpacks to rows that match its ``Part``:
+    row count, seq range and bucket."""
+    import pyarrow.compute as pc
+    import ray
+
+    from simplecrawler_ray.pipelines.crawl import _host_bucket, _unpack
+
+    assert fr.num_rows > 0
+    for b, parts in enumerate(fr.buckets):
+        for buf, p in zip(ray.get([p.ref for p in parts]), parts):
+            t = _unpack(buf)
+            seq = t.column("seq")
+            assert t.num_rows == p.rows > 0
+            assert (pc.min(seq).as_py(), pc.max(seq).as_py()) == (
+                p.seq_min, p.seq_max)
+            assert {_host_bucket(h, fr.n_buckets)
+                    for h in t.column("host").to_pylist()} == {b}
+
+
+def test_every_bucket_ref_is_a_packed_part(tmp_path):
+    """The store invariant: after ``seed_frontier``, a turbo round under a
+    ``max_wave_rows`` cut, one under a ``host_budget_per_round`` cut,
+    ``update_queued`` and ``resume``, every bucket ref points to packed
+    rows that match its ``Part``."""
+    import pyarrow.compute as pc
+
+    sw = ScaleWeb(n_pages=120, n_hosts=6, out_degree=3)
+    ck, sink = str(tmp_path / "ck"), str(tmp_path / "sink")
+    opts = dict(filter_by_domain=False, seen_shards=1, store_body=False,
+                batch_size=8)
+    eng = CrawlEngine(sw, sw.url_of(0), checkpoint_dir=ck, **opts)
+    eng.seed_frontier([sw.url_of(i) for i in range(0, 120, 5)])
+    _assert_parts_packed(eng._frontier)
+    eng.cfg["max_wave_rows"] = 7
+    eng.run_turbo(sink, max_rounds=1)
+    assert eng.metrics["fetchstart"] == 7
+    _assert_parts_packed(eng._frontier)
+    eng.cfg.update(max_wave_rows=0, host_budget_per_round=1)
+    eng.run_turbo(sink, max_rounds=2)
+    assert eng.round_no == 2
+    _assert_parts_packed(eng._frontier)
+    queued = eng.queued_table()
+    seq = queued.column("seq")[3].as_py()
+    assert eng.update_queued(seq, {"depth": 9})["depth"] == 9
+    _assert_parts_packed(eng._frontier)
+    after = eng.queued_table()
+    assert after.filter(pc.equal(after.column("seq"), seq)).column(
+        "depth").to_pylist() == [9]
+    eng.seen.shutdown()
+    eng2 = CrawlEngine.resume(sw, sw.url_of(0), ck, sink_dir=sink, **opts)
+    _assert_parts_packed(eng2._frontier)
+    assert sorted(eng2.queued_table().column("seq").to_pylist()) == sorted(
+        queued.column("seq").to_pylist())
+    eng2.seen.shutdown()
 
 
 def test_dataset_checkpoint_lists_every_queued_row_once(tmp_path):
@@ -1423,7 +1565,7 @@ def test_turbo_batch_retry_overwrites_its_sink_part(tmp_path):
     import pyarrow.parquet as pq
     import ray
 
-    from simplecrawler_ray.pipelines.crawl import _turbo_batch
+    from simplecrawler_ray.pipelines.crawl import _pack, _turbo_batch
 
     sw = ScaleWeb(n_pages=40, n_hosts=4, out_degree=3)
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=1,
@@ -1436,7 +1578,8 @@ def test_turbo_batch_retry_overwrites_its_sink_part(tmp_path):
               batch_no=3)
     nb = eng._frontier.n_buckets
     for _ in range(2):
-        refs = _turbo_batch.options(num_returns=1 + nb).remote(batch, kw, nb)
+        refs = _turbo_batch.options(num_returns=1 + nb).remote(
+            _pack(batch), kw, nb)
         counters, _nbytes, _parts = ray.get(refs[0])
         assert counters["fetchstart"] == 10
     eng.seen.shutdown()

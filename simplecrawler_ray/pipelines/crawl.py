@@ -220,9 +220,9 @@ def _row_hook_adapter(hook):
 
 
 def _distinct(t: pa.Table, cols: tuple) -> tuple[list, np.ndarray]:
-    """The distinct value tuples of ``t``'s ``cols``, in first-occurrence
-    order, and each row's index into them: one dictionary encoding per
-    column, Python only per distinct tuple."""
+    """The distinct value tuples of ``t``'s ``cols`` and each row's index
+    into them: one dictionary encoding per column, Python only per
+    distinct tuple."""
     code = np.zeros(t.num_rows, dtype=np.int64)
     dicts, idx = [], []
     for c in cols:
@@ -232,12 +232,7 @@ def _distinct(t: pa.Table, cols: tuple) -> tuple[list, np.ndarray]:
         idx.append(enc.indices.to_numpy())
         code = code * len(dicts[-1]) + idx[-1]
     _, first, inv = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    rows = first[order]
-    return ([tuple(d[i[r]] for d, i in zip(dicts, idx)) for r in rows],
-            rank[inv])
+    return [tuple(d[i[r]] for d, i in zip(dicts, idx)) for r in first], inv
 
 
 def _robots_schemes(hklist: list, protocols: list) -> dict:
@@ -1053,19 +1048,18 @@ class CrawlEngine:
         wave."""
         # robots keys match CandidateProcessor: "host:port" built from the
         # frontier columns (NOT host_key(), which expects a full URL),
-        # once per distinct (host, port)
-        pairs, inv = _distinct(wave, ("host", "port"))
-        hks = [f"{h}:{p or ''}" for h, p in pairs]
+        # once per distinct (host, port, protocol); a key repeats when
+        # its host is seen over both schemes
+        triples, inv = _distinct(wave, ("host", "port", "protocol"))
+        hks = [f"{h}:{p or ''}" for h, p, _ in triples]
         hosts = set(hks)
         if hosts - self.robots_cache.keys():
             # pass the FULL wave host set: _fetch_robots only fetches new
             # hosts, but its cache eviction keeps `k in hosts` — passing
             # just the new ones could evict a current-wave host's rules,
             # and the recheck below would treat it as allowed
-            triples, _ = _distinct(wave, ("host", "port", "protocol"))
             sitemaps = self._fetch_robots(hosts, _robots_schemes(
-                [f"{h}:{p or ''}" for h, p, _ in triples],
-                [proto for _, _, proto in triples]))
+                hks, [proto for _, _, proto in triples]))
             if sitemaps is not None:
                 proc = CandidateProcessor(self.cfg, self.robots_cache)
                 self._admit_candidates(proc(sitemaps))
@@ -1078,12 +1072,9 @@ class CrawlEngine:
             return wave
         rules = [self.robots_cache[hk] if hk in active else None
                  for hk in hks]
-        rows = np.flatnonzero(np.array([r is not None for r in rules])[inv])
-        allowed = np.ones(wave.num_rows, dtype=bool)
-        allowed[rows] = [
-            rules[inv[i]].is_allowed(u)
-            for i, u in zip(rows, wave.column("url").take(rows).to_pylist())]
-        allowed = pa.array(allowed)
+        allowed = pa.array([
+            (r := rules[i]) is None or r.is_allowed(u)
+            for i, u in zip(inv, wave.column("url").to_pylist())])
         disallowed = wave.filter(pc.invert(allowed))
         if disallowed.num_rows:
             self._count("fetchdisallowed", disallowed.num_rows)

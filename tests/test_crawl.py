@@ -78,11 +78,11 @@ def test_cross_host_robots(web):
     eng.seen.shutdown()
 
 
-def test_robots_recheck_keys_each_distinct_host_once():
+def test_robots_recheck_keys_each_distinct_host_scheme_once():
     """The robots recheck builds one ``host:port`` key per distinct
-    (host, port) and gives each row the verdict of its own host's rules;
-    the robots fetch scheme of a host seen over both http and https is
-    https, whatever the row order."""
+    (host, port, protocol) and gives each row the verdict of its own
+    host's rules; the robots fetch scheme of a host seen over both http
+    and https is https, whatever the row order."""
     import pyarrow as pa
     import ray
 
@@ -102,10 +102,9 @@ def test_robots_recheck_keys_each_distinct_host_once():
         [dict(seq=i, url=f"{pr}://{h}{':' + str(p) if p else ''}{path}",
               host=h, port=p, protocol=pr, path=path, depth=0, fetched=False)
          for i, (h, p, pr, path) in enumerate(specs)], schema=FRONTIER_SCHEMA)
-    pairs, inv = _distinct(wave, ("host", "port"))
-    assert pairs == [("a.test", None), ("b.test", 81), ("b.test", None),
-                     ("c.test", None), (None, None)]
-    assert list(inv) == [0, 1, 0, 2, 1, 3, 0, 4]
+    triples, inv = _distinct(wave, ("host", "port", "protocol"))
+    assert len(set(triples)) == len(triples) == 7
+    assert [triples[i] for i in inv] == [(h, p, pr) for h, p, pr, _ in specs]
 
     sw = ScaleWeb(n_pages=10, n_hosts=2, out_degree=0)
     eng = CrawlEngine(sw, sw.url_of(0), seen_shards=1)

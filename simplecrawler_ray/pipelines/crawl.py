@@ -1190,10 +1190,11 @@ class CrawlEngine:
     def _complete(self) -> None:
         ovf = self.seen.overflow()
         if ovf:
-            # the cuckoo filter saturated past its victim stash: ovf
-            # previously-seen keys were evicted and lost (their URLs
-            # may be re-admitted if rediscovered) — surfaced as a
-            # metric so an undersized filter is diagnosable
+            # a 32-bit-slot seen table saturated past its victim
+            # stash: ovf previously-seen keys were evicted and lost
+            # (their URLs may be re-admitted if rediscovered) —
+            # surfaced as a metric so an undersized table is
+            # diagnosable
             self._count("seenoverflow", ovf)
         self._count("complete")
 

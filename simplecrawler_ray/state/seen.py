@@ -1,4 +1,4 @@
-"""Distributed URL-seen set: the global exact-dedup of the frontier.
+"""Distributed URL-seen set: the global dedup of the frontier.
 
 Replaces the reference's in-process ``_scanIndex: Set<string>``
 (src/queue.ts:91,110-143) — O(heap) on one machine, infeasible at the
@@ -7,21 +7,27 @@ selected by ``url_hash % num_shards``; each shard offers vectorized
 ``check_and_add(hashes) -> new_mask`` (first caller wins => the D1
 "first add wins / duplicate rejected" semantics, src/queue.ts:110-135).
 
-Backends per shard:
-* ``exact``  — open-addressing numpy uint64 table (linear probing,
-  load <= 0.5).  Exact (modulo 64-bit hash collisions), 8 B/slot =
-  ~16 B/key.  Default for conformance tests.
-* ``cuckoo`` — numpy cuckoo filter, 16-bit fingerprints, 4-slot
-  buckets: ~2.3 B/key at 95% load.  At 10^10 URLs: ~23 GB cluster-wide
-  across shards (vs ~160 GB for exact) — the north-rule scale backend.
-  No false negatives while ``overflow`` is 0 (kick-chain victims are
-  retained in a bounded stash; only stash exhaustion loses a key, and
-  it is counted); false-positive rate ~= 2^-13 (a tiny fraction of
-  genuinely-new URLs silently dropped as "seen" — acceptable for crawl
-  frontiers, documented divergence from the reference's exact set).
+Each shard holds one ``SeenTable``: a bucketized cuckoo table with
+4-slot buckets and two home buckets per key.  The ``seen_backend`` name
+picks only the slot width:
 
-Capacity sizing is per shard.  All check/insert paths are vectorized
-numpy except cuckoo-insert eviction loops (rare at <90% load).
+* ``exact``  — 64-bit slots hold the ``url_hash`` itself: exact up to
+  64-bit hash collisions, 8 B/slot (~8.4-9 B/key when sized for its
+  keys).  When the load passes 0.9 or a kick chain fails, the table
+  grows by rehashing its own keys, so it never loses one.  Default for
+  conformance tests.
+* ``cuckoo`` — 32-bit fingerprint slots, fixed size: ~4.2 B/key at
+  95 % load (~42 GB cluster-wide at 10^10 URLs).  A new URL whose
+  fingerprint already sits in one of its buckets is answered "seen":
+  about 8/2^32 per new key (Fan et al., CoNEXT'14: 2b/2^f for b-slot
+  buckets and f-bit fingerprints), the one divergence from the
+  reference's exact set.  A kick chain's final victim goes to a
+  bounded stash; only a full stash loses a key, and ``overflow``
+  counts each loss.
+
+Capacity sizing is per shard.  Probes and placement waves are
+vectorized numpy; only keys whose two buckets are both full take the
+scalar kick loop.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ import ray
 
 _U64 = np.uint64
 
+#: ``seen_backend`` name -> slot width in bits
+WIDTHS = {"exact": 64, "cuckoo": 32}
+
 
 def _mix(h: np.ndarray, salt: int) -> np.ndarray:
     with np.errstate(over="ignore"):
@@ -43,347 +52,251 @@ def _mix(h: np.ndarray, salt: int) -> np.ndarray:
     return z
 
 
-class ExactBackend:
-    """Exact uint64 hash set as an open-addressing numpy table.
+class SeenTable:
+    """Cuckoo table: buckets of 4 slots holding a key's 64-bit hash or
+    its 32-bit fingerprint (0 = empty).
 
-    Linear probing over a power-of-2 table (load factor <= 0.5, grown
-    by doubling); slot 0 is the EMPTY sentinel, so the real key 0 is
-    tracked by a scalar flag.  Every operation is vectorized per probe
-    ROUND (one gather + compare over all still-unresolved keys), not
-    per key — the earlier Python ``set`` version boxed each hash to a
-    PyLong on both insert and lookup (~60-100 B/key in CPython and an
-    allocation per element), which is exactly what saturates this
-    host's memory bus.  Here the table is 8 B/slot = 16 B/key at the
-    load cap: at the 10^10-key design point that is ~160 GB
-    cluster-wide across shards instead of ~1 TB.
-    """
+    A key's home buckets are ``b1 = mix(h) & mask`` and ``b2 = b1 ^
+    (mix(slot value) & mask)``, so a slot's value and bucket give its
+    other home, which is all a kick needs.  The 64-bit width tracks
+    key 0 by a flag (0 marks an empty slot).
 
-    _MULT = _U64(0x9E3779B97F4A7C15)      # Fibonacci multiplier
-
-    def __init__(self, capacity: int = 0):
-        bits = max(16, int(max(capacity, 1) * 2 - 1).bit_length())
-        self._bits = bits
-        self._table = np.zeros(1 << bits, dtype=_U64)
-        self._n = 0                        # nonzero keys stored
-        self._has_zero = False
-
-    def _home(self, keys: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return ((keys * self._MULT) >> _U64(64 - self._bits)) \
-                .astype(np.int64)
-
-    def _grow(self, need: int) -> None:
-        while (self._n + need) * 2 > len(self._table):
-            old = self._table[self._table != _U64(0)]
-            self._bits += 1
-            self._table = np.zeros(1 << self._bits, dtype=_U64)
-            self._n = 0
-            if len(old):
-                self._insert(old)
-
-    def _insert(self, keys: np.ndarray) -> np.ndarray:
-        """Probe-insert KEYS (nonzero, duplicates allowed); returns the
-        first-occurrence-wins new-mask.
-
-        In-batch duplicates need no pre-dedup (the old path paid an
-        O(n log n) ``np.unique`` sort over the whole batch for it):
-        identical keys share the same home slot and advance in lockstep
-        — each round they all see the same slot, so they either all hit
-        an existing key, or contend for the same empty slot, where the
-        earliest claims it and the rest resolve as duplicates via a
-        plain ``==`` hit the following round."""
-        table, mask = self._table, np.int64(len(self._table) - 1)
-        idx = self._home(keys)
-        new = np.zeros(len(keys), dtype=bool)
-        pending = np.arange(len(keys))
-        scratch = None
-        while len(pending):
-            slots = idx[pending]
-            cur = table[slots]
-            k = keys[pending]
-            hit = cur == k                 # already present
-            resolved = hit
-            claim = np.flatnonzero(cur == _U64(0))
-            if len(claim):
-                # several keys can land on the same empty slot in one
-                # round: the EARLIEST claimant wins (scatter claimant
-                # positions reversed — with duplicate fancy indices the
-                # last write lands, so reversing makes the first claim
-                # stick), losers keep probing
-                if scratch is None:
-                    scratch = np.empty(len(table), dtype=np.int64)
-                cslots = slots[claim]
-                scratch[cslots[::-1]] = claim[::-1]
-                won = scratch[cslots] == claim
-                winners = claim[won]
-                table[cslots[won]] = k[winners]
-                new[pending[winners]] = True
-                self._n += len(winners)
-                resolved = hit.copy()
-                # re-gather after the writes: a claimant whose slot now
-                # holds its own key is resolved — that's every winner,
-                # plus any same-key duplicate that lost the race (it
-                # must NOT advance past its twin's slot)
-                resolved[claim] = table[cslots] == k[claim]
-            pending = pending[~resolved]
-            idx[pending] = (idx[pending] + 1) & mask
-        return new
-
-    def state(self) -> dict:
-        keys = self._table[self._table != _U64(0)]
-        if self._has_zero:
-            keys = np.concatenate([keys, np.zeros(1, dtype=_U64)])
-        return {"kind": "exact", "keys": keys}
-
-    def load_state(self, st: dict) -> None:
-        keys = np.asarray(st["keys"], dtype=_U64)
-        self.__init__(capacity=len(keys))
-        self.add(keys)
-
-    def check_and_add(self, hashes: np.ndarray) -> np.ndarray:
-        """Batch check-and-insert, first occurrence wins."""
-        out = np.zeros(len(hashes), dtype=bool)
-        if not len(hashes):
-            return out
-        hashes = np.asarray(hashes, dtype=_U64)
-        zeros = hashes == _U64(0)
-        if zeros.any():
-            if not self._has_zero:
-                self._has_zero = True
-                out[np.argmax(zeros)] = True
-            nz = np.flatnonzero(~zeros)
-            if len(nz):
-                self._grow(len(nz))
-                out[nz] = self._insert(hashes[nz])
-        else:
-            self._grow(len(hashes))
-            out = self._insert(hashes)
-        return out
-
-    def contains(self, hashes: np.ndarray) -> np.ndarray:
-        n = len(hashes)
-        if not n:
-            return np.zeros(0, dtype=bool)
-        hashes = np.asarray(hashes, dtype=_U64)
-        out = np.zeros(n, dtype=bool)
-        zero = hashes == _U64(0)
-        if self._has_zero:
-            out[zero] = True
-        table = self._table
-        mask = np.int64(len(table) - 1)
-        idx = self._home(hashes)
-        pending = np.flatnonzero(~zero)
-        while len(pending):
-            cur = table[idx[pending]]
-            hit = cur == hashes[pending]
-            out[pending[hit]] = True
-            pending = pending[~hit & (cur != _U64(0))]
-            idx[pending] = (idx[pending] + 1) & mask
-        return out
-
-    def add(self, hashes: np.ndarray) -> None:
-        self.check_and_add(np.asarray(hashes, dtype=_U64))
-
-    def __len__(self):
-        return self._n + int(self._has_zero)
-
-    def memory_bytes(self) -> int:
-        return self._table.nbytes
-
-
-class CuckooBackend:
-    """Cuckoo filter: 4-way buckets of uint16 fingerprints (0 = empty).
-
-    A small victim STASH preserves the no-false-negative guarantee at
-    saturation: when a kick chain exhausts ``MAX_KICKS`` the final
-    evicted fingerprint (an already-inserted key!) lands in the stash
-    instead of being dropped — dropping it would silently "unsee" a
-    crawled URL and re-admit it to the frontier.  Only when the stash
-    itself is full is a key genuinely lost, and ``overflow`` counts
-    exactly those losses."""
+    A kick chain that exhausts ``MAX_KICKS`` leaves its final evicted
+    entry (an already-inserted key) in the STASH, where lookups still
+    find it.  The 32-bit width's stash is bounded: past it the victim
+    is dropped and counted in ``overflow``.  The 64-bit width empties
+    its stash by rehashing into twice the buckets before the call
+    returns, so its ``overflow`` stays 0."""
 
     MAX_KICKS = 500
-    _FP_FORMAT = 2   # v2: full 16-bit fingerprints (v1 forced fps odd,
-    #                  halving the fp space and doubling the FP rate)
+    MAX_LOAD = 0.9       # sizing, and the 64-bit width's growth point
+    _FP_FORMAT = 3       # 32-bit fingerprints
 
-    def __init__(self, capacity: int = 1_000_000):
+    def __init__(self, capacity: int = 1_000_000, kind: str = "exact"):
+        self.kind = kind
+        self.width = WIDTHS[kind]
         nbuckets = 1
-        while nbuckets * 4 * 0.95 < capacity:
+        while nbuckets * 4 * self.MAX_LOAD < capacity:
             nbuckets <<= 1
-        self.nbuckets = nbuckets
-        self.mask = _U64(nbuckets - 1)
-        self.table = np.zeros((nbuckets, 4), dtype=np.uint16)
-        self.count = 0
+        self._use(np.zeros((nbuckets, 4), dtype=f"uint{self.width}"))
         self.overflow = 0
+        self._has_zero = False
         self.rng = np.random.default_rng(1234)
-        # victim stash: fp -> set of home buckets; bounded
-        self.stash: dict = {}
-        self.stash_n = 0
-        self.stash_max = max(4, nbuckets >> 6)
 
-    def _fp_and_buckets(self, hashes: np.ndarray):
-        h = hashes.astype(_U64)
-        f16 = (_mix(h, 0xF00D) & _U64(0xFFFF)).astype(np.uint16)
-        fp = np.where(f16 == 0, np.uint16(1), f16)      # never 0, full range
+    def _use(self, table: np.ndarray) -> None:
+        self.table = table
+        self.nbuckets = len(table)
+        self.mask = _U64(self.nbuckets - 1)
+        self.count = 0                     # entries in table + stash
+        self.stash: dict = {}              # slot value -> set of buckets
+        self.stash_n = 0
+        self.stash_max = max(4, self.nbuckets >> 6)
+
+    def _fp_and_buckets(self, h: np.ndarray):
+        """Slot value and two home buckets of each uint64 key."""
+        if self.width == 64:
+            fp = h
+        else:
+            f32 = (_mix(h, 0xF00D) & _U64(0xFFFFFFFF)).astype(np.uint32)
+            fp = np.where(f32 == 0, np.uint32(1), f32)
         b1 = (_mix(h, 0xB1) & self.mask).astype(np.int64)
-        b2 = (b1 ^ (_mix(fp.astype(_U64), 0xA17) & self.mask).astype(np.int64))
+        b2 = b1 ^ (_mix(fp, 0xA17) & self.mask).astype(np.int64)
         return fp, b1, b2
 
-    def _stash_contains(self, fp: np.ndarray, b1: np.ndarray,
-                        b2: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(fp), dtype=bool)
-        if not self.stash:
-            return out
-        sfps = np.fromiter(self.stash.keys(), dtype=np.uint16,
-                           count=len(self.stash))
-        for i in np.flatnonzero(np.isin(fp, sfps)):
-            buckets = self.stash.get(int(fp[i]))
-            if buckets and (int(b1[i]) in buckets or int(b2[i]) in buckets):
-                out[i] = True
-        return out
+    def _keys(self) -> np.ndarray:
+        """Every stored slot value, table and stash (64-bit: the keys)."""
+        return np.concatenate([
+            self.table[self.table != 0],
+            np.fromiter(self.stash, dtype=self.table.dtype,
+                        count=len(self.stash))])
 
-    def contains(self, hashes: np.ndarray) -> np.ndarray:
-        fp, b1, b2 = self._fp_and_buckets(hashes)
-        t = self.table
-        f = fp[:, None]
-        hit = ((t[b1] == f).any(axis=1)) | ((t[b2] == f).any(axis=1))
+    def _lookup(self, fp: np.ndarray, b1: np.ndarray,
+                b2: np.ndarray) -> np.ndarray:
+        t, f = self.table, fp[:, None]
+        hit = (t[b1] == f).any(axis=1) | (t[b2] == f).any(axis=1)
         if self.stash:
-            hit |= self._stash_contains(fp, b1, b2)
+            sfps = np.fromiter(self.stash, dtype=fp.dtype,
+                               count=len(self.stash))
+            for i in np.flatnonzero(np.isin(fp, sfps)):
+                buckets = self.stash[fp[i].item()]
+                hit[i] |= int(b1[i]) in buckets or int(b2[i]) in buckets
         return hit
 
-    def _insert_one(self, fp: int, b1: int, b2: int) -> bool:
-        """Place FP; returns True iff the filter retains one more entry.
+    def _insert_one(self, fp, b1: int, b2: int) -> bool:
+        """Place FP; returns True iff the table retains one more entry.
 
         On kick exhaustion the NEW fingerprint is already in the table
         (the first swap placed it); the casualty is the final evicted
         VICTIM, which goes to the stash — unless the stash already
-        holds that (fingerprint, bucket) pair, which keeps the victim
-        findable without a new entry — or, if the stash is full, is
-        dropped and counted in ``overflow``."""
+        holds that (value, bucket) pair, which keeps the victim
+        findable without a new entry — or, if a bounded stash is full,
+        is dropped and counted in ``overflow``."""
         t = self.table
         for b in (b1, b2):
-            empty = np.nonzero(t[b] == 0)[0]
+            empty = np.flatnonzero(t[b] == 0)
             if len(empty):
                 t[b, empty[0]] = fp
                 return True
         b = b1 if self.rng.integers(2) else b2
-        cur = np.uint16(fp)
+        cur = t.dtype.type(fp)
         for _ in range(self.MAX_KICKS):
             slot = int(self.rng.integers(4))
             cur, t[b, slot] = t[b, slot], cur
-            alt = int(
-                _U64(b) ^ (_mix(np.array([cur], dtype=_U64), 0xA17)[0] & self.mask)
-            )
-            empty = np.nonzero(t[alt] == 0)[0]
+            b ^= int(_mix(np.array([cur], dtype=_U64), 0xA17)[0] & self.mask)
+            empty = np.flatnonzero(t[b] == 0)
             if len(empty):
-                t[alt, empty[0]] = cur
+                t[b, empty[0]] = cur
                 return True
-            b = alt
         # chain exhausted: `cur` was evicted from the swap at the
         # PREVIOUS bucket, so the current `b` (its alternate) is one of
         # its two homes — stash (cur, b) to keep it findable
-        if int(b) in self.stash.get(int(cur), ()):
+        if b in self.stash.get(cur.item(), ()):
             return False
-        if self.stash_n < self.stash_max:
-            self.stash.setdefault(int(cur), set()).add(int(b))
+        if self.width == 64 or self.stash_n < self.stash_max:
+            self.stash.setdefault(cur.item(), set()).add(b)
             self.stash_n += 1
             return True
         self.overflow += 1      # victim lost: a previously-seen key
-        return False            # is now unseen (filter undersized)
+        return False            # is now unseen (table undersized)
+
+    def _place(self, fp: np.ndarray, b1: np.ndarray, b2: np.ndarray,
+               new: np.ndarray) -> None:
+        """Store every value flagged in NEW (absent from the table); a
+        later in-batch twin of a stored value (same value and buckets)
+        is cleared from NEW, so the first occurrence wins.
+
+        Waves alternate b1/b2.  In each, every pending value whose
+        bucket has an empty slot claims it and the EARLIEST claimant of
+        a bucket wins (claimant positions scattered reversed — with
+        duplicate fancy indices the last write lands).  A loser whose
+        bucket now holds its own value is a twin of a winner; the
+        others retry.  Once a wave on each home places nothing, the
+        values left have both buckets full and take the kick loop."""
+        t = self.table
+        pending = np.flatnonzero(new)
+        scratch = np.empty(self.nbuckets, dtype=np.int64)
+        wave = idle = 0
+        while len(pending) and idle < 2:
+            bk = (b1, b2)[wave & 1][pending]
+            wave += 1
+            empty = t[bk] == 0
+            claim = np.flatnonzero(empty.any(axis=1))
+            if not len(claim):
+                idle += 1
+                continue
+            idle = 0
+            cb = bk[claim]
+            scratch[cb[::-1]] = claim[::-1]
+            won = claim[scratch[cb] == claim]
+            t[bk[won], empty[won].argmax(axis=1)] = fp[pending[won]]
+            self.count += len(won)
+            done = np.zeros(len(pending), dtype=bool)
+            done[claim] = (t[cb] == fp[pending[claim], None]).any(axis=1)
+            twins = done.copy()
+            twins[won] = False
+            new[pending[twins]] = False
+            pending = pending[~done]
+        kicked: set = set()
+        for i in pending:
+            # twins reach this loop together; the first one's kick
+            # chain may have moved or even dropped its value since
+            twin = (fp[i].item(), int(b1[i]))
+            if twin in kicked:
+                new[i] = False
+                continue
+            kicked.add(twin)
+            if self._insert_one(fp[i], int(b1[i]), int(b2[i])):
+                self.count += 1
+
+    def _rehash(self, nbuckets: int) -> None:
+        """Move every stored key into NBUCKETS buckets (64-bit width),
+        doubling again while a kick chain still ends in the stash."""
+        keys = self._keys()
+        while True:
+            self._use(np.zeros((nbuckets, 4), dtype=self.table.dtype))
+            self._place(*self._fp_and_buckets(keys),
+                        np.ones(len(keys), dtype=bool))
+            if not self.stash:
+                return
+            keys, nbuckets = self._keys(), nbuckets << 1
 
     def check_and_add(self, hashes: np.ndarray) -> np.ndarray:
-        """Batch check-and-insert, first occurrence wins.
+        """Batch check-and-insert, first occurrence wins."""
+        hashes = np.asarray(hashes, dtype=_U64)
+        new = np.zeros(len(hashes), dtype=bool)
+        keys = slice(None)
+        if self.width == 64:
+            zero = hashes == _U64(0)
+            if zero.any():
+                if not self._has_zero:
+                    self._has_zero = True
+                    new[np.argmax(zero)] = True
+                keys = np.flatnonzero(~zero)
+            nbuckets = self.nbuckets
+            while (self.count + len(hashes[keys])
+                   > self.MAX_LOAD * 4 * nbuckets):
+                nbuckets <<= 1
+            if nbuckets > self.nbuckets:
+                self._rehash(nbuckets)
+        fp, b1, b2 = self._fp_and_buckets(hashes[keys])
+        fresh = ~self._lookup(fp, b1, b2)
+        self._place(fp, b1, b2, fresh)
+        new[keys] = fresh
+        if self.width == 64 and self.stash:
+            self._rehash(self.nbuckets << 1)
+        return new
 
-        Vectorized: presence test, in-batch dedup (np.unique) and
-        empty-slot placement all run as array ops; each placement wave
-        writes one fingerprint per DISTINCT bucket (no intra-wave
-        write conflicts), alternating b1/b2.  Only items whose both
-        buckets are full fall back to the scalar cuckoo-kick loop —
-        rare below ~90% load."""
-        fp, b1, b2 = self._fp_and_buckets(hashes)
-        present = self.contains(hashes)
-        out = np.zeros(len(hashes), dtype=bool)
-        new_idx = np.nonzero(~present)[0]
-        if not len(new_idx):
-            return out
-        # in-batch duplicate hashes: only the first occurrence inserts
-        _, first_pos = np.unique(hashes[new_idx], return_index=True)
-        pending = new_idx[np.sort(first_pos)]
-        t = self.table
-        for wave_buckets in (b1, b2, b1, b2):
-            if not len(pending):
-                break
-            bk = wave_buckets[pending]
-            # one item per distinct bucket this wave (first in pending
-            # order); the rest retry next wave
-            ub, sel = np.unique(bk, return_index=True)
-            rows_empty = t[ub] == 0
-            has_empty = rows_empty.any(axis=1)
-            slots = rows_empty.argmax(axis=1)
-            win = sel[has_empty]                    # positions in pending
-            t[bk[win], slots[has_empty]] = fp[pending[win]]
-            placed = np.zeros(len(pending), dtype=bool)
-            placed[win] = True
-            out[pending[win]] = True
-            self.count += int(len(win))
-            pending = pending[~placed]
-        for i in pending:  # both buckets full: scalar kick loop
-            # the new fingerprint is ALWAYS recorded (first swap places
-            # it); when the kick chain's final VICTIM gets no new entry
-            # (its stash pair exists, or the stash is full and the loss
-            # is counted in overflow) the entry count stays put, so
-            # len() is the number of retained entries and a saturating
-            # filter is never silent (size via seen_capacity_per_shard;
-            # load factor ~0.95 max)
-            if self._insert_one(int(fp[i]), int(b1[i]), int(b2[i])):
-                self.count += 1
-            out[i] = True
+    def contains(self, hashes: np.ndarray) -> np.ndarray:
+        hashes = np.asarray(hashes, dtype=_U64)
+        out = self._lookup(*self._fp_and_buckets(hashes))
+        if self.width == 64:
+            out[hashes == _U64(0)] = self._has_zero
         return out
 
     def add(self, hashes: np.ndarray) -> None:
         self.check_and_add(hashes)
 
     def state(self) -> dict:
-        sfp, sb = [], []
-        for f, buckets in self.stash.items():
-            for b in buckets:
-                sfp.append(f)
-                sb.append(b)
+        if self.width == 64:
+            keys = self._keys()
+            if self._has_zero:
+                keys = np.append(keys, _U64(0))
+            return {"kind": "exact", "keys": keys}
+        pairs = [(f, b) for f, bs in self.stash.items() for b in bs]
         return {"kind": "cuckoo", "table": self.table, "count": self.count,
                 "overflow": self.overflow, "fpv": self._FP_FORMAT,
-                "stash_fp": np.array(sfp, dtype=np.uint16),
-                "stash_b": np.array(sb, dtype=np.int64)}
+                "stash_fp": np.array([f for f, _ in pairs], dtype=np.uint32),
+                "stash_b": np.array([b for _, b in pairs], dtype=np.int64)}
 
     def load_state(self, st: dict) -> None:
+        if self.width == 64:
+            keys = np.asarray(st["keys"], dtype=_U64)
+            self.__init__(len(keys), self.kind)
+            self.add(keys)
+            return
         if int(st.get("fpv", 1)) != self._FP_FORMAT:
-            # v1 snapshots hold odd-forced fingerprints; v2 lookups
-            # would miss half the keys — refuse loudly rather than
-            # resume with a filter that forgets URLs
+            # other formats hold fingerprints of another width or
+            # derivation: lookups would miss their keys — refuse
+            # loudly rather than resume with a table that forgets URLs
             raise ValueError(
                 "cuckoo snapshot uses fingerprint format "
                 f"v{st.get('fpv', 1)}, this build writes "
                 f"v{self._FP_FORMAT}; rebuild the filter")
-        self.table = st["table"]
-        self.nbuckets = self.table.shape[0]
-        self.mask = _U64(self.nbuckets - 1)
+        self._use(st["table"])
         self.count = int(st["count"])
         self.overflow = int(st.get("overflow", 0))
-        self.stash = {}
-        self.stash_n = 0
-        self.stash_max = max(4, self.nbuckets >> 6)
         for f, b in zip(np.asarray(st.get("stash_fp", [])).tolist(),
                         np.asarray(st.get("stash_b", [])).tolist()):
             self.stash.setdefault(int(f), set()).add(int(b))
             self.stash_n += 1
 
     def __len__(self):
-        return self.count
+        return self.count + int(self._has_zero)
 
     def memory_bytes(self) -> int:
         return self.table.nbytes
 
 
-BACKENDS = {"exact": ExactBackend, "cuckoo": CuckooBackend}
 
 
 def _scatter(hashes: np.ndarray, shards: list, method: str) -> np.ndarray:
@@ -444,7 +357,7 @@ class SeenShard:
     """One shard of the distributed seen-set (T1, SURVEY §2.3)."""
 
     def __init__(self, backend: str = "exact", capacity: int = 1_000_000):
-        self.backend = BACKENDS[backend](capacity)
+        self.backend = SeenTable(capacity, backend)
 
     def check_and_add(self, hashes: np.ndarray) -> np.ndarray:
         return self.backend.check_and_add(np.asarray(hashes, dtype=np.uint64))
@@ -456,11 +369,12 @@ class SeenShard:
         return len(self.backend)
 
     def overflow(self) -> int:
-        """Keys LOST to filter saturation (cuckoo kick-chain exhausted
-        with a full victim stash): each one is a previously-seen key
-        whose URL may be re-admitted if rediscovered.  Nonzero means
-        the filter is undersized — raise seen_capacity_per_shard."""
-        return int(getattr(self.backend, "overflow", 0))
+        """Keys LOST to table saturation (32-bit width: kick chain
+        exhausted with a full victim stash): each one is a
+        previously-seen key whose URL may be re-admitted if
+        rediscovered.  Nonzero means the table is undersized — raise
+        seen_capacity_per_shard."""
+        return self.backend.overflow
 
     def memory_bytes(self) -> int:
         return self.backend.memory_bytes()
@@ -468,9 +382,9 @@ class SeenShard:
     def snapshot(self, path: str) -> int:
         """Write this shard's filter state to one ``.npz`` file
         (worker-side — the state never transits the driver).  The
-        exact and cuckoo tables are single numpy arrays, so a shard
-        snapshot is one array write (SCALING.md failure-handling
-        plan)."""
+        state is the table's keys (64-bit width) or the table itself
+        (32-bit width), so a shard snapshot is one array write
+        (SCALING.md failure-handling plan)."""
         st = self.backend.state()
         arrays = {k: v for k, v in st.items() if isinstance(v, np.ndarray)}
         scalars = {k: v for k, v in st.items()
@@ -485,10 +399,8 @@ class SeenShard:
             for k in z.files:
                 if k != "__meta":
                     st[k] = z[k]
-        kind = st.get("kind")
-        mine = next((k for k, v in BACKENDS.items()
-                     if type(self.backend) is v), None)
-        if kind is not None and mine is not None and kind != mine:
+        kind, mine = st.get("kind"), self.backend.kind
+        if kind is not None and kind != mine:
             raise ValueError(
                 f"seen snapshot was written by the {kind!r} backend but "
                 f"this shard is configured as {mine!r} — restore into a "
@@ -508,9 +420,9 @@ class SeenSet:
 
     def __init__(self, num_shards: int = 8, backend: str = "exact",
                  capacity_per_shard: int = 1_000_000):
-        if backend not in BACKENDS:
+        if backend not in WIDTHS:
             raise ValueError(f"unknown seen_backend {backend!r}; "
-                             f"choose one of {sorted(BACKENDS)}")
+                             f"choose one of {sorted(WIDTHS)}")
         self.num_shards = num_shards
         self.backend_name = backend
         self.shards = [
@@ -539,10 +451,7 @@ class SeenSet:
         n/S hashes — the first index in an ascending-position array IS
         the global first occurrence), makes ONE actor RPC, and returns
         the global positions that are genuinely new.  The driver only
-        scatters the final boolean mask: O(n) and no sort.  (The
-        previous version deduplicated the whole batch on the driver —
-        a 0.6 s ``np.unique`` at 2M hashes that capped the measured
-        rate below the shard backends' own throughput.)  Use for large
+        scatters the final boolean mask: O(n) and no sort.  Use for large
         batches (seed ingestion, bulk dedup); small batches stay on
         ``check_and_add`` (task-launch overhead dominates below
         ~100k hashes)."""

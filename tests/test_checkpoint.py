@@ -22,7 +22,7 @@ from simplecrawler_ray.pipelines.crawl import (CrawlEngine, CrawlResult,
 from simplecrawler_ray.sources.web import ConformanceWeb, ScaleWeb
 from simplecrawler_ray.state.seen import SeenSet
 
-#: a 8 KiB cuckoo filter: these crawls' part files outgrow it every
+#: a 16 KiB 32-bit-slot seen table: these crawls' part files outgrow it every
 #: round or two, so resume points with and without a base both occur
 OPTS = dict(filter_by_domain=False, seen_shards=1, store_body=False,
             batch_size=8, seen_backend="cuckoo", seen_capacity_per_shard=2048)

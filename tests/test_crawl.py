@@ -991,8 +991,9 @@ def _last_manifest(ck: str) -> dict:
         return json.load(f)["parts"]
 
 
-#: a cuckoo filter of 1 KiB per shard: its checkpoints outgrow it in a
-#: round or two, so a seen base is written before the resume round
+#: a 32-bit-slot seen table of 2 KiB per shard (128 buckets x 4 slots):
+#: its checkpoints outgrow it in a round or two, so a seen base is
+#: written before the resume round
 SMALL_SEEN = dict(seen_backend="cuckoo", seen_capacity_per_shard=256)
 
 

@@ -1,18 +1,17 @@
-"""Seen-set backends: exact / cuckoo — unit + actor-pool tests."""
+"""Seen table (64-bit key / 32-bit fingerprint slots) — unit +
+actor-pool tests."""
 
 import numpy as np
 import pytest
 
-from simplecrawler_ray.state.seen import (
-    CuckooBackend,
-    ExactBackend,
-    SeenSet,
-)
+from simplecrawler_ray.state.seen import SeenSet, SeenTable
+
+KINDS = ["exact", "cuckoo"]
 
 
-@pytest.mark.parametrize("cls", [ExactBackend, CuckooBackend])
-def test_backend_check_and_add(cls):
-    b = cls(10_000)
+@pytest.mark.parametrize("kind", KINDS)
+def test_backend_check_and_add(kind):
+    b = SeenTable(10_000, kind)
     h = np.arange(1, 1001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     first = b.check_and_add(h)
     assert first.all()  # all new (no false positives at this load)
@@ -21,9 +20,9 @@ def test_backend_check_and_add(cls):
     assert b.contains(h).all()
 
 
-@pytest.mark.parametrize("cls", [ExactBackend, CuckooBackend])
-def test_backend_in_batch_duplicates(cls):
-    b = cls(1000)
+@pytest.mark.parametrize("kind", KINDS)
+def test_backend_in_batch_duplicates(kind):
+    b = SeenTable(1000, kind)
     h = np.array([7, 8, 7, 9, 8, 7], dtype=np.uint64)
     mask = b.check_and_add(h)
     # only the first occurrence of each hash is new
@@ -31,20 +30,34 @@ def test_backend_in_batch_duplicates(cls):
 
 
 def test_cuckoo_memory_is_compact():
-    b = CuckooBackend(1_000_000)
-    assert b.memory_bytes() <= 4_200_000  # ~4.2 B/key worst-case pow2 sizing
+    b = SeenTable(1_000_000, "cuckoo")
+    assert b.memory_bytes() <= 8_400_000  # ~8.4 B/key worst-case pow2 sizing
 
 
 def test_cuckoo_false_positive_rate():
-    b = CuckooBackend(100_000)
+    b = SeenTable(100_000, "cuckoo")
     rng = np.random.default_rng(7)
     ins = rng.integers(1, 2**63, 50_000).astype(np.uint64)
     b.add(ins)
-    probe = rng.integers(1, 2**63, 50_000).astype(np.uint64) | np.uint64(1 << 63)
-    fp = b.contains(probe).mean()
-    # full 16-bit fingerprints (v2): ~2^-13 expected; measured 5e-05 at
-    # this load.  The v1 odd-forced fps would fail this bound's margin.
-    assert fp < 1e-3
+    probe = rng.integers(1, 2**63, 500_000).astype(np.uint64) | np.uint64(1 << 63)
+    # 32-bit fingerprints: ~8 x load / 2^32 ~= 7e-10 per probe at load
+    # 0.38, so ~3.5e-4 false hits expected over these probes (16-bit
+    # fingerprints answered 29 of them "seen")
+    assert b.contains(probe).sum() <= 1
+
+
+def test_cuckoo_admits_16bit_fingerprint_twins():
+    """Two url_hash values that share a 16-bit fingerprint and home
+    bucket in a 16-bit-slot filter of capacity 65,536 (found offline
+    with ``_mix``): that filter answered the second one "seen", so its
+    URL was never queued.  The 32-bit slots tell them apart."""
+    twins = [5040, 148507]
+    for kind in KINDS:
+        b = SeenTable(65_536, kind)
+        for h in twins:
+            assert b.check_and_add(np.array([h], dtype=np.uint64)).tolist() \
+                == [True]
+        assert len(b) == 2
 
 
 def test_seen_set_actor_pool():
@@ -168,7 +181,7 @@ def test_restore_backend_kind_mismatch_refused(tmp_path):
 
 
 def test_cuckoo_overflow_counted_not_silent():
-    b = CuckooBackend(capacity=16)
+    b = SeenTable(16, "cuckoo")
     rng = np.random.default_rng(0)
     hashes = rng.integers(1, 1 << 63, 400, dtype=np.uint64)
     out = b.check_and_add(hashes)
@@ -181,7 +194,7 @@ def test_cuckoo_overflow_counted_not_silent():
     assert 0 < int(out.sum()) <= distinct
     assert b.overflow <= int(out.sum())
     st = b.state()
-    b2 = CuckooBackend(capacity=64)
+    b2 = SeenTable(64, "cuckoo")
     b2.load_state(st)
     assert b2.overflow == b.overflow
     # stash survives the snapshot round-trip: membership parity
@@ -194,7 +207,7 @@ def test_cuckoo_no_false_negatives_until_overflow():
     exhaustion silently dropped a previously-inserted key — an
     already-crawled URL would be re-admitted and re-crawled."""
     rng = np.random.default_rng(3)
-    b = CuckooBackend(capacity=16)      # 8 buckets x 4 slots + 4 stash
+    b = SeenTable(16, "cuckoo")         # 8 buckets x 4 slots + 4 stash
     inserted = []
     for k in rng.integers(1, 1 << 63, 500, dtype=np.uint64):
         before = b.overflow
@@ -207,7 +220,7 @@ def test_cuckoo_no_false_negatives_until_overflow():
     assert len(inserted) >= 30           # and held ~full table + stash
 
 
-def _cuckoo_retained(b: CuckooBackend) -> int:
+def _cuckoo_retained(b: SeenTable) -> int:
     """Entries the filter holds: table slots in use plus stash pairs."""
     return (int(np.count_nonzero(b.table))
             + sum(len(v) for v in b.stash.values()))
@@ -217,7 +230,7 @@ def test_cuckoo_stash_counts_each_pair_once():
     """Re-stashing a (fingerprint, bucket) pair the stash already holds
     adds no entry: stash_n stays the number of distinct pairs, nothing
     overflows, and len() stays the number of retained entries."""
-    b = CuckooBackend(capacity=16)      # 8 buckets x 4 slots, stash 4
+    b = SeenTable(16, "cuckoo")         # 8 buckets x 4 slots, stash 4
     b.table[:] = 7                      # every kick chain cycles on fp 7
     b.count = _cuckoo_retained(b)
     for _ in range(3 * b.stash_max):
@@ -231,20 +244,23 @@ def test_cuckoo_stash_counts_each_pair_once():
 
 
 def test_cuckoo_hypothesis_model_past_saturation():
-    """Model-based check of the cuckoo filter against a Python set of
-    the keys it admitted, driven past saturation: every admitted key
-    stays contains()-true until the first counted loss (overflow > 0),
-    no admitted key is re-admitted before it, in-batch duplicates are
-    admitted at most once, and len() equals the retained entries."""
+    """Model-based check of both widths against a Python set of the
+    keys each admitted, from capacity 16 on: every admitted key stays
+    contains()-true until the first counted loss (overflow > 0), no
+    admitted key is re-admitted before it, in-batch duplicates are
+    admitted at most once, and len() equals the retained entries.  The
+    fixed-size 32-bit width is driven past saturation; the 64-bit
+    width grows instead and never loses a key."""
     from hypothesis import given, settings, strategies as st
 
     keys = st.integers(min_value=1, max_value=(1 << 64) - 1)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.lists(keys, max_size=40), min_size=1, max_size=8),
+    @given(st.sampled_from(KINDS),
+           st.lists(st.lists(keys, max_size=40), min_size=1, max_size=8),
            st.integers(min_value=0, max_value=7))
-    def run(batches, dup_every):
-        b = CuckooBackend(capacity=16)  # 32 slots + 4 stash entries
+    def run(kind, batches, dup_every):
+        b = SeenTable(16, kind)         # 32 slots + 4 stash entries
         admitted: set = set()
         for batch in batches:
             if dup_every:
@@ -262,6 +278,9 @@ def test_cuckoo_hypothesis_model_past_saturation():
                 in_batch.add(k)
             assert len(b) == _cuckoo_retained(b)
             assert len(b) <= len(admitted)
+            if kind == "exact":
+                assert b.overflow == 0 and not b.stash
+                assert len(b) == len(admitted)
             if lossless and admitted:
                 probe = np.array(sorted(admitted), dtype=np.uint64)
                 assert b.contains(probe).all()
@@ -270,31 +289,43 @@ def test_cuckoo_hypothesis_model_past_saturation():
 
 
 def test_cuckoo_rejects_v1_fingerprint_snapshot():
-    b = CuckooBackend(capacity=64)
+    """Snapshots of older fingerprint formats are refused, not loaded
+    into a table whose lookups would miss their keys: v1 (no ``fpv``,
+    odd-forced 16-bit fingerprints) and v2 (16-bit fingerprints)."""
+    b = SeenTable(64, "cuckoo")
     b.add(np.arange(1, 20, dtype=np.uint64))
     st = b.state()
-    st.pop("fpv")                        # simulate a pre-v2 snapshot
-    with pytest.raises(ValueError, match="fingerprint format"):
-        CuckooBackend(capacity=64).load_state(st)
+    st.pop("fpv")                        # simulate a v1 snapshot
+    with pytest.raises(ValueError, match="fingerprint format v1"):
+        SeenTable(64, "cuckoo").load_state(st)
+    v2 = {"kind": "cuckoo", "table": np.ones((32, 4), dtype=np.uint16),
+          "count": 128, "overflow": 0, "fpv": 2,
+          "stash_fp": np.zeros(0, dtype=np.uint16),
+          "stash_b": np.zeros(0, dtype=np.int64)}
+    with pytest.raises(ValueError, match="fingerprint format v2"):
+        SeenTable(64, "cuckoo").load_state(v2)
 
 
-def test_cuckoo_fingerprints_use_full_16_bits():
-    b = CuckooBackend(capacity=1 << 16)
+def test_cuckoo_fingerprints_use_full_32_bits():
+    b = SeenTable(1 << 16, "cuckoo")
+    assert b.table.dtype == np.uint32
     rng = np.random.default_rng(9)
     fp, _, _ = b._fp_and_buckets(rng.integers(1, 1 << 63, 100_000,
                                               dtype=np.uint64))
-    # v1 forced every fp odd (halving the space, doubling the FP rate)
     assert (fp % 2 == 0).any() and (fp % 2 == 1).any()
+    assert (fp >> 16).any() and (fp & 0xFFFF).any()   # both halves vary
     assert not (fp == 0).any()
+    # ~1 birthday collision expected among 10^5 draws from 2^32 values
+    assert len(np.unique(fp)) >= 99_990
 
 
 def test_exact_open_addressing_matches_reference_set():
-    """The numpy open-addressing exact backend vs a Python-set model:
-    first-occurrence-wins across batches with in-batch dups, key 0,
-    table growth from a tiny initial capacity, and contains parity."""
+    """The 64-bit-slot table vs a Python-set model: first-occurrence-
+    wins across batches with in-batch dups, key 0, table growth from a
+    tiny initial capacity, and contains parity."""
     rng = np.random.default_rng(11)
     ref: set = set()
-    b = ExactBackend(capacity=4)        # force several growth doublings
+    b = SeenTable(4, "exact")           # force several growth doublings
     for _ in range(60):
         keys = rng.integers(0, 3000, rng.integers(0, 300)).astype(np.uint64)
         mask = b.check_and_add(keys)
@@ -312,7 +343,7 @@ def test_exact_open_addressing_matches_reference_set():
 
 
 def test_exact_zero_key_and_snapshot_roundtrip():
-    b = ExactBackend(capacity=16)
+    b = SeenTable(16, "exact")
     mask = b.check_and_add(np.array([0, 5, 0], dtype=np.uint64))
     assert mask.tolist() == [True, True, False]
     assert b.contains(np.array([0, 5, 6], dtype=np.uint64)).tolist() == \
@@ -320,7 +351,7 @@ def test_exact_zero_key_and_snapshot_roundtrip():
     assert len(b) == 2
     st = b.state()
     assert st["kind"] == "exact" and len(st["keys"]) == 2
-    b2 = ExactBackend()
+    b2 = SeenTable(kind="exact")
     b2.load_state(st)
     assert len(b2) == 2
     assert b2.contains(np.array([0, 5, 6], dtype=np.uint64)).tolist() == \
@@ -328,35 +359,39 @@ def test_exact_zero_key_and_snapshot_roundtrip():
 
 
 def test_exact_loads_legacy_set_snapshot():
-    # pre-round-5 snapshots stored an unordered key array built from a
-    # Python set — the packed-array format is identical, so they load
+    # an exact base is an unordered key array, as written by both the
+    # 64-bit-slot table and the linear-probing table before it; a
+    # duplicate in the array collapses on load
     legacy = {"kind": "exact",
               "keys": np.array([3, 1, 4, 1, 5], dtype=np.uint64)}
-    b = ExactBackend()
+    b = SeenTable(kind="exact")
     b.load_state(legacy)
-    assert len(b) == 4          # in-array dup collapses
+    assert len(b) == 4
     assert b.contains(np.array([1, 2, 3, 4, 5], dtype=np.uint64)).tolist() \
         == [True, False, True, True, True]
 
 
 def test_exact_memory_stays_packed():
-    b = ExactBackend(capacity=1 << 17)
+    b = SeenTable(1 << 17, "exact")
     b.add(np.arange(1, 100_001, dtype=np.uint64))
-    # 8 B/slot, load factor >= 25% after sizing for the capacity
+    # 8 B/slot; sized for the capacity, the 100k keys need no growth
     assert b.memory_bytes() <= (1 << 18) * 8
 
 
 def test_exact_hypothesis_model_parity():
-    """Model-based check of the open-addressing exact backend against a
-    Python-set model: arbitrary uint64 batches (dup-heavy, zeros, tiny
-    initial capacity forcing growth chains)."""
+    """Model-based check of both widths against a Python-set model:
+    arbitrary uint64 batches (dup-heavy, zeros).  The 64-bit width
+    starts at capacity 2, forcing growth chains; the 32-bit width is
+    sized for the 301 possible keys, none of which share a fingerprint
+    and bucket pair, so its answers are exact too."""
     from hypothesis import given, settings, strategies as st
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.lists(st.integers(min_value=0, max_value=300),
+    @given(st.sampled_from(KINDS),
+           st.lists(st.lists(st.integers(min_value=0, max_value=300),
                              max_size=120), max_size=8))
-    def run(batches):
-        b = ExactBackend(capacity=2)
+    def run(kind, batches):
+        b = SeenTable(2 if kind == "exact" else 1024, kind)
         ref: set = set()
         for batch in batches:
             keys = np.array(batch, dtype=np.uint64)
@@ -377,17 +412,57 @@ def test_exact_hypothesis_model_parity():
 
 
 def test_exact_growth_chain_under_bulk_insert():
-    # 300k distinct keys into a capacity-1000 table: many doublings in
-    # one call path, count and membership must survive every rehash
+    # 300k distinct keys into a capacity-1000 table: growth in one call
+    # path, count and membership must survive every rehash
     rng = np.random.default_rng(5)
     keys = rng.permutation(np.arange(1, 300_001, dtype=np.uint64))
-    b = ExactBackend(capacity=1000)
+    b = SeenTable(1000, "exact")
     mask = b.check_and_add(keys)
     assert mask.all() and len(b) == 300_000
     assert not b.check_and_add(keys[:50_000]).any()
     sample = rng.choice(keys, 10_000)
     assert b.contains(sample).all()
     assert not b.contains(np.arange(400_000, 410_000, dtype=np.uint64)).any()
+    assert b.overflow == 0 and not b.stash
+
+
+def test_exact_growth_matches_set_model():
+    """A 64-bit table of capacity 16 fed 10,000 distinct keys in
+    batches with in-batch duplicates matches a Python-set model, grows
+    instead of stashing or losing keys, and admits once an in-batch
+    twin pair whose two buckets are both full (both copies reach the
+    kick loop; the second must find the first's placement)."""
+    rng = np.random.default_rng(17)
+    b = SeenTable(16, "exact")          # 8 buckets x 4 slots
+    ref: set = set()
+    fill = rng.integers(1, 1 << 63, 26, dtype=np.uint64)
+    assert b.check_and_add(fill).all()  # 26 of 32 slots: no growth yet
+    ref |= set(fill.tolist())
+    assert b.nbuckets == 8
+    cands = rng.integers(1, 1 << 63, 2000, dtype=np.uint64)
+    _, b1, b2 = b._fp_and_buckets(cands)
+    full = (b.table[b1] != 0).all(axis=1) & (b.table[b2] != 0).all(axis=1)
+    twin = cands[np.flatnonzero(full)[0]]
+    assert b.check_and_add(np.array([twin, twin])).tolist() == [True, False]
+    ref.add(int(twin))
+    assert len(b) == len(ref)
+
+    keys = rng.permutation(np.arange(1, 10_001, dtype=np.uint64)
+                           * np.uint64(0x9E3779B97F4A7C15))
+    for batch in np.array_split(keys, 40):
+        batch = np.concatenate([batch, batch[::3], batch[:7]])
+        mask = b.check_and_add(batch)
+        exp, in_batch = [], set()
+        for k in batch.tolist():
+            exp.append(k not in ref and k not in in_batch)
+            in_batch.add(k)
+        ref |= in_batch
+        assert mask.tolist() == exp
+        assert len(b) == len(ref)
+    assert b.overflow == 0 and not b.stash
+    probe = np.array(sorted(ref), dtype=np.uint64)
+    assert b.contains(probe).all()
+    assert not b.contains(probe + np.uint64(1)).any()
 
 
 def test_check_and_add_distributed_single_shard():

@@ -4,18 +4,20 @@ The reference's continuous event loop (``start()``/``crawl()`` tick,
 src/crawler.ts:646-674, 1273-1360) becomes bulk-synchronous rounds
 (SURVEY §2.9).  Both public loops run the same round, ``_run_round``:
 admit manual enqueues, dequeue a politeness-budgeted wave from the
-queued frontier, recheck robots, run the loop's wave step, checkpoint.
-A wave step sends one plain Ray task per batch, at most
-``_task_cpus()`` in flight (``_task_window``).  ``run()``'s ordered step
-fetches+parses in the tasks and admits on the driver: candidate
-pipeline (canonicalize -> domain/robots/depth/condition filters ->
-global dedup via sharded seen-set actors) in ``(parent_seq, pos)``
-order, ``seq`` stamped in that order, survivors unioned into the
-frontier.  Under one host + unlimited budget the wave order reproduces
+queued frontier, recheck robots, run the wave step (``_wave``),
+checkpoint.  The wave step sends one plain Ray task per batch, at most
+``_task_cpus()`` in flight (``_task_window``), and every task runs the
+same per-batch pipeline (``stages/turbo.py``): fetch+parse, explode,
+redirects, canonicalize -> domain/robots/depth/condition filters.  The
+loops differ only in how a batch's kept candidates are admitted.
+``run()``'s go back to the driver, which admits a round's candidates
+(global dedup via sharded seen-set actors) in ``(parent_seq, pos)``
+order, stamps ``seq`` in that order and unions the survivors into the
+frontier: under one host + unlimited budget the wave order reproduces
 the reference's FIFO crawl order (seq == QueueItem.id insertion order,
-src/queue.ts:113).  ``run_turbo()``'s step fuses the whole pipeline
-into each task (``stages/turbo.py``): worker-side first-wins admission
-and a parquet sink.
+src/queue.ts:113).  ``run_turbo()``'s are admitted first-wins at the
+seen shards inside the task, which also sinks the fetched rows to
+parquet.
 
 Scale design notes (100 TB / 10^10-URL target):
 * fetch+parse co-located: bodies never cross stage boundaries;
@@ -59,24 +61,11 @@ from ..stages.candidates import (
     candidate_processor,
     candidate_table,
     candidates_to_frontier_rows,
-    explode_discovered,
-    redirect_candidates,
 )
 from ..stages import turbo as _turbo
-from ..stages.fetch import fetch_counters, worker_fetcher
+from ..stages.fetch import _PAYLOAD, _normalize_fetched
 from ..state.seen import SeenSet
 from ..urlnorm import process_url
-
-#: a fetched row's payload columns, null in a robots-disallowed record
-_PAYLOAD = [("body", pa.binary()), ("caption", pa.string()),
-            ("image_id", pa.string()), ("disposition", pa.string()),
-            ("error_flags", pa.string()), ("location", pa.string()),
-            ("mime_supported", pa.bool_())]
-
-# canonical column order for stored fetched tables ("discovered" is
-# transient — consumed by the candidate stage, not stored)
-_FETCHED_ORDER = ([f.name for f in FRONTIER_SCHEMA]
-                  + [name for name, _ in _PAYLOAD] + ["phash"])
 
 
 def _pack(t: pa.Table) -> pa.Buffer:
@@ -94,11 +83,6 @@ def _unpack(buf: pa.Buffer) -> pa.Table:
     return pa.ipc.open_stream(buf).read_all()
 
 
-def _normalize_fetched(t: pa.Table) -> pa.Table:
-    cols = [c for c in _FETCHED_ORDER if c in t.column_names]
-    return t.select(cols)
-
-
 def _disallowed_rows(rows: pa.Table) -> pa.Table:
     """Terminal records for queued rows the robots recheck disallowed:
     status ``disallowed``, ``fetched`` set, null payloads — laid out like
@@ -111,54 +95,6 @@ def _disallowed_rows(rows: pa.Table) -> pa.Table:
     for name, typ in _PAYLOAD:
         t = t.append_column(name, pa.nulls(n, typ))
     return _normalize_fetched(t)
-
-
-@ray.remote(num_returns=2)
-def _fetch_batch(batch: pa.Buffer, kw: dict, hook, first_url: Optional[str]):
-    """One ``run()`` batch (``_pack``ed rows), one task: fetch with the
-    worker's cached ``Fetcher`` (``kw`` holds the web, config and
-    cache-index refs, nested so the worker cache keys on them), explode
-    the discovered links and add the redirect targets
-    (``redirect_candidates``, whose first-request outcome rides in the
-    counters), and run the batched fetch-complete ``hook`` (§2.10 manual
-    discovery) on the downloaded rows in seq order.  Returns the
-    normalized fetched block (a driver-owned return the driver keeps as
-    a terminal ref and never pulls) and ``(raw candidates, hook
-    candidates, counters, cache entries)``; the cache entries, ``{url:
-    (etag, last-modified)}``, are built only with a ``cache_ref``."""
-    fetcher = worker_fetcher(kw["web_ref"], kw["cfg_ref"], kw["cache_ref"])
-    cfg = fetcher.cfg
-    fetched = fetcher(_unpack(batch))
-    counters = fetch_counters(fetched, cfg["discover"])
-    raw = explode_discovered(fetched, cfg["max_depth"])
-    redirs, first = redirect_candidates(fetched, cfg, first_url)
-    if redirs is not None:
-        raw = pa.concat_tables([raw, redirs])
-    if first is not None:
-        counters[FIRST_KEY] = first
-    norm = _normalize_fetched(fetched)
-    cached = {}
-    if kw["cache_ref"] is not None:
-        for u, hj, code in zip(*(norm.column(c).to_pylist() for c in
-                                 ("url", "state_headers", "state_code"))):
-            h = json.loads(hj) if hj and 200 <= code < 300 else {}
-            if h.get("etag") or h.get("last-modified"):
-                cached[u] = (h.get("etag"), h.get("last-modified"))
-    manual = []
-    if hook is not None:
-        dl = norm.filter(pc.equal(norm.column("status"), "downloaded"))
-        dl = dl.take(pc.sort_indices(dl, sort_keys=[("seq", "ascending")]))
-        for e in (hook(dl) if dl.num_rows else None) or []:
-            # a hook returns URL strings or dicts with ``candidate`` plus
-            # optional referrer attribution
-            if isinstance(e, str):
-                e = {"candidate": e}
-            manual.append(dict(candidate=e["candidate"],
-                               referrer_url=e.get("referrer_url", ""),
-                               referrer_depth=int(e.get("referrer_depth", 0)),
-                               parent_seq=int(e.get("parent_seq", -1)),
-                               pos=int(e.get("pos", 0))))
-    return norm, (raw, manual, counters, cached)
 
 
 @ray.remote
@@ -206,8 +142,8 @@ def _host_bucket(host: str, n_buckets: int) -> int:
 def _row_hook_adapter(hook):
     """Wrap a single-row fetch_complete_hook (row dict -> list[str] of
     manual-discovery URLs) as a batched hook, so it runs WORKER-side in
-    ``_fetch_batch``: rows are visited in seq order within each batch
-    and only the candidate list reaches the driver."""
+    the batch task (``turbo_round_udf``): rows are visited in seq order
+    within each batch and only the candidate list reaches the driver."""
     def batch_hook(dl: pa.Table) -> list:
         out = []
         for row in dl.to_pylist():      # dl arrives seq-sorted
@@ -317,25 +253,36 @@ def _prune_checkpoint(ckpt: str, manifest: dict) -> None:
 
 
 @ray.remote
-def _turbo_batch(batch: pa.Buffer, kw: dict, n_buckets: int,
-                 part_file: Optional[str] = None):
-    """One turbo batch (``_pack``ed rows), one task: ``turbo_round_udf``
-    (looked up through its module at call time, so a wrapper installed
-    there sees every call), then its admitted rows split by host bucket.
-    With ``part_file`` (``checkpoint_dir/parts/r<round>-b<batch>.parquet``:
-    named by batch, so a Ray retry overwrites it) the admitted rows are
-    written there once, bucket parts concatenated in bucket order.  Run
-    with ``num_returns = 1 + n_buckets``: the first return is
-    ``(counters, part_bytes, {bucket: Part without its ref})``
-    (``part_bytes`` is the part file's size, 0 when none was written),
-    then one ``_pack``ed bucket part per bucket, None when the bucket is
-    empty.  Packed, a part crosses Ray as one IPC buffer (some 70 µs to
-    write, serialize and read) instead of through Ray's ``pa.Table``
-    reducer (about 1 ms per 22-column part; see ``_DatasetFrontier``).
-    Every return is OWNED BY THE DRIVER: a worker-side
-    ``ray.put`` would leave it owned by a transient worker, and an
-    idle-worker reap would drop queued rows with OwnerDiedError."""
-    rows, counters = _turbo.turbo_round_udf(_unpack(batch), **kw)
+def _crawl_batch(batch: pa.Buffer, kw: dict, n_buckets: int,
+                 part_file: Optional[str] = None, hook=None):
+    """One batch (``_pack``ed rows) of either loop, one task:
+    ``turbo_round_udf`` (looked up through its module at call time, so a
+    wrapper installed there sees every call) with the fetch-complete
+    ``hook``, if any.  Run with ``num_returns = 1 + n_buckets``, it
+    returns ``(meta, *blocks)``, every return OWNED BY THE DRIVER: a
+    worker-side ``ray.put`` would leave it owned by a transient worker,
+    and an idle-worker reap would lose it with OwnerDiedError.
+
+    Without seen shards (``run()``, ``n_buckets`` 1) ``meta`` is
+    ``(counters, kept candidates)`` and the one block is the normalized
+    fetched rows, which the driver keeps as a terminal ref and never
+    pulls.
+
+    With them (``run_turbo()``) the admitted rows are split by host
+    bucket.  With ``part_file``
+    (``checkpoint_dir/parts/r<round>-b<batch>.parquet``: named by batch,
+    so a Ray retry overwrites it) they are written there once, bucket
+    parts concatenated in bucket order.  ``meta`` is ``(counters,
+    part_bytes, {bucket: Part without its ref})`` (``part_bytes`` is the
+    part file's size, 0 when none was written), then one ``_pack``ed
+    bucket part per bucket, None when the bucket is empty.  Packed, a
+    part crosses Ray as one IPC buffer (some 70 µs to write, serialize
+    and read) instead of through Ray's ``pa.Table`` reducer (about 1 ms
+    per 22-column part; see ``_DatasetFrontier``)."""
+    rows, counters, fetched = _turbo.turbo_round_udf(_unpack(batch),
+                                                     hook=hook, **kw)
+    if kw["seen_shards"] is None:
+        return (counters, rows), _normalize_fetched(fetched)
     split = _split_by_bucket(rows, n_buckets)
     name, nbytes = None, 0
     if part_file and split:
@@ -621,8 +568,8 @@ class CrawlEngine:
         self.use_cache = cache_index is not None
         self.cache_index = cache_index if cache_index is not None else {}
         # batched form: hook(downloaded rows: pa.Table) -> candidates,
-        # evaluated WORKER-side per fetched batch (``_fetch_batch``); a
-        # single-row hook runs through it (``_row_hook_adapter``), so
+        # evaluated WORKER-side per fetched batch (``turbo_round_udf``);
+        # a single-row hook runs through it (``_row_hook_adapter``), so
         # the engine keeps no driver-side per-row hook
         self.fetch_complete_hook = None
         self.fetch_complete_batch_hook = fetch_complete_batch_hook
@@ -641,7 +588,8 @@ class CrawlEngine:
                 stacklevel=2)
             self.fetch_complete_batch_hook = _row_hook_adapter(
                 fetch_complete_hook)
-        self._batch_hook_ref = None
+        self._batch_hook_ref = (ray.put(self.fetch_complete_batch_hook)
+                                if self.fetch_complete_batch_hook else None)
 
         self.seen = SeenSet(
             num_shards=self.cfg["seen_shards"],
@@ -656,6 +604,7 @@ class CrawlEngine:
         self.next_seq = 0
         self.round_no = 0
         self.first_url: Optional[str] = None  # see redirect_candidates
+        self._sink_dir: Optional[str] = None  # run_turbo's sink
         self._frontier = _DatasetFrontier()
         self.terminal_refs: list = []      # ObjectRefs of fetched arrow tables
         # checkpoint state (see _checkpoint)
@@ -1084,11 +1033,11 @@ class CrawlEngine:
 
     # ------------------------------------------------------------- rounds
 
-    def _run_round(self, wave_step=None) -> bool:
+    def _run_round(self, at_shards: bool = False) -> bool:
         """One BSP round of either loop: admit manual enqueues, dequeue,
-        recheck robots, run the wave step on the allowed rows
-        (``run()``'s ``_ordered_wave`` unless ``wave_step`` is given),
-        checkpoint.  Returns False when the frontier was empty."""
+        recheck robots, run the wave step on the allowed rows (``_wave``,
+        admitting at the seen shards for ``run_turbo()``), checkpoint.
+        Returns False when the frontier was empty."""
         self._admit_manual()
         with self._timed("dequeue"):
             wave = self._dequeue_wave()
@@ -1107,66 +1056,100 @@ class CrawlEngine:
             with self._timed("robots"):
                 wave = self._robots_recheck(wave)
         if wave.num_rows:
-            (wave_step or self._ordered_wave)(wave)
+            self._wave(wave, at_shards)
         self._checkpoint()
         return True
 
-    def _ordered_wave(self, wave: pa.Table) -> None:
-        """``run()``'s wave step: one ``_fetch_batch`` task per batch
-        through the task window, then, on the driver, each batch's
-        counters and cache entries, one ``CandidateProcessor`` over the
-        round's raw candidates (built after the counters, so a host
-        adopted from the seed's redirect filters them too), and the
-        admit in ``(parent_seq, pos)`` order."""
-        if self.cfg["track_fetch_order"]:
-            self.fetch_order.extend(wave.column("url").to_pylist())
-        if self._batch_hook_ref is None \
-                and self.fetch_complete_batch_hook is not None:
-            self._batch_hook_ref = ray.put(self.fetch_complete_batch_hook)
+    def _wave(self, wave: pa.Table, at_shards: bool) -> None:
+        """The wave step of both loops: one ``_crawl_batch`` task per
+        batch through the task window.  Each task's first return is read
+        as it completes, so ``timings["merge"]`` never covers the wait
+        for tasks; the outcomes are applied in batch order, so nothing
+        depends on completion order.  Only the admission differs:
+
+        * ``at_shards`` (``run_turbo()``): the batches admitted
+          first-wins at the seen shards and sank their fetched rows; the
+          driver adopts their bucket parts and part files.
+        * otherwise (``run()``): the driver keeps each fetched block as a
+          terminal ref and admits the round's kept candidates in
+          ``(parent_seq, pos)`` order (``_admit_candidates``)."""
+        ckpt = self.cfg["checkpoint_dir"]
+        if at_shards:
+            shards, nb = self.seen.shards, self._frontier.n_buckets
+            parts_dir = os.path.join(ckpt, "parts") if ckpt else None
+        else:
+            shards, nb, parts_dir = None, 1, None
         kw = dict(web_ref=self._web_broadcast(),
                   cfg_ref=self._broadcast("cfg", self.cfg),
+                  robots_ref=self._broadcast("robots", self.robots_cache),
                   cache_ref=(self._broadcast("cache", self.cache_index)
-                             if self.use_cache else None))
+                             if self.use_cache else None),
+                  seen_shards=shards, round_no=self.round_no,
+                  sink_dir=self._sink_dir, first_url=self.first_url)
         bs = self.cfg["batch_size"]
         batches = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)]
-        refs: list = []
+        task = _crawl_batch.options(num_returns=1 + nb)
+        refs, metas = [None] * len(batches), [None] * len(batches)
 
         def submit(i: int):
-            refs.append(_fetch_batch.remote(_pack(batches[i]), kw,
-                                            self._batch_hook_ref,
-                                            self.first_url))
-            return refs[-1][1]
+            part_file = (os.path.join(
+                parts_dir, f"r{self.round_no:05d}-b{i:05d}.parquet")
+                if parts_dir else None)
+            refs[i] = task.remote(_pack(batches[i]), dict(kw, batch_no=i), nb,
+                                  part_file, self._batch_hook_ref)
+            return refs[i][0]
 
-        with self._timed("fetch"):
-            for _ in self._task_window(len(batches), submit):
-                pass
+        for i, ref in self._task_window(len(batches), submit):
+            with self._timed("merge"):
+                metas[i] = ray.get(ref)
         with self._timed("merge"):
-            # the normalized blocks stay in the object store
-            self.terminal_refs.extend(r[0] for r in refs)
-            raws = []
-            for raw, manual, counters, cached in ray.get([r[1] for r in refs]):
-                raws.append(raw)
-                self._manual.extend(manual)
-                self._batch_counters(counters)
-                if self.use_cache:
-                    self.cache_index.update(cached)
-        raw = pa.concat_tables(raws)
-        if raw.num_rows:
-            with self._timed("candidates"):
-                cands = CandidateProcessor(self.cfg, self.robots_cache)(raw)
-            with self._timed("admit"):
-                self._admit_candidates(cands)
+            for meta in metas:
+                self._batch_counters(meta[0])
+            if at_shards:
+                self._adopt_parts(refs, metas)
+                return
+            if self.cfg["track_fetch_order"]:
+                self.fetch_order.extend(wave.column("url").to_pylist())
+            # the fetched blocks stay in the object store
+            self.terminal_refs.extend(r[1] for r in refs)
+            kept = [meta[1] for meta in metas if meta[1].num_rows]
+            if kept:
+                self._admit_candidates(pa.concat_tables(kept))
+
+    def _adopt_parts(self, refs: list, metas: list) -> None:
+        """A turbo wave's outcome on the driver: each batch's part file
+        and bucket parts, in batch order, so the frontier layout does
+        not depend on completion order, and the round's sink lineage."""
+        for r, (c, nbytes, parts) in zip(refs, metas):
+            if nbytes:
+                # every part of a batch lives in its one part file
+                rows = sum(p.rows for p in parts.values())
+                self._files[next(iter(parts.values())).file] = (
+                    self.round_no, rows, nbytes)
+                self._round_ckpt["part_rows"] += rows
+                self._round_ckpt["part_bytes"] += nbytes
+            for b, p in parts.items():
+                self._frontier.buckets[b].append(p._replace(ref=r[1 + b]))
+        if self._sink_dir:
+            # a batch sinks one row per fetched row
+            self._lineage = [{"file": f"part-{i:05d}.parquet",
+                              "rows": c.get("fetchstart", 0)}
+                             for i, (c, _, _) in enumerate(metas)]
 
     def _batch_counters(self, counters: dict) -> None:
         """Count a batch's events after applying its first-request
         outcome (``redirect_candidates``), if it has one: ``first_url``
         moves on (None ends the chain) and a named host becomes
-        ``cfg.host`` (``_broadcast`` sends it to the next round)."""
+        ``cfg.host`` (``_broadcast`` sends it to the next round).  Its
+        hook candidates join the manual enqueues admitted next round,
+        and its 304 cache entries the cache index."""
         first = counters.pop(FIRST_KEY, None)
         if first is not None:
             self.first_url, host = first
             if host:
                 self.cfg["host"] = host
+        self._manual.extend(counters.pop(_turbo.HOOK_KEY, ()))
+        self.cache_index.update(counters.pop(_turbo.CACHE_KEY, {}))
         for k, v in counters.items():
             self._count(k, v)
 
@@ -1199,10 +1182,9 @@ class CrawlEngine:
         self._count("complete")
 
     def run_turbo(self, sink_dir: str, max_rounds: int = 100) -> dict:
-        """Scale-path crawl: ``_run_round`` with the ``_turbo_wave`` step
-        (one fused task per batch) and one checkpoint write task per
-        round.  Fetched rows stream to ``sink_dir`` parquet from the
-        workers; the driver only adopts thin (counters, bucket part
+        """Scale-path crawl: ``_run_round`` with the batches admitting at
+        the seen shards, and one checkpoint write task per round.
+        Fetched rows stream to ``sink_dir`` parquet from the workers; the driver only adopts thin (counters, bucket part
         refs) and applies politeness.  Ordering is hash-seq
         (BFS-monotone across rounds, arbitrary within a round) — use
         ``run()`` when reference-exact FIFO matters, or for a
@@ -1217,64 +1199,12 @@ class CrawlEngine:
         self._seed()
         self._sink_dir = sink_dir
         start = self.metrics.get("fetchstart", 0)
-        while self.round_no < max_rounds and self._run_round(self._turbo_wave):
+        while self.round_no < max_rounds and self._run_round(at_shards=True):
             self.round_no += 1
         self._complete()
         return {"fetched": self.metrics.get("fetchstart", 0) - start,
                 "rounds": self.round_no, "metrics": dict(self.metrics),
                 "sink_dir": sink_dir}
-
-    def _turbo_wave(self, wave: pa.Table) -> None:
-        """``run_turbo()``'s wave step: one ``_turbo_batch`` task per
-        batch through the task window, each admitting its candidates
-        first-wins at the seen shards and sinking its fetched rows.
-        Each batch's counters and part records are read as it
-        completes; its parts are adopted in batch order, so the frontier
-        layout does not depend on completion order, and
-        ``timings["merge"]`` never covers the wait for tasks."""
-        kw = dict(web_ref=self._web_broadcast(),
-                  cfg_ref=self._broadcast("cfg", self.cfg),
-                  robots_ref=self._broadcast("robots", self.robots_cache),
-                  seen_shards=self.seen.shards, round_no=self.round_no,
-                  sink_dir=self._sink_dir, first_url=self.first_url)
-        bs = self.cfg["batch_size"]
-        batches = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)]
-        nb = self._frontier.n_buckets
-        task = _turbo_batch.options(num_returns=1 + nb)
-        refs, parts = [None] * len(batches), [None] * len(batches)
-        ckpt = self.cfg["checkpoint_dir"]
-        parts_dir = os.path.join(ckpt, "parts") if ckpt else None
-        sunk = [0] * len(batches)
-
-        def submit(i: int):
-            part_file = (os.path.join(
-                parts_dir, f"r{self.round_no:05d}-b{i:05d}.parquet")
-                if parts_dir else None)
-            refs[i] = task.remote(_pack(batches[i]), dict(kw, batch_no=i), nb,
-                                  part_file)
-            return refs[i][0]
-
-        for i, ref in self._task_window(len(batches), submit):
-            with self._timed("merge"):
-                c, nbytes, parts[i] = ray.get(ref)
-                if nbytes:
-                    # every part of a batch lives in its one part file
-                    ps = parts[i].values()
-                    rows = sum(p.rows for p in ps)
-                    self._files[next(iter(ps)).file] = (self.round_no, rows,
-                                                        nbytes)
-                    self._round_ckpt["part_rows"] += rows
-                    self._round_ckpt["part_bytes"] += nbytes
-                # a batch sinks one row per fetched row
-                sunk[i] = c.get("fetchstart", 0)
-                self._batch_counters(c)
-        with self._timed("merge"):
-            for r, ps in zip(refs, parts):
-                for b, p in ps.items():
-                    self._frontier.buckets[b].append(p._replace(ref=r[1 + b]))
-        if self._sink_dir:
-            self._lineage = [{"file": f"part-{i:05d}.parquet", "rows": n}
-                             for i, n in enumerate(sunk)]
 
     def _checkpoint(self) -> None:
         """Commit the round (freeze, S3, src/queue.ts:268-313).  Every
@@ -1321,7 +1251,6 @@ class CrawlEngine:
                 "terminal": self._terminal_files,
                 "base": self._base, "delta": delta}
             rec["live_parts"] = len(manifest["live"])
-            sink_dir = getattr(self, "_sink_dir", None)
             record = {"round": self.round_no, "next_seq": self.next_seq,
                       "first_url": self.first_url,
                       "metrics": dict(self.metrics),
@@ -1329,7 +1258,7 @@ class CrawlEngine:
                       "seen_backend": self.cfg["seen_backend"],
                       "host": self.cfg["host"],
                       "lineage": ({f"round={self.round_no:05d}": self._lineage}
-                                  if sink_dir else None),
+                                  if self._sink_dir else None),
                       "checkpoint": rec}
             rdir = os.path.join(ckpt, f"state-round={self.round_no:05d}")
             tmp = rdir + ".tmp"
@@ -1571,9 +1500,13 @@ class CrawlResult:
 def sink_dataset(sink_dir: str, dedup: bool = False) -> "rd.Dataset":
     """Read a turbo crawl's fetched output back as a Dataset.  Rows are
     at-least-once across resume boundaries; pass ``dedup=True`` to keep
-    one row per url (the highest-round fetch wins — one
-    groupby(url_hash) shuffle, row payloads move once)."""
-    ds = rd.read_parquet(sink_dir)
+    one row per url (the highest fetch round wins: ``round`` is the
+    sink's directory key — one groupby(url_hash) shuffle, row payloads
+    move once)."""
+    from ray.data.datasource import Partitioning
+
+    ds = rd.read_parquet(sink_dir, partitioning=Partitioning(
+        "hive", field_types={"round": int}))
     if not dedup:
         return ds
 

@@ -8,9 +8,8 @@ response bodies (up to 16 MiB) never cross a task boundary — only
 candidate URL strings leave; at 100 TB scale this is the difference
 between shuffling payload bytes and shuffling strings.
 
-Both crawl loops call it inside their batch tasks
-(``pipelines/crawl.py`` for ``run()``, ``stages/turbo.py`` for
-``run_turbo()``).  ``worker_fetcher`` builds one ``Fetcher`` per worker
+Both crawl loops call it inside their one batch function
+(``stages/turbo.py``).  ``worker_fetcher`` builds one ``Fetcher`` per worker
 process and crawl config (T3/T5 SURVEY §2.3): the synthetic-web handle
 (or corpus reader), the cookie jar, the cache index snapshot, and
 compiled mime regexes.  Politeness pacing per host is enforced by the
@@ -42,6 +41,7 @@ import ray
 from ..cookies import CookieJar
 from ..discovery import clean_expand_resources, discover_resources
 from ..schemas import (
+    FRONTIER_SCHEMA,
     STATUS_DOWNLOADED,
     STATUS_DOWNLOADPREVENTED,
     STATUS_FAILED,
@@ -156,6 +156,23 @@ def fetch_counters(fetched: pa.Table, discover: bool) -> dict:
         if n.as_py():
             counters["discoverycomplete"] = n.as_py()
     return counters
+
+
+#: a fetched row's payload columns, null in a robots-disallowed record
+_PAYLOAD = [("body", pa.binary()), ("caption", pa.string()),
+            ("image_id", pa.string()), ("disposition", pa.string()),
+            ("error_flags", pa.string()), ("location", pa.string()),
+            ("mime_supported", pa.bool_())]
+
+# canonical column order for stored fetched tables ("discovered" is
+# transient — consumed by the candidate stage, not stored)
+_FETCHED_ORDER = ([f.name for f in FRONTIER_SCHEMA]
+                  + [name for name, _ in _PAYLOAD] + ["phash"])
+
+
+def _normalize_fetched(t: pa.Table) -> pa.Table:
+    cols = [c for c in _FETCHED_ORDER if c in t.column_names]
+    return t.select(cols)
 
 
 def _ref_key(ref) -> str:

@@ -1,49 +1,49 @@
-"""Turbo round stage: the whole per-batch pipeline fused into ONE
-function for the scale path.
+"""The per-batch function of both crawl loops.
 
-``CrawlEngine.run_turbo`` runs each round as one task wave: one
-``_turbo_batch`` task per batch calls ``turbo_round_udf`` and then
-splits its rows into frontier parts (``pipelines/crawl.py``).  Per
-input batch of queued frontier rows, inside the task:
-  fetch -> parse/discover -> explode + redirect re-queue (Arrow list
-  kernels) -> canonicalize each distinct link once (the worker's store
-  for this crawl config, ``candidates.canon_store``) -> domain/robots/
-  depth filters -> global dedup (RPC to the sharded seen-set actors)
-  -> seq stamp
-and the fetched rows (with payloads) are written DIRECTLY to the
-parquet sink from the worker — they never travel to the driver.  The
-sink part is named by the batch's index within the round
-(``round=NNNNN/part-<batch:05d>.parquet``), so a Ray retry of a batch
-overwrites its part instead of adding duplicate rows.  The function
-returns only the thin new-frontier rows (the next wave) and the batch's
-event counters, ``(rows, counters)`` (no metrics actor, no per-batch
-RPC — see A8 / crawler.ts event counters).
+``CrawlEngine`` runs each round as one task wave: one ``_crawl_batch``
+task per batch of queued frontier rows calls ``turbo_round_udf``
+(``pipelines/crawl.py``).  Inside the task, in order:
+  fetch -> sink (``sink_dir`` only) -> event counters -> explode +
+  redirect re-queue (Arrow list kernels) -> fetch-complete hook and
+  304 cache entries (only when given) -> canonicalize each distinct
+  link once (the worker's store for this crawl config,
+  ``candidates.canon_store``) -> domain/robots/depth/condition filters
+  -> admit
+The batch's event counters (no metrics actor, no per-batch RPC — see
+A8 / crawler.ts event counters) ride back with its rows.
 
-This trades the conformance mode's exact FIFO ordering for one task
-wave per round and near-zero driver work:
+The admission is the only step in which the loops differ:
 
-* ``seq`` is hash-stamped: ``(round+1) << 42 | (url_hash & MASK)`` —
-  monotone ACROSS rounds (BFS order preserved), arbitrary within a
-  round.  Use the default engine mode when reference-exact ordering
-  matters (tests); use turbo for throughput (bench / production).
-* duplicate-candidate ties within a round are won by whichever task
-  reaches the seen shard first (the reference's first-wins per
-  arrival order — arrival order is just no longer deterministic).
-* the first request (the seed and the redirect chain that starts at
-  it, ``candidates.redirect_candidates``) is handled as in ``run()``:
-  its redirect target keeps depth 1, and under
-  ``allow_initial_domain_change`` (crawler.ts:1951-1953) the batch
-  holding it adopts the target host for its own candidate filtering.
-  The batch reports the outcome in its counters (``FIRST_KEY``); the
-  driver moves ``first_url`` on, rewrites ``cfg.host`` and rebroadcasts
-  before the next round.
+* ``run()`` passes no seen shards and gets the kept candidates back.
+  The driver admits a round's candidates in ``(parent_seq, pos)`` order
+  and stamps exact FIFO seqs (the reference's ``QueueItem.id`` order).
+* ``run_turbo()`` admits first-wins at the seen shards (an RPC to the
+  sharded seen-set actors) and gets frontier rows back, ``seq``
+  hash-stamped ``(round+1) << 42 | (url_hash & MASK)``: monotone ACROSS
+  rounds (BFS order preserved), arbitrary within a round, and
+  duplicate-candidate ties go to whichever task reaches the shard
+  first.  Its fetched rows are written DIRECTLY to the parquet sink
+  from the worker.  The sink part is named by the batch's index within
+  the round (``round=NNNNN/part-<batch:05d>.parquet``), so a Ray retry
+  of a batch overwrites its part instead of adding duplicate rows; the
+  directory key is the fetch round, so the rows carry no ``round``
+  column.
+
+Both handle the first request (the seed and the redirect chain that
+starts at it, ``candidates.redirect_candidates``) alike: its redirect
+target keeps depth 1, and under ``allow_initial_domain_change``
+(crawler.ts:1951-1953) the batch holding it adopts the target host for
+its own candidate filtering.  The batch reports the outcome in its
+counters (``FIRST_KEY``); the driver moves ``first_url`` on, rewrites
+``cfg.host`` and rebroadcasts before the next round.
 
 Politeness still holds: the driver applies the per-host budget when
-building the next wave from the returned rows.
+building the next wave from the queued rows.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -55,17 +55,29 @@ from ..schemas import FRONTIER_SCHEMA
 from .candidates import (FIRST_KEY, CandidateProcessor, candidate_processor,
                          candidates_to_frontier_rows, explode_discovered,
                          redirect_candidates)
-from .fetch import fetch_counters, worker_fetcher
+from .fetch import _normalize_fetched, fetch_counters, worker_fetcher
 
 _SEQ_MASK = (1 << 42) - 1
+
+#: counters keys of a batch's fetch-complete hook candidates (a list of
+#: candidate dicts) and 304 cache entries (``{url: (etag,
+#: last-modified)}``); present only when a hook or cache ref is given
+HOOK_KEY = "hook"
+CACHE_KEY = "cached"
 
 
 def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
                     seen_shards, round_no, sink_dir, batch_no=0,
-                    first_url=None) -> tuple[pa.Table, dict]:
+                    first_url=None, cache_ref=None, hook=None
+                    ) -> tuple[pa.Table, dict, pa.Table]:
+    """One batch of queued rows -> ``(rows, counters, fetched)``:
+    frontier rows admitted at ``seen_shards``, or, without shards, the
+    kept candidates for the driver to admit; the batch's counters (with
+    its ``FIRST_KEY``, ``HOOK_KEY`` and ``CACHE_KEY`` entries); and the
+    fetched rows."""
     # the fetcher does not read robots: a new robots snapshot rebuilds
     # only the candidate processor (which keeps the config's store)
-    fetcher = worker_fetcher(web_ref, cfg_ref)
+    fetcher = worker_fetcher(web_ref, cfg_ref, cache_ref)
     proc = candidate_processor(cfg_ref, robots_ref)
     cfg = fetcher.cfg
 
@@ -75,7 +87,7 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
     if sink_dir:
         rdir = os.path.join(sink_dir, f"round={round_no:05d}")
         os.makedirs(rdir, exist_ok=True)
-        out = fetched.drop_columns(["discovered"])
+        out = fetched.drop_columns(["discovered", "round"])
         pq.write_table(out, os.path.join(rdir, f"part-{batch_no:05d}.parquet"))
 
     counters = fetch_counters(fetched, cfg.get("discover", True))
@@ -91,8 +103,35 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
     if redirs is not None:
         raw = pa.concat_tables([raw, redirs])
 
+    if hook is not None:
+        # §2.10 manual discovery: the hook sees the downloaded rows in
+        # seq order; its candidates join the driver's manual enqueues
+        norm = _normalize_fetched(fetched)
+        dl = norm.filter(pc.equal(norm.column("status"), "downloaded"))
+        dl = dl.take(pc.sort_indices(dl, sort_keys=[("seq", "ascending")]))
+        manual = []
+        for e in (hook(dl) if dl.num_rows else None) or []:
+            # a hook returns URL strings or dicts with ``candidate`` plus
+            # optional referrer attribution
+            if isinstance(e, str):
+                e = {"candidate": e}
+            manual.append(dict(candidate=e["candidate"],
+                               referrer_url=e.get("referrer_url", ""),
+                               referrer_depth=int(e.get("referrer_depth", 0)),
+                               parent_seq=int(e.get("parent_seq", -1)),
+                               pos=int(e.get("pos", 0))))
+        counters[HOOK_KEY] = manual
+    if cache_ref is not None:
+        cached = {}
+        for u, hj, code in zip(*(fetched.column(c).to_pylist() for c in
+                                 ("url", "state_headers", "state_code"))):
+            h = json.loads(hj) if hj and 200 <= code < 300 else {}
+            if h.get("etag") or h.get("last-modified"):
+                cached[u] = (h.get("etag"), h.get("last-modified"))
+        counters[CACHE_KEY] = cached
+
     if raw.num_rows == 0:
-        return FRONTIER_SCHEMA.empty_table(), counters
+        return FRONTIER_SCHEMA.empty_table(), counters, fetched
 
     cands = proc(raw)
     for e in pc.value_counts(cands.column("reject_reason")).to_pylist():
@@ -100,8 +139,10 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
             counters[e["values"]] = (counters.get(e["values"], 0)
                                      + int(e["counts"]))
     cands = cands.filter(pc.equal(cands.column("reject_reason"), ""))
+    if seen_shards is None:
+        return cands, counters, fetched
     if cands.num_rows == 0:
-        return FRONTIER_SCHEMA.empty_table(), counters
+        return FRONTIER_SCHEMA.empty_table(), counters, fetched
 
     # distributed dedup: scatter to the seen shards, first-wins (the
     # ONE shard-routing implementation lives in state/seen.py)
@@ -114,10 +155,10 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
     counters["queueduplicate"] = int((~mask).sum())
     admitted = cands.filter(pa.array(mask))
     if admitted.num_rows == 0:
-        return FRONTIER_SCHEMA.empty_table(), counters
+        return FRONTIER_SCHEMA.empty_table(), counters, fetched
 
     seqs = (((round_no + 1) << 42)
             | (np.asarray(admitted.column("url_hash").to_numpy(zero_copy_only=False),
                           dtype=np.uint64) & np.uint64(_SEQ_MASK))).astype(np.int64)
     rows = candidates_to_frontier_rows(admitted, seqs, round_no + 1)
-    return rows, counters
+    return rows, counters, fetched

@@ -17,7 +17,7 @@ import pytest
 import ray
 
 from simplecrawler_ray.pipelines.crawl import (CrawlEngine, CrawlResult,
-                                               _pack, _turbo_batch, _unpack,
+                                               _crawl_batch, _pack, _unpack,
                                                sink_dataset)
 from simplecrawler_ray.sources.web import ConformanceWeb, ScaleWeb
 from simplecrawler_ray.state.seen import SeenSet
@@ -242,7 +242,7 @@ def test_turbo_batch_retry_overwrites_its_checkpoint_part(tmp_path):
     batch = eng.queued_table()
     eng.seen.shutdown()
     nb = eng._frontier.n_buckets
-    task = _turbo_batch.options(num_returns=1 + nb)
+    task = _crawl_batch.options(num_returns=1 + nb)
     parts_dir = tmp_path / "ck" / "parts"
     part_file = str(parts_dir / "r00000-b00003.parquet")
     for _ in range(2):

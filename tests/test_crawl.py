@@ -507,9 +507,9 @@ def test_events_table(web):
 
 
 def test_conformance_mode_distributed_candidate_path():
-    """run() over a 6,000-row wave: the fetch and explode run as batch
-    tasks, the canonicalization on the driver, and the 6,000-URL seed
-    and admit take ``check_and_add_distributed``."""
+    """run() over a 6,000-row wave: the fetch, explode and
+    canonicalization run as batch tasks, and the 6,000-URL seed and
+    admit take ``check_and_add_distributed``."""
     sw = ScaleWeb(n_pages=6000, n_hosts=8, out_degree=3)
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=4,
                       store_body=False, batch_size=1024)
@@ -521,6 +521,30 @@ def test_conformance_mode_distributed_candidate_path():
     eng.seen.shutdown()
 
 
+def test_run_canonicalizes_in_the_worker(monkeypatch):
+    """run()'s batch tasks canonicalize the links they discover, with
+    the worker's store: in a crawl with no hook, the driver's
+    ``CandidateProcessor`` sees the seed row and nothing else."""
+    from simplecrawler_ray.stages.candidates import CandidateProcessor
+
+    rows = []
+    call = CandidateProcessor.__call__
+
+    def counting(self, batch):
+        rows.append(batch.num_rows)
+        return call(self, batch)
+
+    monkeypatch.setattr(CandidateProcessor, "__call__", counting)
+    sw = ScaleWeb(n_pages=40, n_hosts=4, out_degree=3)
+    eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=2,
+                      store_body=False, batch_size=8)
+    res = eng.run(max_rounds=60)
+    eng.seen.shutdown()
+    assert len(res.downloaded_urls()) == 40
+    assert res.metrics["queueduplicate"] > 0  # links were canonicalized
+    assert rows == [1]
+
+
 def test_robots_actor_pool(web):
     """T2 scale path: sharded RobotsShard actors fetch + serve rules."""
     eng, res = run(web, SEED, robots_pool_shards=2)
@@ -530,6 +554,44 @@ def test_robots_actor_pool(web):
     assert st["http://127.0.0.1:3000/sitemap.xml"] == "notfound"  # sitemap queued
     eng._robots_pool.shutdown()
     eng.seen.shutdown()
+
+
+def test_turbo_sink_reads_with_plain_pyarrow(tmp_path):
+    """The sink's ``round`` is its directory key alone, the fetch round:
+    ``pyarrow.parquet.read_table`` reads a 2-round sink with each URL
+    once and each row's ``round`` equal to its directory's.  A part
+    copied into a later round (a rerun's duplicate) is what
+    ``sink_dataset(dedup=True)`` keeps."""
+    import glob
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from simplecrawler_ray.pipelines.crawl import sink_dataset
+
+    sw = ScaleWeb(n_pages=30, n_hosts=2, out_degree=2)
+    sink = str(tmp_path / "sink")
+    eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=1,
+                      store_body=False, batch_size=4)
+    eng.run_turbo(sink, max_rounds=2)
+    eng.seen.shutdown()
+    t = pq.read_table(sink)
+    urls = t.column("url").to_pylist()
+    assert len(urls) == len(set(urls)) == eng.metrics["fetchstart"] > 1
+    want = {}
+    for f in glob.glob(os.path.join(sink, "round=*", "*.parquet")):
+        rnd = int(os.path.basename(os.path.dirname(f)).split("=")[1])
+        want.update((u, rnd) for u in pq.read_table(f).column("url").to_pylist())
+    assert set(want.values()) == {0, 1}
+    assert dict(zip(urls, t.column("round").to_pylist())) == want
+
+    os.makedirs(os.path.join(sink, "round=00002"))
+    shutil.copy(os.path.join(sink, "round=00000", "part-00000.parquet"),
+                os.path.join(sink, "round=00002", "part-00000.parquet"))
+    d = sink_dataset(sink, dedup=True).to_pandas()
+    assert len(d) == d["url"].nunique() == len(urls)
+    got = dict(zip(d["url"], d["round"]))
+    assert got == {**want, **{u: 2 for u, r in want.items() if r == 0}}
 
 
 def test_sink_dataset_and_queue_over_it(tmp_path):
@@ -893,7 +955,7 @@ def test_add_remove_fetch_condition(web):
 def test_turbo_dataset_frontier_rows_never_transit_driver(tmp_path, monkeypatch):
     """Round-2 verdict #1: on the turbo + dataset-frontier path, admitted
     new-frontier rows are bucketed worker-side, in the same task that
-    admitted them (_turbo_batch), and come back as driver-owned part
+    admitted them (_crawl_batch), and come back as driver-owned part
     refs — the driver's add_table only ever sees the seed row, no matter
     how many URLs the crawl admits."""
     from simplecrawler_ray.pipelines import crawl as crawl_mod
@@ -1351,6 +1413,12 @@ def test_turbo_checkpoint_records_lineage(tmp_path):
 CHAIN_SEED = "http://127.0.0.1:3000/domain-redirect2"  # -> localhost
 CHAIN_OPTS = dict(seen_shards=2, allow_initial_domain_change=True,
                   respect_robots_txt=False)
+#: what both loops fetch in test_seed_redirect_adopts_host_for_its_batch_only
+ADOPTION_SCOPE_FETCHED = {
+    CHAIN_SEED, "http://localhost:3000/domain-redirect",
+    "http://localhost:3000/", "http://localhost:3000/stage2",
+    "http://localhost:3000/forbidden", "http://127.0.0.1:3000/depth/2",
+    "http://127.0.0.1:3000/depth/3"}
 
 
 def _crawl_depths(eng, loop, tmp_path, max_rounds=40) -> dict:
@@ -1396,6 +1464,23 @@ def test_nonseed_redirect_does_not_rewrite_host(tmp_path, loop):
     # the non-seed redirect must not have adopted localhost as the host
     assert eng.cfg["host"] == "127.0.0.1"
     eng.seen.shutdown()
+
+
+@pytest.mark.parametrize("loop", ["run", "run_turbo"])
+def test_seed_redirect_adopts_host_for_its_batch_only(tmp_path, loop):
+    """A host adopted from the seed's redirect filters only the batch
+    that holds the redirect, in both loops.  With ``batch_size=1`` the
+    round-0 wave's second row, an enqueued /depth/2 on 127.0.0.1, is a
+    batch of its own, filtered with the round's starting host: its link
+    /depth/3 is queued.  From round 1 on the host is localhost, so
+    /depth/3's own links are not."""
+    eng = CrawlEngine(ConformanceWeb(), CHAIN_SEED, batch_size=1,
+                      **CHAIN_OPTS)
+    eng.enqueue("http://127.0.0.1:3000/depth/2")
+    depths = _crawl_depths(eng, loop, tmp_path)
+    eng.seen.shutdown()
+    assert eng.cfg["host"] == "localhost"
+    assert set(depths) == ADOPTION_SCOPE_FETCHED
 
 
 @pytest.mark.parametrize("loop", ["run", "run_turbo"])
@@ -1565,7 +1650,7 @@ def test_turbo_batch_retry_overwrites_its_sink_part(tmp_path):
     import pyarrow.parquet as pq
     import ray
 
-    from simplecrawler_ray.pipelines.crawl import _pack, _turbo_batch
+    from simplecrawler_ray.pipelines.crawl import _crawl_batch, _pack
 
     sw = ScaleWeb(n_pages=40, n_hosts=4, out_degree=3)
     eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=1,
@@ -1578,7 +1663,7 @@ def test_turbo_batch_retry_overwrites_its_sink_part(tmp_path):
               batch_no=3)
     nb = eng._frontier.n_buckets
     for _ in range(2):
-        refs = _turbo_batch.options(num_returns=1 + nb).remote(
+        refs = _crawl_batch.options(num_returns=1 + nb).remote(
             _pack(batch), kw, nb)
         counters, _nbytes, _parts = ray.get(refs[0])
         assert counters["fetchstart"] == 10

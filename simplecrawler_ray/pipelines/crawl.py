@@ -53,7 +53,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..robots import RobotsRules
+from ..robots import RobotsRules, _fetch_and_parse
 from ..schemas import FRONTIER_SCHEMA, STATUS_DISALLOWED
 from ..stages.candidates import (
     FIRST_KEY,
@@ -519,12 +519,6 @@ DEFAULT_CONFIG = dict(
     track_fetch_order=True,  # keep the per-URL fetch log (conformance /
                              # FIFO assertions).  Disable for large crawls:
                              # the list grows O(fetched) on the driver.
-    robots_pool_shards=0,   # >0: sharded RobotsShard actors fetch robots.txt
-    robots_cache_max_hosts=100_000,  # driver-side rules cache bound: past
-                            # this, the sharded pool auto-enables and the
-                            # oldest driver entries are evicted (shards keep
-                            # the rules; re-ensure is one RPC, no refetch)
-    robots_pool_auto_shards=8,  # pool size used by the auto-enable
     frontier_backend="dataset",  # the only value: queued rows always live
                                  # in the object store (`_DatasetFrontier`);
                                  # accepted so existing configs still load
@@ -598,7 +592,6 @@ class CrawlEngine:
         )
         self.robots_cache: dict[str, RobotsRules] = {}
         self.robots_errors: list[str] = []
-        self._robots_pool = None
         self.metrics: dict[str, int] = {}
         self.fetch_order: list[str] = []
         self.next_seq = 0
@@ -641,16 +634,11 @@ class CrawlEngine:
         return cm()
 
     def _actor_cpus(self) -> float:
-        """CPUs reserved by the actors this engine created: the seen
-        shards, plus the robots-pool shards once the pool is on."""
-        from ..state.robots_pool import RobotsShard
+        """CPUs reserved by the actors this engine created: its seen
+        shards."""
         from ..state.seen import SeenShard
 
-        cpus = len(self.seen.shards) * SeenShard._default_options["num_cpus"]
-        if self._robots_pool is not None:
-            cpus += (len(self._robots_pool.shards)
-                     * RobotsShard._default_options["num_cpus"])
-        return cpus
+        return len(self.seen.shards) * SeenShard._default_options["num_cpus"]
 
     def _task_cpus(self) -> float:
         """CPUs the engine's tasks may use at once: the cluster's CPUs
@@ -842,7 +830,7 @@ class CrawlEngine:
         ref every round would rebuild each worker's Fetcher (re-
         deserializing the whole web/corpus object) and canon store once
         per round instead of once per crawl.  Robots values compare by
-        identity — _fetch_robots adds/evicts entries, never mutates a
+        identity — _fetch_robots only adds entries, never mutates a
         rules object in place."""
         snap = dict(value)
         if name not in self._puts or self._puts[name][1] != snap:
@@ -918,60 +906,29 @@ class CrawlEngine:
 
     def _fetch_robots(self, hosts: set[str],
                       schemes: "dict[str, str] | None" = None) -> pa.Table | None:
-        """Fetch+parse robots.txt for new hosts.  Driver-side by default
-        (one tiny GET per host per crawl; hosts << URLs); with
-        ``robots_pool_shards`` > 0 the fetching itself is distributed
-        across RobotsShard actors (state/robots_pool.py, T2 scale path).
-        Returns sitemap candidates."""
-        cap = self.cfg["robots_cache_max_hosts"]
-        if (not self.cfg["robots_pool_shards"] and cap
-                and len(self.robots_cache) > cap):
-            # scale guard: past the cap the driver must not keep fetching
-            # and holding every host's rules — switch to the sharded pool
-            # (round-2 verdict #10)
-            self.cfg["robots_pool_shards"] = self.cfg["robots_pool_auto_shards"]
-        if self.cfg["robots_pool_shards"]:
-            from ..state.robots_pool import RobotsPool
-
-            if self._robots_pool is None:
-                self._robots_pool = RobotsPool(
-                    self._web_broadcast(), self.cfg["robots_pool_shards"],
-                    self.cfg.get("user_agent", "*"))
-            new_hosts = [hk for hk in sorted(hosts) if hk not in self.robots_cache]
-            if not new_hosts:
-                return None
-            self.robots_cache.update(
-                self._robots_pool.ensure(new_hosts, schemes))
-            cap = self.cfg["robots_cache_max_hosts"]
-            if cap and len(self.robots_cache) > cap:
-                # bound driver memory: evict oldest entries not needed by
-                # this wave — the shards still hold them, so a future wave
-                # re-ensures with one RPC instead of a refetch
-                excess = len(self.robots_cache) - cap
-                for hk in [k for k in self.robots_cache
-                           if k not in hosts][:excess]:
-                    del self.robots_cache[hk]
-            for err in self._robots_pool.drain_errors():
-                self.robots_errors.append(err)
-                self._count("robotstxterror")
-            sitemap_cands = [
-                dict(candidate=sm, referrer_url=rurl, referrer_depth=0,
-                     parent_seq=-1, pos=0)
-                for rurl, sm in self._robots_pool.drain_sitemaps()
-            ]
-            return candidate_table(sitemap_cands) if sitemap_cands else None
-        # driver-side small-scale path: same shared fetch implementation
-        # as the sharded pool (state/robots_pool._fetch_and_parse), so
-        # redirect/scheme/parse behavior cannot drift between the two
-        from ..state.robots_pool import _fetch_and_parse
-
-        sitemap_cands = []
+        """Fetch+parse robots.txt once per host (crawler.ts:1296-1335):
+        the hosts of ``hosts`` not yet in ``robots_cache``, whose rules
+        are then kept for the whole crawl.  With ``fetch_threads`` > 1
+        (a latency-bound transport) the GETs run on a thread pool of
+        that size; either way the results are applied in
+        ``sorted(hosts)`` order.  Returns the sitemap candidates."""
+        new = [hk for hk in sorted(hosts) if hk not in self.robots_cache]
         ua = self.cfg.get("user_agent", "*")
-        for hk in sorted(hosts):
-            if hk in self.robots_cache:
-                continue
-            rules, sitemaps, err = _fetch_and_parse(
-                self.web, hk, ua, scheme=(schemes or {}).get(hk))
+
+        def fetch(hk):
+            return _fetch_and_parse(self.web, hk, ua,
+                                    scheme=(schemes or {}).get(hk))
+
+        threads = int(self.cfg["fetch_threads"] or 0)
+        if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(threads) as pool:
+                results = list(pool.map(fetch, new))
+        else:
+            results = map(fetch, new)
+        sitemap_cands = []
+        for hk, (rules, sitemaps, err) in zip(new, results):
             if err:
                 self.robots_errors.append(err)
                 self._count("robotstxterror")
@@ -1003,10 +960,8 @@ class CrawlEngine:
         hks = [f"{h}:{p or ''}" for h, p, _ in triples]
         hosts = set(hks)
         if hosts - self.robots_cache.keys():
-            # pass the FULL wave host set: _fetch_robots only fetches new
-            # hosts, but its cache eviction keeps `k in hosts` — passing
-            # just the new ones could evict a current-wave host's rules,
-            # and the recheck below would treat it as allowed
+            # the full wave host set: _fetch_robots skips the hosts it
+            # already holds
             sitemaps = self._fetch_robots(hosts, _robots_schemes(
                 hks, [proto for _, _, proto in triples]))
             if sitemaps is not None:

@@ -382,12 +382,6 @@ def deep_assign(target: dict, updates: dict) -> dict:
     return target
 
 
-def ray_get_all(ds) -> list[pa.Table]:
-    from .ops import gather_tables
-
-    return gather_tables(ds)
-
-
 def gather_concat(ds) -> pa.Table:
     """Gather + concat dataset blocks; empty-safe (a comparator matching
     nothing returns a schema-bearing empty table, not ArrowInvalid)."""

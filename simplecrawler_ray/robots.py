@@ -2,7 +2,8 @@
 
 The reference delegates to the ``robots-parser`` npm package
 (src/crawler.ts:17,1308-1309) and keeps one parsed rule-set per touched
-host (``_robotsTxts``, src/crawler.ts:602-603).  This is a from-scratch
+host (``_robotsTxts``, src/crawler.ts:602-603), fetched once per host
+(``_fetch_and_parse``, src/crawler.ts:1296-1335).  This is a from-scratch
 parser of the same public spec (Google's robots.txt RFC 9309 subset):
 User-agent groups, Allow/Disallow with ``*`` wildcards and ``$``
 anchors, longest-match-wins precedence (Allow wins ties), and Sitemap
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .urlnorm import Uri
+from .urlnorm import Uri, process_url
 
 
 def _rule_regex(pattern: str) -> re.Pattern:
@@ -119,13 +120,41 @@ class RobotsRules:
         return verdict
 
 
-def robots_txt_url(any_url: str) -> str:
-    u = Uri.parse(any_url)
-    port = f":{u.port}" if u.port else ""
-    return f"{u.protocol or 'http'}://{u.hostname}{port}/robots.txt"
-
-
 def host_key(url: str) -> str:
     """Per-host key used for the robots cache / politeness partitioning."""
     u = Uri.parse(url)
     return f"{u.hostname or ''}:{u.port or ''}"
+
+
+def _fetch_and_parse(web, hk: str, user_agent: str,
+                     scheme: "str | None" = None) -> tuple[RobotsRules, list[str], str]:
+    """One robots.txt fetch+parse for host key ``hk`` (redirect-following;
+    a redirect off the host => error entry).  Returns (rules, sitemaps,
+    error_msg).  ``scheme`` comes from the frontier rows' protocol
+    column; unset, port 443 implies https (plaintext HTTP against a TLS
+    port would fail and silently yield allow-all rules)."""
+    host, _, port = hk.partition(":")
+    portpart = f":{port}" if port else ""
+    if scheme is None:
+        scheme = "https" if port == "443" else "http"
+    rurl = f"{scheme}://{host}{portpart}/robots.txt"
+    resp = web.get(rurl)
+    hops = 0
+    while (resp is not None and 300 <= resp.code < 400
+           and resp.headers.get("Location") and hops < 5):
+        loc = resp.headers["Location"]
+        target = process_url(loc, rurl)
+        if target is None or host_key(target.url) != hk:
+            return (RobotsRules(url=rurl), [],
+                    f"Robots.txt for {hk} redirected to a disallowed domain: {loc}")
+        rurl = target.url
+        resp = web.get(rurl)
+        hops += 1
+    if resp is None or resp.code != 200:
+        return RobotsRules(url=rurl), [], ""
+    try:
+        rules = RobotsRules.parse(rurl, resp.body.decode("utf-8", errors="replace"),
+                                  user_agent)
+        return rules, list(rules.sitemaps), ""
+    except Exception:
+        return RobotsRules.error_rules(rurl), [], "robots parse error"

@@ -79,10 +79,6 @@ FETCHED_EXTRA_FIELDS = [
 FETCHED_SCHEMA = pa.schema(FRONTIER_FIELDS + FETCHED_EXTRA_FIELDS)
 
 
-def empty_frontier_table() -> pa.Table:
-    return FRONTIER_SCHEMA.empty_table()
-
-
 def frontier_row_defaults() -> dict:
     """Default state_* values for a freshly queued row."""
     return {

@@ -545,15 +545,53 @@ def test_run_canonicalizes_in_the_worker(monkeypatch):
     assert rows == [1]
 
 
-def test_robots_actor_pool(web):
-    """T2 scale path: sharded RobotsShard actors fetch + serve rules."""
-    eng, res = run(web, SEED, robots_pool_shards=2)
+class _RobotsCountingWeb(ConformanceWeb):
+    """ConformanceWeb that logs each ``/robots.txt`` GET made through
+    this instance (the driver's; workers get their own copies)."""
+
+    def __init__(self):
+        super().__init__()
+        self.robots_gets: list[str] = []  # list.append is thread-safe
+
+    def get(self, url, request_headers=None):
+        if url.endswith("/robots.txt"):
+            self.robots_gets.append(url)
+        return super().get(url, request_headers)
+
+
+@pytest.mark.parametrize("fetch_threads", [0, 4])
+def test_robots_fetched_once_per_host(fetch_threads):
+    """T2: the driver fetches each host's robots.txt once per crawl and
+    keeps its rules; ``fetch_threads`` > 1 fetches a wave's new hosts on
+    a thread pool, and applies them in the same (sorted) host order.
+    Round 0 holds four hosts: the seed's, ``localhost:3000``, port 3001
+    (``Disallow: /disallowed``) and port 3002 (robots.txt redirected off
+    the host), so both parameters must give the same errors, disallowed
+    count and sitemap order."""
+    web = _RobotsCountingWeb()
+    eng = CrawlEngine(web, SEED, seen_shards=2, filter_by_domain=False,
+                      fetch_threads=fetch_threads)
+    for url in ("http://localhost:3000/", "http://127.0.0.1:3001/disallowed",
+                "http://127.0.0.1:3002/"):
+        eng.enqueue(url)
+    res = eng.run(max_rounds=40)
+    eng.seen.shutdown()
+    assert sorted(web.robots_gets) == [
+        "http://127.0.0.1:3000/robots.txt", "http://127.0.0.1:3001/robots.txt",
+        "http://127.0.0.1:3002/robots.txt", "http://localhost:3000/robots.txt"]
     t = res.fetched_table()
     st = dict(zip(t.column("url").to_pylist(), t.column("status").to_pylist()))
     assert "http://127.0.0.1:3000/forbidden" not in st
     assert st["http://127.0.0.1:3000/sitemap.xml"] == "notfound"  # sitemap queued
-    eng._robots_pool.shutdown()
-    eng.seen.shutdown()
+    assert st["http://127.0.0.1:3001/disallowed"] == "disallowed"
+    assert res.robots_errors == [
+        "Robots.txt for 127.0.0.1:3002 redirected to a disallowed domain: "
+        "http://example.com/robots.txt"]
+    # 3001/disallowed at the wave recheck, /forbidden at enqueue on both
+    # port-3000 hosts
+    assert res.metrics["fetchdisallowed"] == 3
+    assert [u for u in res.fetch_order if u.endswith("/sitemap.xml")] == [
+        "http://127.0.0.1:3000/sitemap.xml", "http://localhost:3000/sitemap.xml"]
 
 
 def test_turbo_sink_reads_with_plain_pyarrow(tmp_path):
@@ -1023,25 +1061,6 @@ def test_turbo_initial_domain_change_allowed(tmp_path, backend):
     st = dict(zip(t["url"], t["status"]))
     assert st.get("http://localhost:3000/") == "downloaded"
     assert eng.cfg["host"] == "localhost"
-    eng.seen.shutdown()
-
-
-def test_robots_cache_auto_shards_and_bounded_driver(tmp_path):
-    """Round-2 verdict #10: past robots_cache_max_hosts the sharded
-    robots pool auto-enables and the driver cache is evicted down to the
-    cap — many-host crawls keep driver robots memory bounded while
-    still fetching everything."""
-    sw = ScaleWeb(n_pages=60, n_hosts=12, out_degree=3)
-    eng = CrawlEngine(sw, sw.url_of(0), filter_by_domain=False, seen_shards=2,
-                      store_body=False, batch_size=16,
-                      robots_cache_max_hosts=4, robots_pool_auto_shards=2)
-    out = eng.run_turbo(str(tmp_path / "sink"), max_rounds=60)
-    assert out["fetched"] == 60
-    assert eng.cfg["robots_pool_shards"] == 2  # auto-enabled
-    # bounded: cap + at most one wave's worth of hosts
-    assert len(eng.robots_cache) <= 4 + 12
-    if eng._robots_pool is not None:
-        eng._robots_pool.shutdown()
     eng.seen.shutdown()
 
 
@@ -1677,8 +1696,7 @@ def test_turbo_batch_retry_overwrites_its_sink_part(tmp_path):
 
 def test_task_cpus_budget():
     """``_task_cpus`` is the cluster's CPUs less the engine's actor CPUs
-    (seen shards, plus robots shards once the pool is on), never below
-    one task."""
+    (its seen shards), never below one task."""
     import ray
 
     total = ray.cluster_resources()["CPU"]
@@ -1686,12 +1704,8 @@ def test_task_cpus_budget():
     eng = CrawlEngine(sw, sw.url_of(0), seen_shards=2)
     assert eng._actor_cpus() == 0.5
     assert eng._task_cpus() == total - 0.5
-    eng.cfg["robots_pool_shards"] = 2
-    eng._fetch_robots({sw.url_of(0).split("/")[2] + ":"})
-    assert eng._actor_cpus() == 1.0
     eng._actor_cpus = lambda: 4 * total
     assert eng._task_cpus() == 1
-    eng._robots_pool.shutdown()
     eng.seen.shutdown()
 
 

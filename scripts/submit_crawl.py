@@ -82,7 +82,6 @@ def main() -> int:
         seen_shards=args.seen_shards,
         batch_size=args.batch_size,
         max_depth=args.max_depth,
-        timeout=args.timeout_ms,
         user_agent=args.user_agent,
         checkpoint_dir=args.checkpoint,
         **extra,

@@ -4,12 +4,14 @@ The reference's continuous event loop (``start()``/``crawl()`` tick,
 src/crawler.ts:646-674, 1273-1360) becomes bulk-synchronous rounds
 (SURVEY §2.9).  Both public loops run the same round, ``_run_round``:
 admit manual enqueues, dequeue a politeness-budgeted wave from the
-queued frontier, recheck robots, run the wave step (``_wave``),
-checkpoint.  The wave step sends one plain Ray task per batch, at most
-``_task_cpus()`` in flight (``_task_window``), and every task runs the
-same per-batch pipeline (``stages/turbo.py``): fetch+parse, explode,
-redirects, canonicalize -> domain/robots/depth/condition filters.  The
-loops differ only in how a batch's kept candidates are admitted.
+queued frontier, fetch robots.txt for the wave's new hosts, run the
+wave step (``_wave``), checkpoint.  The wave step sends one plain Ray
+task per batch, at most ``_task_cpus()`` in flight (``_task_window``),
+and every task runs the same per-batch pipeline (``stages/turbo.py``):
+robots check of its rows, fetch+parse, explode, redirects, canonicalize
+-> domain/robots/depth/condition filters.  The loops differ only in how
+a batch's kept candidates are admitted, and in where its terminal rows
+go.
 ``run()``'s go back to the driver, which admits a round's candidates
 (global dedup via sharded seen-set actors) in ``(parent_seq, pos)``
 order, stamps ``seq`` in that order and unions the survivors into the
@@ -26,8 +28,8 @@ Scale design notes (100 TB / 10^10-URL target):
   parts, each one Arrow IPC buffer (`_DatasetFrontier`, ``_pack``),
   and wave batches travel packed too; the driver holds one ``Part``
   record per part (ref, row count, seq range, part-file location),
-  plus per-round object refs of fetched blocks — payloads live in the
-  object store / parquet checkpoints;
+  plus ``run()``'s per-batch refs of terminal blocks — payloads live
+  in the object store / parquet checkpoints;
 * per-round checkpoint, one format for both loops, each byte written
   once: write-once parquet part files (batch tasks write their own
   admitted rows), a seen base + url_hash delta, and a per-round
@@ -53,8 +55,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..robots import RobotsRules, _fetch_and_parse
-from ..schemas import FRONTIER_SCHEMA, STATUS_DISALLOWED
+from ..robots import RobotsRules, _fetch_and_parse, robots_keys
+from ..schemas import FRONTIER_SCHEMA
 from ..stages.candidates import (
     FIRST_KEY,
     CandidateProcessor,
@@ -63,15 +65,15 @@ from ..stages.candidates import (
     candidates_to_frontier_rows,
 )
 from ..stages import turbo as _turbo
-from ..stages.fetch import _PAYLOAD, _normalize_fetched
+from ..stages.fetch import _normalize_fetched
 from ..state.seen import SeenSet
 from ..urlnorm import process_url
 
 
 def _pack(t: pa.Table) -> pa.Buffer:
-    """Frontier rows as one Arrow IPC stream buffer: the wire format of
-    every frontier crossing (see ``_DatasetFrontier``).  Writes only a
-    sliced table's own range."""
+    """Rows as one Arrow IPC stream buffer: the wire format of every
+    frontier crossing (see ``_DatasetFrontier``) and of ``run()``'s
+    terminal blocks.  Writes only a sliced table's own range."""
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, t.schema) as w:
         w.write_table(t)
@@ -83,20 +85,6 @@ def _unpack(buf: pa.Buffer) -> pa.Table:
     return pa.ipc.open_stream(buf).read_all()
 
 
-def _disallowed_rows(rows: pa.Table) -> pa.Table:
-    """Terminal records for queued rows the robots recheck disallowed:
-    status ``disallowed``, ``fetched`` set, null payloads — laid out like
-    fetched rows, so the checkpoint and ``resume`` treat both alike."""
-    n = rows.num_rows
-    t = rows.set_column(rows.schema.get_field_index("status"), "status",
-                        pa.array([STATUS_DISALLOWED] * n))
-    t = t.set_column(t.schema.get_field_index("fetched"), "fetched",
-                     pa.array([True] * n))
-    for name, typ in _PAYLOAD:
-        t = t.append_column(name, pa.nulls(n, typ))
-    return _normalize_fetched(t)
-
-
 @ray.remote
 def _process_candidates(raw: pa.Table, refs: list) -> pa.Table:
     """``seed_frontier``'s chunk task: the worker's processor for the
@@ -106,17 +94,14 @@ def _process_candidates(raw: pa.Table, refs: list) -> pa.Table:
 
 
 @ray.remote
-def _write_checkpoint(parts_dir: str, files: list, packed: int,
-                      *parts) -> list:
+def _write_checkpoint(parts_dir: str, files: list, *parts) -> list:
     """Worker-side write of a round's checkpoint rows that no batch task
     wrote: ``files`` lists ``(file name, n_parts)``, ``parts`` the files'
-    parts in that order, as top-level arguments so Ray resolves them
-    before the task starts (no blocking ``ray.get`` in the worker;
-    payloads never transit the driver).  The first ``packed`` parts are
-    frontier rows (``_pack``ed), the rest terminal tables.  Each file
-    holds its parts concatenated in order.  Returns ``(rows, bytes)``
-    per file."""
-    parts = [_unpack(p) for p in parts[:packed]] + list(parts[packed:])
+    ``_pack``ed parts in that order, as top-level arguments so Ray
+    resolves them before the task starts (no blocking ``ray.get`` in the
+    worker; payloads never transit the driver).  Each file holds its
+    parts concatenated in order.  Returns ``(rows, bytes)`` per file."""
+    parts = [_unpack(p) for p in parts]
     out, k = [], 0
     for name, n in files:
         chunk, k = parts[k:k + n], k + n
@@ -153,22 +138,6 @@ def _row_hook_adapter(hook):
                                 parent_seq=row["seq"], pos=0))
         return out
     return batch_hook
-
-
-def _distinct(t: pa.Table, cols: tuple) -> tuple[list, np.ndarray]:
-    """The distinct value tuples of ``t``'s ``cols`` and each row's index
-    into them: one dictionary encoding per column, Python only per
-    distinct tuple."""
-    code = np.zeros(t.num_rows, dtype=np.int64)
-    dicts, idx = [], []
-    for c in cols:
-        enc = pc.dictionary_encode(t.column(c).combine_chunks(),
-                                   null_encoding="encode")
-        dicts.append(enc.dictionary.to_pylist())
-        idx.append(enc.indices.to_numpy())
-        code = code * len(dicts[-1]) + idx[-1]
-    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
-    return [tuple(d[i[r]] for d, i in zip(dicts, idx)) for r in first], inv
 
 
 def _robots_schemes(hklist: list, protocols: list) -> dict:
@@ -264,9 +233,9 @@ def _crawl_batch(batch: pa.Buffer, kw: dict, n_buckets: int,
     and an idle-worker reap would lose it with OwnerDiedError.
 
     Without seen shards (``run()``, ``n_buckets`` 1) ``meta`` is
-    ``(counters, kept candidates)`` and the one block is the normalized
-    fetched rows, which the driver keeps as a terminal ref and never
-    pulls.
+    ``(counters, kept candidates)`` and the one block is the batch's
+    normalized terminal rows, ``_pack``ed, which the driver keeps as a
+    terminal ref and never pulls.
 
     With them (``run_turbo()``) the admitted rows are split by host
     bucket.  With ``part_file``
@@ -279,10 +248,10 @@ def _crawl_batch(batch: pa.Buffer, kw: dict, n_buckets: int,
     part crosses Ray as one IPC buffer (some 70 µs to write, serialize
     and read) instead of through Ray's ``pa.Table`` reducer (about 1 ms
     per 22-column part; see ``_DatasetFrontier``)."""
-    rows, counters, fetched = _turbo.turbo_round_udf(_unpack(batch),
-                                                     hook=hook, **kw)
+    rows, counters, terminal = _turbo.turbo_round_udf(_unpack(batch),
+                                                      hook=hook, **kw)
     if kw["seen_shards"] is None:
-        return (counters, rows), _normalize_fetched(fetched)
+        return (counters, rows), _pack(_normalize_fetched(terminal))
     split = _split_by_bucket(rows, n_buckets)
     name, nbytes = None, 0
     if part_file and split:
@@ -473,8 +442,6 @@ class _DatasetFrontier:
 
 DEFAULT_CONFIG = dict(
     max_depth=0,
-    interval_ms=250,
-    max_concurrency=5,
     host_budget_per_round=0,   # 0 = whole wave (conformance); >0 = politeness cap
     max_wave_rows=0,           # 0 = unlimited; >0 caps rows per round so
                                # per-round memory is bounded for huge frontiers
@@ -522,17 +489,7 @@ DEFAULT_CONFIG = dict(
     frontier_backend="dataset",  # the only value: queued rows always live
                                  # in the object store (`_DatasetFrontier`);
                                  # accepted so existing configs still load
-    # reference API-parity knobs; inert against the synthetic transport
-    # (no real sockets to time out / proxy), accepted so a reference
-    # user's config ports unchanged (README.md Configuration section)
-    timeout=300000,          # per-request header timeout (ms)
-    listener_ttl=10000,      # async-listener TTL (ms)
-    decode_responses=False,  # body stays raw bytes; `caption` is decoded
-    use_proxy=False,
-    proxy_hostname="127.0.0.1",
-    proxy_port=8123,
-    proxy_user=None,
-    proxy_pass=None,
+    listener_ttl=10000,      # wait() handle expiry (ms, `_drain_waits`)
 )
 
 
@@ -599,7 +556,7 @@ class CrawlEngine:
         self.first_url: Optional[str] = None  # see redirect_candidates
         self._sink_dir: Optional[str] = None  # run_turbo's sink
         self._frontier = _DatasetFrontier()
-        self.terminal_refs: list = []      # ObjectRefs of fetched arrow tables
+        self.terminal_refs: list = []      # run()'s packed terminal blocks
         # checkpoint state (see _checkpoint)
         self._ckpt_terminal = 0            # terminal_refs already checkpointed
         self._terminal_files: list[str] = []  # their part files, in order
@@ -946,53 +903,37 @@ class CrawlEngine:
         return self._frontier.dequeue(self.cfg["host_budget_per_round"],
                                       self.cfg["max_wave_rows"])
 
-    def _robots_recheck(self, wave: pa.Table) -> pa.Table:
-        """Robots for the wave's new hosts (crawler.ts:1296-1335), then a
-        re-check of every wave row against the fresh rules: rows queued
-        before their host's robots arrived.  Disallowed rows become
-        terminal records (`_disallowed_rows`).  Returns the allowed
-        wave."""
-        # robots keys match CandidateProcessor: "host:port" built from the
-        # frontier columns (NOT host_key(), which expects a full URL),
-        # once per distinct (host, port, protocol); a key repeats when
-        # its host is seen over both schemes
-        triples, inv = _distinct(wave, ("host", "port", "protocol"))
-        hks = [f"{h}:{p or ''}" for h, p, _ in triples]
+    def _new_host_robots(self, wave: pa.Table) -> None:
+        """Robots for the wave's new hosts (crawler.ts:1296-1335), fetched
+        before the wave is submitted, so the rules snapshot its batches
+        check their rows against holds every host in it; their sitemaps
+        are admitted.  One pass over the distinct (``robots_keys`` key,
+        protocol) pairs: a key repeats when its host is seen over both
+        schemes (``_robots_schemes``)."""
+        pairs = pa.table({
+            "hk": robots_keys(wave.column("host").combine_chunks(),
+                              wave.column("port").combine_chunks()),
+            "protocol": wave.column("protocol"),
+        }).group_by(["hk", "protocol"]).aggregate([])
+        hks = pairs.column("hk").to_pylist()
         hosts = set(hks)
         if hosts - self.robots_cache.keys():
             # the full wave host set: _fetch_robots skips the hosts it
             # already holds
             sitemaps = self._fetch_robots(hosts, _robots_schemes(
-                hks, [proto for _, _, proto in triples]))
+                hks, pairs.column("protocol").to_pylist()))
             if sitemaps is not None:
                 proc = CandidateProcessor(self.cfg, self.robots_cache)
                 self._admit_candidates(proc(sitemaps))
-        # only hosts that carry rules need the per-row path match (the
-        # common all-allowed host short-circuits)
-        active = {hk for hk in hosts
-                  if (r := self.robots_cache.get(hk)) is not None
-                  and (r._rules or r.error)}
-        if not active:
-            return wave
-        rules = [self.robots_cache[hk] if hk in active else None
-                 for hk in hks]
-        allowed = pa.array([
-            (r := rules[i]) is None or r.is_allowed(u)
-            for i, u in zip(inv, wave.column("url").to_pylist())])
-        disallowed = wave.filter(pc.invert(allowed))
-        if disallowed.num_rows:
-            self._count("fetchdisallowed", disallowed.num_rows)
-            self.terminal_refs.append(ray.put(_disallowed_rows(disallowed)))
-            wave = wave.filter(allowed)
-        return wave
 
     # ------------------------------------------------------------- rounds
 
     def _run_round(self, at_shards: bool = False) -> bool:
         """One BSP round of either loop: admit manual enqueues, dequeue,
-        recheck robots, run the wave step on the allowed rows (``_wave``,
-        admitting at the seen shards for ``run_turbo()``), checkpoint.
-        Returns False when the frontier was empty."""
+        fetch the new hosts' robots, run the wave step (``_wave``,
+        admitting at the seen shards for ``run_turbo()``; its batches
+        check their rows against robots), checkpoint.  Returns False
+        when the frontier was empty."""
         self._admit_manual()
         with self._timed("dequeue"):
             wave = self._dequeue_wave()
@@ -1009,9 +950,8 @@ class CrawlEngine:
                 pc.less(seq, self.next_seq)))
         if self.cfg["respect_robots_txt"]:
             with self._timed("robots"):
-                wave = self._robots_recheck(wave)
-        if wave.num_rows:
-            self._wave(wave, at_shards)
+                self._new_host_robots(wave)
+        self._wave(wave, at_shards)
         self._checkpoint()
         return True
 
@@ -1023,11 +963,12 @@ class CrawlEngine:
         depends on completion order.  Only the admission differs:
 
         * ``at_shards`` (``run_turbo()``): the batches admitted
-          first-wins at the seen shards and sank their fetched rows; the
-          driver adopts their bucket parts and part files.
-        * otherwise (``run()``): the driver keeps each fetched block as a
-          terminal ref and admits the round's kept candidates in
-          ``(parent_seq, pos)`` order (``_admit_candidates``)."""
+          first-wins at the seen shards and sank their terminal rows;
+          the driver adopts their bucket parts and part files.
+        * otherwise (``run()``): the driver keeps each terminal block as
+          a terminal ref and admits the round's kept candidates in
+          ``(parent_seq, pos)`` order (``_admit_candidates``).  The rows
+          a batch's robots check refused stay out of ``fetch_order``."""
         ckpt = self.cfg["checkpoint_dir"]
         if at_shards:
             shards, nb = self.seen.shards, self._frontier.n_buckets
@@ -1058,23 +999,29 @@ class CrawlEngine:
             with self._timed("merge"):
                 metas[i] = ray.get(ref)
         with self._timed("merge"):
+            refused = [meta[0].pop(_turbo.REFUSED_KEY, []) for meta in metas]
             for meta in metas:
                 self._batch_counters(meta[0])
             if at_shards:
-                self._adopt_parts(refs, metas)
+                self._adopt_parts(refs, metas, refused)
                 return
             if self.cfg["track_fetch_order"]:
+                gone = [s for r in refused for s in r]
+                if gone:
+                    wave = wave.filter(pc.invert(pc.is_in(
+                        wave.column("seq"), pa.array(gone, pa.int64()))))
                 self.fetch_order.extend(wave.column("url").to_pylist())
-            # the fetched blocks stay in the object store
+            # the terminal blocks stay in the object store
             self.terminal_refs.extend(r[1] for r in refs)
             kept = [meta[1] for meta in metas if meta[1].num_rows]
             if kept:
                 self._admit_candidates(pa.concat_tables(kept))
 
-    def _adopt_parts(self, refs: list, metas: list) -> None:
+    def _adopt_parts(self, refs: list, metas: list, refused: list) -> None:
         """A turbo wave's outcome on the driver: each batch's part file
         and bucket parts, in batch order, so the frontier layout does
-        not depend on completion order, and the round's sink lineage."""
+        not depend on completion order, and the round's sink lineage
+        (``refused``: each batch's refused seqs)."""
         for r, (c, nbytes, parts) in zip(refs, metas):
             if nbytes:
                 # every part of a batch lives in its one part file
@@ -1086,10 +1033,11 @@ class CrawlEngine:
             for b, p in parts.items():
                 self._frontier.buckets[b].append(p._replace(ref=r[1 + b]))
         if self._sink_dir:
-            # a batch sinks one row per fetched row
+            # a batch sinks one row per fetched or refused row
             self._lineage = [{"file": f"part-{i:05d}.parquet",
-                              "rows": c.get("fetchstart", 0)}
-                             for i, (c, _, _) in enumerate(metas)]
+                              "rows": c.get("fetchstart", 0) + len(r)}
+                             for i, ((c, _, _), r) in enumerate(
+                                 zip(metas, refused))]
 
     def _batch_counters(self, counters: dict) -> None:
         """Count a batch's events after applying its first-request
@@ -1139,8 +1087,10 @@ class CrawlEngine:
     def run_turbo(self, sink_dir: str, max_rounds: int = 100) -> dict:
         """Scale-path crawl: ``_run_round`` with the batches admitting at
         the seen shards, and one checkpoint write task per round.
-        Fetched rows stream to ``sink_dir`` parquet from the workers; the driver only adopts thin (counters, bucket part
-        refs) and applies politeness.  Ordering is hash-seq
+        Terminal rows (fetched, or refused by robots) stream to
+        ``sink_dir`` parquet from the workers; the driver only adopts
+        thin (counters, bucket part refs) and applies politeness.
+        Ordering is hash-seq
         (BFS-monotone across rounds, arbitrary within a round) — use
         ``run()`` when reference-exact FIFO matters, or for a
         ``cache_index`` or fetch-complete hook, which this loop
@@ -1173,8 +1123,8 @@ class CrawlEngine:
           rows) and the wave rows the driver admitted since the last
           commit, into ONE ``r<round>-queued`` file, plus one
           ``r<round>-fetched-<i>`` file per new terminal ref (``run()``'s
-          fetched rows, either loop's robots-disallowed rows).  Nothing
-          new to write, no task.
+          terminal blocks, one per batch; a turbo crawl's terminal rows
+          are in its sink).  Nothing new to write, no task.
         * ``state-round=NNNNN/metrics.json``, built in a ``.tmp`` dir
           and published by one atomic rename, is the commit: the round
           meta, the sink lineage, a per-round ``checkpoint`` record and
@@ -1258,7 +1208,7 @@ class CrawlEngine:
         parts_dir = os.path.join(ckpt, "parts")
         os.makedirs(parts_dir, exist_ok=True)
         written = ray.get(_write_checkpoint.remote(
-            parts_dir, files, len(tables), *tables,
+            parts_dir, files, *tables,
             *self.terminal_refs[self._ckpt_terminal:]))
         if tables:
             (rows, nbytes), written = written[0], written[1:]
@@ -1363,8 +1313,9 @@ class CrawlEngine:
                 off))
         eng._files = {f: tuple(v) for f, v in man["files"].items()}
         eng._terminal_files = list(man["terminal"])
-        eng.terminal_refs = [ray.put(pq.read_table(os.path.join(parts_dir, f)))
-                             for f in eng._terminal_files]
+        eng.terminal_refs = [
+            ray.put(_pack(pq.read_table(os.path.join(parts_dir, f))))
+            for f in eng._terminal_files]
         eng._ckpt_terminal = len(eng.terminal_refs)
 
         eng._base = base
@@ -1390,16 +1341,12 @@ class CrawlResult:
         self.fetch_order = engine.fetch_order
         self.robots_errors = engine.robots_errors
 
-    def fetched_dataset(self) -> rd.Dataset:
-        if not self.engine.terminal_refs:
-            return rd.from_arrow(FRONTIER_SCHEMA.empty_table())
-        return rd.from_arrow_refs(list(self.engine.terminal_refs))
-
     def fetched_table(self) -> pa.Table:
         refs = self.engine.terminal_refs
         if not refs:
             return FRONTIER_SCHEMA.empty_table()
-        t = pa.concat_tables(ray.get(refs), promote_options="default")
+        t = pa.concat_tables([_unpack(b) for b in ray.get(refs)],
+                             promote_options="default")
         return t.take(pc.sort_indices(t, sort_keys=[("seq", "ascending")]))
 
     def frontier_table(self) -> pa.Table:
@@ -1453,8 +1400,9 @@ class CrawlResult:
 
 
 def sink_dataset(sink_dir: str, dedup: bool = False) -> "rd.Dataset":
-    """Read a turbo crawl's fetched output back as a Dataset.  Rows are
-    at-least-once across resume boundaries; pass ``dedup=True`` to keep
+    """Read a turbo crawl's terminal rows back as a Dataset: its fetched
+    rows and the rows its robots check refused (status ``disallowed``,
+    null payload).  Rows are at-least-once across resume boundaries; pass ``dedup=True`` to keep
     one row per url (the highest fetch round wins: ``round`` is the
     sink's directory key — one groupby(url_hash) shuffle, row payloads
     move once)."""

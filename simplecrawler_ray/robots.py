@@ -11,12 +11,21 @@ directives (which the reference re-queues, src/crawler.ts:1311-1317).
 
 Parse errors disallow (``urlIsAllowed`` src/crawler.ts:683-701: an
 errored entry yields allowed=False).
+
+``robots_keys`` builds the ``host:port`` key of the rules of each row
+of a column batch, and ``robots_allowed`` matches whole columns: the
+one matcher of the candidate filter and of the batch task's check of
+its queued rows.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from .urlnorm import Uri, process_url
 
@@ -124,6 +133,46 @@ def host_key(url: str) -> str:
     """Per-host key used for the robots cache / politeness partitioning."""
     u = Uri.parse(url)
     return f"{u.hostname or ''}:{u.port or ''}"
+
+
+def robots_keys(host: pa.Array, port: pa.Array) -> pa.Array:
+    """Each row's robots key, ``host_key``'s ``host:port`` from the host
+    and port columns: a null host is "", a null or 0 port is no port."""
+    port_s = pc.if_else(pc.fill_null(pc.not_equal(port, 0), False),
+                        pc.cast(port, pa.string()), "")
+    return pc.binary_join_element_wise(pc.fill_null(host, ""), port_s, ":")
+
+
+def robots_allowed(host: pa.Array, port: pa.Array, path: pa.Array,
+                   robots: dict, ids: "np.ndarray | None" = None
+                   ) -> "pa.Array | None":
+    """urlIsAllowed (crawler.ts:683-701) per row: the rules of the row's
+    ``robots_keys`` key in ``robots`` matched against its ``path``
+    (path + query), allowed where the key has no rules.  None when no
+    row's key carries rules or an error (the common all-allowed case).
+    Python runs per distinct key, and the path match only on rows whose
+    key carries rules; with ``ids`` (one int per row that fixes its
+    host, port and path) once per distinct id."""
+    if not robots:
+        return None
+    enc = pc.dictionary_encode(robots_keys(host, port))
+    rules = [robots.get(k) for k in enc.dictionary.to_pylist()]
+    rules = [r if r is not None and (r._rules or r.error) else None
+             for r in rules]
+    if all(r is None for r in rules):
+        return None
+    hk = enc.indices.to_numpy()
+    active = np.flatnonzero(np.array([r is not None for r in rules])[hk])
+    keys = (ids[active] if ids is not None else active).tolist()
+    ok = np.ones(len(hk), dtype=bool)
+    verdicts: dict[int, bool] = {}
+    for i, key, p in zip(active.tolist(), keys,
+                         path.take(active).to_pylist()):
+        v = verdicts.get(key)
+        if v is None:
+            v = verdicts[key] = rules[hk[i]].is_allowed_path(p)
+        ok[i] = v
+    return pa.array(ok)
 
 
 def _fetch_and_parse(web, hk: str, user_agent: str,

@@ -80,24 +80,6 @@ class HttpWeb:
         self.verify_tls = verify_tls
         self.keep_alive = keep_alive
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "HttpWeb":
-        """Build from a CrawlEngine config dict — makes the reference's
-        timeout / proxy / auth knobs live instead of inert."""
-        return cls(
-            timeout_ms=cfg.get("timeout", 300_000),
-            max_resource_size=cfg.get("max_resource_size", 16 * 1024 * 1024),
-            user_agent=cfg.get("user_agent", "simplecrawler-ray/1.0"),
-            auth_user=cfg.get("auth_user") if cfg.get("needs_auth") else None,
-            auth_pass=cfg.get("auth_pass") if cfg.get("needs_auth") else None,
-            custom_headers=cfg.get("custom_headers"),
-            use_proxy=cfg.get("use_proxy", False),
-            proxy_hostname=cfg.get("proxy_hostname", "127.0.0.1"),
-            proxy_port=cfg.get("proxy_port", 8123),
-            proxy_user=cfg.get("proxy_user"),
-            proxy_pass=cfg.get("proxy_pass"),
-        )
-
     # ------------------------------------------------------- conn pooling
 
     def __getstate__(self):

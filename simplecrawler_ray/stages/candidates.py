@@ -31,7 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..robots import RobotsRules
+from ..robots import RobotsRules, robots_allowed
 from ..sources.web import url_hash64
 from ..conditions import eval_condition
 from ..discovery import _SCHEME_RE
@@ -269,9 +269,9 @@ class CandidateProcessor:
     Config + robots snapshot are resolved once per processor from
     ray.put refs (plain objects are taken as they are).  Python work is
     per distinct key (canonicalization), per distinct host (domain
-    verdict) and per distinct ``host:port``
-    (robots rules lookup); the path match runs only on rows whose host
-    carries rules, and fetch conditions only on rows still kept.  A
+    verdict) and per distinct ``host:port`` (``robots.robots_allowed``:
+    the path match runs once per row id, only where the host carries
+    rules), and fetch conditions only on rows still kept.  A
     processor built directly gets its own empty ``CanonStore``;
     ``candidate_processor`` shares the config's store instead."""
 
@@ -356,34 +356,6 @@ class CandidateProcessor:
             verdicts.append(dv)
         return pa.array(verdicts, pa.bool_()).take(enc.indices)
 
-    def _robots_ok(self, canon: pa.Table, row_ids: np.ndarray,
-                   domain_ok: pa.Array) -> pa.Array | None:
-        """urlIsAllowed per domain-valid row (True elsewhere), or None
-        when no row's ``host:port`` carries rules or an error (the
-        common all-allowed case)."""
-        port = _col(canon, "port")
-        hk = pc.binary_join_element_wise(
-            _col(canon, "host"),
-            pc.if_else(pc.equal(port, 0), "", pc.cast(port, pa.string())), ":")
-        enc = pc.dictionary_encode(hk)
-        rules = [self.robots.get(k) for k in enc.dictionary.to_pylist()]
-        rules = [r if r is not None and (r._rules or r.error) else None
-                 for r in rules]
-        if not any(rules):
-            return None
-        hk_idx = enc.indices.to_numpy()
-        has_rules = np.array([r is not None for r in rules])[hk_idx]
-        active = np.flatnonzero(has_rules & domain_ok.to_numpy(zero_copy_only=False))
-        ok = np.ones(len(row_ids), dtype=bool)
-        paths = canon.column("path").take(active).to_pylist()
-        verdicts: dict[int, bool] = {}  # row id -> verdict (id fixes host, port, path)
-        for i, rid, path in zip(active.tolist(), row_ids[active].tolist(), paths):
-            v = verdicts.get(rid)
-            if v is None:
-                v = verdicts[rid] = rules[hk_idx[i]].is_allowed_path(path)
-            ok[i] = v
-        return pa.array(ok)
-
     def _conditions(self, out: pa.Table, reason: list) -> None:
         """Fetch conditions on the rows still kept; rewrites ``reason``."""
         keep = [i for i, r in enumerate(reason) if not r]
@@ -426,10 +398,14 @@ class CandidateProcessor:
                    pa.scalar(1, pa.int32())))
         domain_ok = self._domain_ok(_col(canon, "host"))
         reason = pc.if_else(domain_ok, "", "invaliddomain")
-        if self.cfg.get("respect_robots_txt", True) and self.robots:
-            allowed = self._robots_ok(canon, row_ids, domain_ok)
+        if self.cfg.get("respect_robots_txt", True):
+            # a row id fixes host, port and path: one verdict per id
+            allowed = robots_allowed(*(_col(canon, c) for c in
+                                       ("host", "port", "path")),
+                                     self.robots, ids=row_ids)
             if allowed is not None:
-                reason = pc.if_else(allowed, reason, "fetchdisallowed")
+                reason = pc.if_else(pc.or_(allowed, pc.invert(domain_ok)),
+                                    reason, "fetchdisallowed")
         cols = canon.columns + [
             depth,
             _col(batch, "referrer_url").cast(pa.string()),

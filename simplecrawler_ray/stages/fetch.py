@@ -12,9 +12,8 @@ Both crawl loops call it inside their one batch function
 (``stages/turbo.py``).  ``worker_fetcher`` builds one ``Fetcher`` per worker
 process and crawl config (T3/T5 SURVEY §2.3): the synthetic-web handle
 (or corpus reader), the cookie jar, the cache index snapshot, and
-compiled mime regexes.  Politeness pacing per host is enforced by the
-round-level host budget (pipelines/crawl.py); ``interval_ms`` sleeping
-is optional (off for synthetic webs).
+compiled mime regexes.  Politeness pacing per host is the round-level
+host budget (pipelines/crawl.py): no fetch sleeps between requests.
 
 Status dispatch parity (src/crawler.ts:1800-2007):
   2xx -> downloaded (or downloadprevented / mime-unsupported: body

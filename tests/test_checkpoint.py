@@ -294,10 +294,10 @@ def test_part_files_read_back_equal(tmp_path):
             eng.run(max_rounds=1)
         else:
             eng.run_turbo(str(tmp_path / "sink"), max_rounds=1)
-        # frontier parts are packed, terminal refs are tables
+        # frontier parts and terminal refs are packed
         written = [(p.file, p.offset, p.rows, _unpack(ray.get(p.ref)))
                    for ps in eng._frontier.buckets for p in ps]
-        written += [(f, 0, None, ray.get(r)) for f, r in zip(
+        written += [(f, 0, None, _unpack(ray.get(r))) for f, r in zip(
             eng._terminal_files, eng.terminal_refs)]
         for name, off, n, rows in written:
             path = os.path.join(ck, "parts", name)

@@ -79,16 +79,17 @@ def test_cross_host_robots(web):
 
 
 def test_robots_recheck_keys_each_distinct_host_scheme_once():
-    """The robots recheck builds one ``host:port`` key per distinct
-    (host, port, protocol) and gives each row the verdict of its own
-    host's rules; the robots fetch scheme of a host seen over both http
-    and https is https, whatever the row order."""
+    """The driver's new-host step fetches robots for each distinct
+    ``host:port`` key (``robots_keys``: a null host is "", a null port
+    none) with https as the scheme of a host seen over both http and
+    https, whatever the row order; the batch then gives each row the
+    verdict of its own host's rules."""
     import pyarrow as pa
-    import ray
+    import pyarrow.compute as pc
 
-    from simplecrawler_ray.pipelines.crawl import _distinct
-    from simplecrawler_ray.robots import RobotsRules
+    from simplecrawler_ray.robots import RobotsRules, robots_keys
     from simplecrawler_ray.schemas import FRONTIER_SCHEMA
+    from simplecrawler_ray.stages.turbo import REFUSED_KEY, turbo_round_udf
 
     specs = [("a.test", None, "http", "/x"),
              ("b.test", 81, "http", "/no/1"),
@@ -100,18 +101,20 @@ def test_robots_recheck_keys_each_distinct_host_scheme_once():
              (None, None, "http", "/")]
     wave = pa.Table.from_pylist(
         [dict(seq=i, url=f"{pr}://{h}{':' + str(p) if p else ''}{path}",
-              host=h, port=p, protocol=pr, path=path, depth=0, fetched=False)
+              host=h, port=p, protocol=pr, path=path, depth=0, fetched=False,
+              status="queued")
          for i, (h, p, pr, path) in enumerate(specs)], schema=FRONTIER_SCHEMA)
-    triples, inv = _distinct(wave, ("host", "port", "protocol"))
-    assert len(set(triples)) == len(triples) == 7
-    assert [triples[i] for i in inv] == [(h, p, pr) for h, p, pr, _ in specs]
+    assert robots_keys(wave.column("host").combine_chunks(),
+                       wave.column("port").combine_chunks()).to_pylist() == [
+        "a.test:", "b.test:81", "a.test:", "b.test:", "b.test:81", "c.test:",
+        "a.test:", ":"]
 
     sw = ScaleWeb(n_pages=10, n_hosts=2, out_degree=0)
     eng = CrawlEngine(sw, sw.url_of(0), seen_shards=1)
     no = RobotsRules.parse("http://x/robots.txt",
                            "User-agent: *\nDisallow: /no\n")
     eng.robots_cache = {"a.test:": no, "b.test:81": no, "b.test:": no,
-                        "None:": RobotsRules("http://x/robots.txt")}
+                        ":": RobotsRules("http://x/robots.txt")}
     asked = {}
 
     def fetch(hosts, schemes=None):
@@ -119,17 +122,93 @@ def test_robots_recheck_keys_each_distinct_host_scheme_once():
         eng.robots_cache["c.test:"] = RobotsRules("http://c/robots.txt")
 
     eng._fetch_robots = fetch
-    kept = eng._robots_recheck(wave)
+    eng._new_host_robots(wave)
     eng.seen.shutdown()
     assert asked["hosts"] == {"a.test:", "b.test:81", "b.test:", "c.test:",
-                              "None:"}
+                              ":"}
     assert asked["schemes"] == {"a.test:": "https", "b.test:81": "https",
                                 "b.test:": "http", "c.test:": "http",
-                                "None:": "http"}
-    assert kept.column("seq").to_pylist() == [0, 4, 5, 7]
-    assert eng.metrics["fetchdisallowed"] == 4
-    assert ray.get(eng.terminal_refs[-1]).column("seq").to_pylist() == [
-        1, 2, 3, 6]
+                                ":": "http"}
+    _, counters, terminal = turbo_round_udf(
+        wave, web_ref=sw, cfg_ref=eng.cfg, robots_ref=eng.robots_cache,
+        seen_shards=None, round_no=0, sink_dir=None)
+    refused = pc.equal(terminal.column("status"), "disallowed")
+    assert terminal.filter(pc.invert(refused)).column(
+        "seq").to_pylist() == [0, 4, 5, 7]
+    assert terminal.filter(refused).column("seq").to_pylist() == [1, 2, 3, 6]
+    assert counters[REFUSED_KEY] == [1, 2, 3, 6]
+    assert counters["fetchdisallowed"] == 4
+    assert counters["fetchstart"] == 4
+
+
+def test_robots_matcher_matches_is_allowed():
+    """``robots_allowed`` over host/port/path columns equals
+    ``RobotsRules.is_allowed(url)`` row by row, on random tables (null
+    host, null and 0 ports, query strings) and random rules (error
+    rules, empty rules, Allow/Disallow pairs of equal length), with and
+    without per-row ids.  The reference is the per-row comprehension
+    the driver ran before the check moved into the batch, keyed by
+    ``host_key``'s rule."""
+    import random
+
+    import numpy as np
+    import pyarrow as pa
+
+    from simplecrawler_ray.robots import RobotsRules, robots_allowed
+
+    pats = ["/", "/a", "/b", "/a/", "/ab", "/a*", "/*b", "/a$", "/a?x",
+            "/*?", "/a/b", "/b*$", "*x"]
+    paths = ["", "/", "/a", "/b", "/ab", "/a/b", "/ba", "/a?x=1", "/a?y",
+             "/ab?x", "/b/a?q=a/b", "/x", "/a/b/c", "/B"]
+    hosts, ports = ["h1", "h2", "h3", None], [None, 0, 80, 8080]
+
+    def draw_rules(rng):
+        kind = rng.random()
+        if kind < 0.15:
+            return RobotsRules.error_rules("http://r/robots.txt")
+        if kind < 0.3:
+            return RobotsRules("http://r/robots.txt")
+        lines = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.4:
+                # an Allow/Disallow pair of equal pattern length
+                n = rng.randint(1, 3)
+                same = [p for p in pats if len(p) == n] or ["/"]
+                lines += [f"Allow: {rng.choice(same)}",
+                          f"Disallow: {rng.choice(same)}"]
+            else:
+                verb = rng.choice(["Allow", "Disallow"])
+                lines.append(f"{verb}: {rng.choice(pats)}")
+        rng.shuffle(lines)
+        return RobotsRules.parse("http://r/robots.txt",
+                                 "\n".join(["User-agent: *"] + lines))
+
+    for trial in range(60):
+        rng = random.Random(trial)
+        rows = [(rng.choice(hosts), rng.choice(ports), rng.choice(paths))
+                for _ in range(rng.randint(1, 40))]
+        robots = {f"{h or ''}:{p or ''}": draw_rules(rng)
+                  for h in hosts for p in ports if rng.random() < 0.6}
+        host = pa.array([h for h, _, _ in rows], pa.string())
+        port = pa.array([p for _, p, _ in rows], pa.int32())
+        path = pa.array([q for _, _, q in rows], pa.string())
+        urls = [f"http://{h or 'nohost'}{':' + str(p) if p else ''}{q}"
+                for h, p, q in rows]
+        # the reference: one rules lookup per row key, the URL re-parsed
+        hks = [f"{h or ''}:{p or ''}" for h, p, _ in rows]
+        active = {hk for hk in hks if (r := robots.get(hk)) is not None
+                  and (r._rules or r.error)}
+        want = [hk not in active or robots[hk].is_allowed(u)
+                for hk, u in zip(hks, urls)]
+        got = robots_allowed(host, port, path, robots)
+        if not active:
+            assert got is None, trial
+            continue
+        assert got.to_pylist() == want, trial
+        _, ids = np.unique(np.array([str(r) for r in rows]),
+                           return_inverse=True)
+        assert robots_allowed(host, port, path, robots,
+                              ids=ids).to_pylist() == want, trial
 
 
 def test_robots_redirect_to_other_domain(web):
@@ -1271,8 +1350,12 @@ def test_every_bucket_ref_is_a_packed_part(tmp_path):
     """The store invariant: after ``seed_frontier``, a turbo round under a
     ``max_wave_rows`` cut, one under a ``host_budget_per_round`` cut,
     ``update_queued`` and ``resume``, every bucket ref points to packed
-    rows that match its ``Part``."""
+    rows that match its ``Part``, and every terminal ref (``run()``'s)
+    to packed terminal rows."""
     import pyarrow.compute as pc
+    import ray
+
+    from simplecrawler_ray.pipelines.crawl import _unpack
 
     sw = ScaleWeb(n_pages=120, n_hosts=6, out_degree=3)
     ck, sink = str(tmp_path / "ck"), str(tmp_path / "sink")
@@ -1302,6 +1385,19 @@ def test_every_bucket_ref_is_a_packed_part(tmp_path):
     assert sorted(eng2.queued_table().column("seq").to_pylist()) == sorted(
         queued.column("seq").to_pylist())
     eng2.seen.shutdown()
+    # terminal refs: none in a turbo crawl; run()'s unpack to its
+    # terminal rows, before and after a resume
+    assert eng.terminal_refs == eng2.terminal_refs == []
+    ck3 = str(tmp_path / "ck3")
+    eng3 = CrawlEngine(sw, sw.url_of(0), checkpoint_dir=ck3, **opts)
+    eng3.run(max_rounds=2)
+    eng3.seen.shutdown()
+    eng4 = CrawlEngine.resume(sw, sw.url_of(0), ck3, **opts)
+    eng4.seen.shutdown()
+    for e in (eng3, eng4):
+        rows = [_unpack(b).num_rows for b in ray.get(e.terminal_refs)]
+        assert len(rows) > 1 and min(rows) > 0
+        assert sum(rows) == eng3.metrics["fetchstart"]
 
 
 def test_dataset_checkpoint_lists_every_queued_row_once(tmp_path):
@@ -1589,28 +1685,97 @@ def test_turbo_disallowed_rows_survive_resume(web, tmp_path):
 
 
 def test_turbo_all_disallowed_round_is_checkpointed(web, tmp_path):
-    """A turbo round whose whole wave the robots recheck disallows still
-    writes its checkpoint, with the disallowed rows as terminal parts."""
+    """A turbo round whose whole wave the robots check refuses still
+    writes its checkpoint; the refused row is its batch's terminal
+    record, in the sink part, and the checkpoint holds no terminal
+    part."""
     import glob
     import os
 
     import pyarrow.parquet as pq
 
-    ck = str(tmp_path / "ck")
+    ck, sink = str(tmp_path / "ck"), str(tmp_path / "sink")
     eng = CrawlEngine(web, "http://127.0.0.1:3001/disallowed",
                       checkpoint_dir=ck, seen_shards=2)
-    eng.run_turbo(str(tmp_path / "sink"), max_rounds=3)
+    eng.run_turbo(sink, max_rounds=3)
     eng.seen.shutdown()
     assert eng.metrics["fetchdisallowed"] == 1
     assert "fetchstart" not in eng.metrics
     states = sorted(glob.glob(os.path.join(ck, "state-round=*")))
     assert [os.path.basename(d) for d in states] == ["state-round=00000"]
-    parts = glob.glob(os.path.join(ck, "parts", "*-fetched-*.parquet"))
-    assert sorted(os.path.basename(f) for f in parts) == sorted(
-        _last_manifest(ck)["terminal"])
-    rows = [r for f in parts for r in pq.read_table(f).to_pylist()]
-    assert [(r["url"], r["status"]) for r in rows] == [
-        ("http://127.0.0.1:3001/disallowed", "disallowed")]
+    assert _last_manifest(ck)["terminal"] == []
+    assert glob.glob(os.path.join(ck, "parts", "*-fetched-*.parquet")) == []
+    part = os.path.join(sink, "round=00000", "part-00000.parquet")
+    rows = pq.read_table(part).to_pylist()
+    assert [(r["url"], r["status"], r["fetched"], r["body"]) for r in rows] == [
+        ("http://127.0.0.1:3001/disallowed", "disallowed", True, None)]
+
+
+@pytest.mark.parametrize("loop", ["run", "run_turbo"])
+def test_refused_rows_come_from_their_batch(loop, tmp_path, monkeypatch):
+    """A queued row its host's robots rules refuse is checked in the
+    batch that would fetch it: its one ``disallowed`` record goes where
+    that batch's fetched rows go (``run()``'s terminal block, whose
+    checkpoint ``fetched-*`` file holds it; ``run_turbo``'s sink part),
+    it is counted once in ``fetchdisallowed`` by both loops, and it is
+    not in ``fetch_order``.  The driver ``ray.put``s no row table during
+    the crawl, and no packed part with a ``disallowed`` row."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from simplecrawler_ray.pipelines import crawl as crawl_mod
+
+    dis = "http://127.0.0.1:3001/disallowed"
+    real_put, bad = crawl_mod.ray.put, []
+
+    def put(value, *a, **kw):
+        if isinstance(value, pa.Table) or (
+                isinstance(value, pa.Buffer) and "disallowed" in
+                crawl_mod._unpack(value).column("status").to_pylist()):
+            bad.append(value)
+        return real_put(value, *a, **kw)
+
+    monkeypatch.setattr(crawl_mod.ray, "put", put)
+    ck = str(tmp_path / "ck")
+    eng = CrawlEngine(ConformanceWeb(), SEED, seen_shards=2,
+                      checkpoint_dir=ck)
+    eng.enqueue(dis)
+    if loop == "run":
+        t = eng.run(max_rounds=40).fetched_table()
+        files = glob.glob(os.path.join(ck, "parts", "*-fetched-*.parquet"))
+        on_disk = pa.concat_tables([pq.read_table(f) for f in files],
+                                   promote_options="default")
+    else:
+        sink = str(tmp_path / "sink")
+        eng.run_turbo(sink, max_rounds=40)
+        t = on_disk = pq.read_table(sink)
+        assert _last_manifest(ck)["terminal"] == []
+    eng.seen.shutdown()
+    monkeypatch.undo()
+    assert bad == []
+    for rows in (t, on_disk):
+        rec = rows.filter(pc.equal(rows.column("url"), dis))
+        assert rec.column("status").to_pylist() == ["disallowed"]
+    # 3001/disallowed in its batch, /forbidden at enqueue
+    assert eng.metrics["fetchdisallowed"] == 2
+    assert dis not in eng.fetch_order
+    if loop == "run":
+        assert eng.fetch_order[0] == SEED and len(eng.fetch_order) == (
+            eng.metrics["fetchstart"])
+
+
+@pytest.mark.parametrize("key", [
+    "interval_ms", "max_concurrency", "decode_responses", "timeout",
+    "use_proxy", "proxy_hostname", "proxy_port", "proxy_user", "proxy_pass"])
+def test_options_that_configure_nothing_are_refused(web, key):
+    """Options no code reads are refused like any unknown option instead
+    of being accepted and ignored (``use_proxy=True`` used to crawl with
+    no proxy); ``HttpWeb``'s constructor takes the transport ones."""
+    with pytest.raises(TypeError, match="unknown options"):
+        CrawlEngine(web, SEED, seen_shards=1, **{key: 1})
 
 
 def test_frontier_backend_only_dataset(web):

@@ -12,16 +12,24 @@ documents: the fetch+parse stage (``Fetcher`` in stages/fetch.py,
 called by both crawl loops' batch tasks) passes every parsed text of a
 batch in one call.  Five of the default extractors run as one
 Rust-regex pass each over the whole batch (polars, imported on first
-use); the rest run per text where their literal occurs.
-``clean_expand_resources`` runs per document.
+use; the Fetcher hands the texts over as an Arrow column); the rest run
+per text where their literal occurs.  ``clean_expand_resources`` runs
+per document.  Each absolute href it emits from a fresh parse leaves
+that parse's part boundaries in ``HREF_SPANS``, so the candidate
+stage's ``CanonStore`` builds the href's canonical row from them
+instead of parsing the href again.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Callable, Optional
 
-from .urlnorm import Uri, clean_url, protocol_ok
+import numpy as np
+import pyarrow as pa
+
+from .urlnorm import Uri, clean_url, href_spans, protocol_ok
 
 # Regex extractors (order matters: candidate list order is pinned).
 _RE_HREF_SRC_QUOTED = re.compile(r"\s(?:href|src)\s*=\s*(\"|').*?\1", re.I)
@@ -92,6 +100,9 @@ _BATCH_PATTERNS = (
 )
 # both meta refresh regexes and the meta robots check need this literal
 _META_TAG = r"(?i)<meta"
+# every text ``_RE_JAVASCRIPT`` can match starts with one of these:
+# ``re.I`` may fold a non-ASCII character to j, so those go too
+_JAVASCRIPT_HEAD = r"^(?:[jJ]|[^\x00-\x7f])"
 
 _RE_HTML_COMMENT = re.compile(r"<!--([\s\S]+?)-->")
 _RE_SCRIPT_TAG = re.compile(r"<script(.*?)>([\s\S]*?)</script>", re.I)
@@ -118,24 +129,42 @@ def _extract(text: str, extractors: list[re.Pattern | Extractor]) -> list[str]:
     return out
 
 
+@functools.cache
+def _scan_exprs() -> list:
+    """The batch scan's polars expressions, built once per process: the
+    ``_BATCH_PATTERNS`` scans' concat, then the masks of the texts each
+    per-text extractor must see."""
+    import polars as pl
+
+    t = pl.col("t")
+    return [pl.concat_list([t.str.extract_all(p) for p in _BATCH_PATTERNS]),
+            t.str.contains(_META_TAG).alias("meta"),
+            t.str.contains("srcset", literal=True).alias("srcset"),
+            t.str.contains(_JAVASCRIPT_HEAD).alias("js")]
+
+
 def discover_resources(
-    texts: list[str],
+    texts: "list[str] | pa.Array",
     *,
     parse_html_comments: bool = True,
     parse_script_tags: bool = True,
     respect_robots_txt: bool = True,
     extractors: Optional[list[re.Pattern | Extractor]] = None,
 ) -> list[list[str]]:
-    """Raw candidate extraction for a batch of documents: one list per
-    text, in extractor order (duplicates retained; cleaning is separate).
+    """Raw candidate extraction for a batch of documents (a list or an
+    Arrow string column): one list per text, in extractor order
+    (duplicates retained; cleaning is separate).
 
     The default table runs its first five extractors as one Rust-regex
     scan each over the whole batch (``_BATCH_PATTERNS``), in one polars
-    ``select`` with their concat and the ``<meta``/srcset masks; the
-    javascript extractor, srcset (only where the literal occurs) and the
-    meta refresh and meta robots regexes (only where ``<meta`` occurs)
-    run per text.  An explicit ``extractors`` list (the reference's
-    ``discoverRegex`` override) runs per text as given."""
+    ``select`` with their concat and the masks of the texts the Python
+    tail must see: the javascript extractor (texts that may start with
+    ``javascript:``), srcset (where the literal occurs) and the meta
+    refresh and meta robots regexes (where ``<meta`` occurs).  An
+    explicit ``extractors`` list (the reference's ``discoverRegex``
+    override) runs per text as given."""
+    if extractors is not None or not (parse_html_comments and parse_script_tags):
+        texts = texts if isinstance(texts, list) else texts.to_pylist()
     if not parse_html_comments:
         texts = [_RE_HTML_COMMENT.sub("", t) for t in texts]
     if not parse_script_tags:
@@ -143,30 +172,31 @@ def discover_resources(
     if extractors is not None:
         return [[] if respect_robots_txt and _nofollow(t) else _extract(t, extractors)
                 for t in texts]
-    if not texts:
+    if not len(texts):
         return []
     # imported here: the process that plans the crawl imports this
     # module but parses no document, so only the workers pay polars' ~40 MB
     import polars as pl
 
-    # one select: the scans, their concat and both masks in one collect
-    t = pl.col("t")
-    scan = pl.DataFrame({"t": texts}, schema={"t": pl.String}).select(
-        pl.concat_list([t.str.extract_all(p) for p in _BATCH_PATTERNS]),
-        t.str.contains(_META_TAG).alias("meta"),
-        t.str.contains("srcset", literal=True).alias("srcset"))
-    out: list[list[str]] = []
-    for text, found, has_meta, has_srcset in zip(
-            texts, *(c.to_list() for c in scan.get_columns())):
-        if has_meta and respect_robots_txt and _nofollow(text):
-            out.append([])
+    # an Arrow column reaches polars without a copy through Python
+    column = (pl.Series("t", texts, pl.String) if isinstance(texts, list)
+              else pl.from_arrow(texts).alias("t"))
+    scan = column.to_frame().select(_scan_exprs())
+    out: list[list[str]] = scan.to_series(0).to_list()
+    meta, srcset, js = (scan.to_series(k).to_numpy() for k in (1, 2, 3))
+    tail = np.flatnonzero(meta | srcset | js)
+    docs = ([texts[i] for i in tail] if isinstance(texts, list) else
+            texts.take(pa.array(tail)).to_pylist())
+    for i, text in zip(tail.tolist(), docs):
+        if meta[i] and respect_robots_txt and _nofollow(text):
+            out[i] = []
             continue
+        found = out[i]
         found += _RE_JAVASCRIPT.findall(text)
-        if has_srcset:
+        if srcset[i]:
             found += _srcset_extract(text)
-        if has_meta:
+        if meta[i]:
             found += _meta_refresh_1(text) + _meta_refresh_2(text)
-        out.append(found)
     return out
 
 
@@ -221,6 +251,11 @@ def clean_expand_resources(
             continue
         if store:
             _cache_abs(key, url)
+        spans = href_spans(u, url)
+        if spans is not None:
+            if len(HREF_SPANS) > _CACHE_BOUND:
+                HREF_SPANS.clear()
+            HREF_SPANS[url] = spans
         if url not in seen:
             seen.add(url)
             out.append(url)
@@ -235,8 +270,15 @@ _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://")
 _ABS_CLEAN_CACHE: dict = {}
 _UNSET = object()
 
+#: each absolute href the resolve step emitted -> ``urlnorm.href_spans``
+#: of its parse, so the candidate stage builds the href's canonical row
+#: without parsing it again (``urlnorm.canon_from_spans``); bounded like
+#: the resolve cache
+HREF_SPANS: dict[str, tuple] = {}
+_CACHE_BOUND = 500_000
+
 
 def _cache_abs(key, value) -> None:
-    if len(_ABS_CLEAN_CACHE) > 500_000:
+    if len(_ABS_CLEAN_CACHE) > _CACHE_BOUND:
         _ABS_CLEAN_CACHE.clear()
     _ABS_CLEAN_CACHE[key] = value

@@ -29,6 +29,7 @@ None.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 
@@ -160,6 +161,16 @@ def _blockify(chan: np.ndarray) -> np.ndarray:
     return chan.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
 
 
+@functools.lru_cache(maxsize=128)
+def _quant_table(quality: int) -> np.ndarray:
+    """The 8x8 float32 quantization table of one quality (read-only: the
+    encoder and every decode of that quality share it)."""
+    scale = (5000.0 / quality if quality < 50 else 200.0 - 2 * quality) / 100.0
+    q = np.clip(np.floor(_QTABLE * scale + 0.5), 1, 255).astype(np.float32)
+    q.flags.writeable = False
+    return q
+
+
 def encode_fakejpeg(arr: np.ndarray, quality: int = 85) -> bytes:
     """Deterministic lossy encode: per-channel 8x8 DCT + quantization.
 
@@ -167,8 +178,7 @@ def encode_fakejpeg(arr: np.ndarray, quality: int = 85) -> bytes:
     """
     assert arr.dtype == np.uint8 and arr.ndim == 3 and arr.shape[2] == 3
     h, w, _ = arr.shape
-    scale = (5000.0 / quality if quality < 50 else 200.0 - 2 * quality) / 100.0
-    q = np.clip(np.floor(_QTABLE * scale + 0.5), 1, 255).astype(np.float32)
+    q = _quant_table(quality)
     ph, pw = (h + 7) // 8 * 8, (w + 7) // 8 * 8
     padded = np.pad(arr, ((0, ph - h), (0, pw - w), (0, 0)), mode="edge")
     payload = bytearray()
@@ -185,8 +195,7 @@ def decode_fakejpeg(data: bytes) -> np.ndarray:
     if data[:4] != _FJPG_MAGIC:
         raise ValueError("not FJPG")
     h, w, quality = struct.unpack(">IIH", data[4:14])
-    scale = (5000.0 / quality if quality < 50 else 200.0 - 2 * quality) / 100.0
-    q = np.clip(np.floor(_QTABLE * scale + 0.5), 1, 255).astype(np.float32)
+    q = _quant_table(quality)
     ph, pw = (h + 7) // 8 * 8, (w + 7) // 8 * 8
     raw = np.frombuffer(zlib.decompress(data[14:]), np.int16)
     if raw.size != 3 * (ph // 8) * (pw // 8) * 64:

@@ -143,6 +143,12 @@ def robots_keys(host: pa.Array, port: pa.Array) -> pa.Array:
     return pc.binary_join_element_wise(pc.fill_null(host, ""), port_s, ":")
 
 
+def can_refuse(rules: "RobotsRules | None") -> bool:
+    """Whether ``rules`` can refuse a path: it carries rules or an error
+    (a bare ``Disallow:`` carries none)."""
+    return rules is not None and bool(rules._rules or rules.error)
+
+
 def robots_allowed(host: pa.Array, port: pa.Array, path: pa.Array,
                    robots: dict, ids: "np.ndarray | None" = None
                    ) -> "pa.Array | None":
@@ -157,8 +163,7 @@ def robots_allowed(host: pa.Array, port: pa.Array, path: pa.Array,
         return None
     enc = pc.dictionary_encode(robots_keys(host, port))
     rules = [robots.get(k) for k in enc.dictionary.to_pylist()]
-    rules = [r if r is not None and (r._rules or r.error) else None
-             for r in rules]
+    rules = [r if can_refuse(r) else None for r in rules]
     if all(r is None for r in rules):
         return None
     hk = enc.indices.to_numpy()

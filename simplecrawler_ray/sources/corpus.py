@@ -17,23 +17,30 @@ on a cluster with lance available; nothing else changes.
   (SURVEY §2.4); the generator-backed ``ScaleWeb.get`` is the
   test-server analogue.  ``BroadcastCorpus`` serves the same lookups
   from object-store bucket tables; both resolve a URL through one
-  per-bucket (table, image_id -> row) index.
-* ``CorpusWeb`` — the corpus as a web.  ``get`` fetches one URL;
-  ``get_many`` fetches a batch: its URLs grouped by bucket, one
-  ``Table.take`` of the three response columns per bucket.
+  per-bucket index: the bucket's ``url_hash`` values sorted, searched
+  with numpy, a hit confirmed by its ``image_id``.
+* ``CorpusWeb`` — the corpus as a web.  ``get_many`` answers a batch
+  with one ``RESPONSE_SCHEMA`` table: the bucket of each URL comes
+  from the frontier's ``url_hash`` column, one ``Table.take`` per
+  bucket, and the robots.txt and 404 rows are spliced in with one
+  ``take`` per column; no ``WebResponse`` is built per row.  ``get`` is
+  ``get_many`` of one URL.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .web import ScaleWeb, WebResponse, _resp, url_hash64
+from ..schemas import CORPUS_SCHEMA
+from .web import RESPONSE_SCHEMA, ScaleWeb, WebResponse, url_hash64
 
 
 def build_corpus(web: ScaleWeb, out_dir: str, n_buckets: int = 16,
@@ -83,14 +90,14 @@ def build_corpus(web: ScaleWeb, out_dir: str, n_buckets: int = 16,
     return out_dir
 
 
-#: a bucket table and its image_id -> row index
-_Indexed = tuple[pa.Table, dict[str, int]]
+#: a bucket table, the ``url_hash`` of its rows sorted, and the row of each
+_Indexed = tuple[pa.Table, np.ndarray, np.ndarray]
 
 
 class _BucketedCorpus:
     """Keyed lookup over bucket tables.  A subclass supplies
-    ``_bucket(b)``: bucket ``b``'s (table, image_id -> row) index, or
-    None for a bucket with no rows."""
+    ``_bucket(b)``: bucket ``b``'s ``_Indexed``, or None for a bucket
+    with no rows."""
 
     n_buckets: int
 
@@ -103,33 +110,48 @@ class _BucketedCorpus:
         if found is None:
             return None
         names = found[0].column_names
-        row = self.take([url], names)[0]
-        return None if row is None else dict(zip(names, row))
+        hit, rows = self.take(pa.array([url], pa.string()),
+                              np.array([url_hash64(url)], np.uint64), names)
+        return rows.to_pylist()[0] if len(hit) else None
 
-    def take(self, urls: list[str], columns: list[str]) -> list[Optional[tuple]]:
-        """``columns`` of each URL's row, None for a miss: one
-        ``Table.take`` and one ``to_pylist`` per column per bucket."""
-        out: list[Optional[tuple]] = [None] * len(urls)
-        by_bucket: dict[int, list[int]] = {}
-        for k, u in enumerate(urls):
-            by_bucket.setdefault(url_hash64(u) % self.n_buckets, []).append(k)
-        for b, ks in by_bucket.items():
+    def take(self, urls: pa.Array, hashes: np.ndarray, columns: list[str]
+             ) -> tuple[np.ndarray, pa.Table]:
+        """The positions in ``urls`` found in the corpus and ``columns``
+        of their rows, aligned (grouped by bucket).  ``hashes`` are the
+        URLs' ``url_hash``: they pick the bucket and are searched in its
+        sorted hashes, and a hit must also match its ``image_id``.  One
+        ``Table.take`` per bucket."""
+        hashes = np.asarray(hashes, np.uint64)
+        bucket = (hashes % np.uint64(self.n_buckets)).astype(np.int64)
+        names = list(dict.fromkeys(columns + ["image_id"]))
+        hits, parts = [], []
+        for b in np.unique(bucket).tolist():
             found = self._bucket(b)
             if found is None:
                 continue
-            t, index = found
-            hits = [(k, index[urls[k]]) for k in ks if urls[k] in index]
-            if not hits:
-                continue
-            rows = t.select(columns).take([i for _, i in hits])
-            values = zip(*(rows.column(c).to_pylist() for c in columns))
-            for (k, _), row in zip(hits, values):
-                out[k] = row
-        return out
+            t, sorted_h, order = found
+            ks = np.flatnonzero(bucket == b)
+            pos = np.minimum(np.searchsorted(sorted_h, hashes[ks]),
+                             len(sorted_h) - 1)
+            match = sorted_h[pos] == hashes[ks]
+            hits.append(ks[match])
+            parts.append(t.select(names).take(order[pos[match]]))
+        if not parts:
+            return np.empty(0, np.int64), CORPUS_SCHEMA.empty_table().select(columns)
+        hit, rows = np.concatenate(hits), pa.concat_tables(parts)
+        same = pc.equal(rows.column("image_id"), urls.take(pa.array(hit)))
+        if not pc.all(same).as_py():  # a url_hash collision is no hit
+            keep = same.to_numpy(zero_copy_only=False)
+            hit, rows = hit[keep], rows.filter(same)
+        return hit, rows.select(columns)
 
 
 def _indexed(t: pa.Table) -> _Indexed:
-    return t, {u: i for i, u in enumerate(t.column("image_id").to_pylist())}
+    t = t.combine_chunks()  # a take from one chunk, not one per file
+    h = np.fromiter((url_hash64(u) for u in t.column("image_id").to_pylist()),
+                    np.uint64, count=t.num_rows)
+    order = np.argsort(h, kind="stable")
+    return t, h[order], order
 
 
 class CorpusReader(_BucketedCorpus):
@@ -253,33 +275,62 @@ class CorpusWeb:
         return self._broadcast if self._broadcast is not None else self._r()
 
     def get(self, url: str, request_headers: Optional[dict] = None) -> Optional[WebResponse]:
+        """``get_many`` of one URL, as a ``WebResponse``.  A robots.txt
+        URL, which the driver fetches once per new host, is answered
+        before any table is built."""
         from ..urlnorm import Uri
 
-        return self.get_many([url], [Uri.parse(url).path])[0]
+        path = Uri.parse(url).path
+        if _ROBOTS_PATH.match(path):
+            return WebResponse(200, _ROBOTS_TXT, "text/plain", {})
+        row = self.get_many(pa.array([url], pa.string()),
+                            pa.array([path], pa.string()),
+                            np.array([url_hash64(url)], np.uint64)).to_pylist()[0]
+        return WebResponse(row["code"], row["body"], row["content_type"], {},
+                           caption=row["caption"])
 
-    def get_many(self, urls: list[str], paths: list[str]) -> list[WebResponse]:
-        """The response to each URL of a batch; ``paths`` are the URLs'
-        path+query (the frontier's ``path`` column) and decide
-        ``/robots.txt``.  Each page is an image+caption pair: body =
-        image payload, caption = link text.  Takes no request headers:
-        a web may offer ``get_many`` only when its responses do not
-        depend on them, as CorpusWeb's do not."""
-        rows = self._src().take(urls, ["bytes", "fmt", "caption"])
-        out = []
-        for path, row in zip(paths, rows):
-            if path.partition("#")[0].partition("?")[0] == "/robots.txt":
-                out.append(_robots())
-            elif row is None:
-                out.append(_resp(404, "Page not found."))
-            else:
-                body, fmt, caption = row
-                out.append(WebResponse(200, body, f"image/{fmt}", {},
-                                       caption=caption))
-        return out
+    def get_many(self, urls: pa.Array, paths: pa.Array,
+                 hashes: np.ndarray) -> pa.Table:
+        """A batch's responses as one ``RESPONSE_SCHEMA`` table, a row per
+        URL.  ``paths`` are the URLs' path+query (the frontier's ``path``
+        column) and decide ``/robots.txt``; ``hashes`` are their
+        ``url_hash`` (the frontier's column), which ``take`` looks up.
+        A hit is an image+caption page: body = image payload, caption =
+        link text; any other URL is a 404.  Takes no request headers and
+        answers none: a web may offer ``get_many`` only when its
+        responses neither depend on request headers nor carry response
+        headers, as CorpusWeb's do not."""
+        n = len(urls)
+        hit, rows = self._src().take(urls, hashes, ["bytes", "fmt", "caption"])
+        # each row picks its response: a corpus row, robots.txt or the 404
+        pick = np.full(n, len(hit) + 1, np.int64)
+        pick[hit] = np.arange(len(hit))
+        robots = pc.match_substring_regex(paths, "^" + _ROBOTS_PATH.pattern)
+        pick[robots.to_numpy(zero_copy_only=False)] = len(hit)
+        pick = pa.array(pick)
+
+        def column(values, robots_value, miss_value, typ):
+            return pa.concat_arrays(values.cast(typ).chunks + [pa.array(
+                [robots_value, miss_value], typ)]).take(pick)
+
+        body = column(rows.column("bytes"), _ROBOTS_TXT, b"Page not found.",
+                      pa.binary())
+        return pa.table({
+            "code": pa.array(np.where(pick.to_numpy() > len(hit), 404, 200),
+                             pa.int32()),
+            "body": body,
+            "content_type": column(
+                pc.binary_join_element_wise("image/", rows.column("fmt"), ""),
+                "text/plain", "text/html", pa.string()),
+            "content_length": pc.binary_length(body).cast(pa.int64()),
+            "caption": column(rows.column("caption"), None, None, pa.string()),
+            "headers": pa.repeat(pa.scalar(0, pa.int32()), n),
+        }, schema=RESPONSE_SCHEMA)
 
     def image(self, url: str) -> Optional[dict]:
         return self._src().lookup(url)
 
 
-def _robots() -> WebResponse:
-    return _resp(200, "User-agent: *\nDisallow:\n", "text/plain")
+_ROBOTS_TXT = b"User-agent: *\nDisallow:\n"
+#: a path (+ query) that ``get_many`` answers with ``_ROBOTS_TXT``
+_ROBOTS_PATH = re.compile(r"/robots\.txt(?:[?#]|$)")

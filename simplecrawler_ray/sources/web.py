@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import pyarrow as pa
 
 from ..functions.imagecodec import encode_image, phash64
 from ..urlnorm import Uri
@@ -65,6 +66,17 @@ class WebResponse:
 
 
 TIMEOUT = None  # route that never responds
+
+#: a batch's responses, one row per request: ``CorpusWeb.get_many``
+#: answers with this table, and the Fetcher gathers a per-row web's
+#: ``get`` responses into it.  A null ``code`` is a request that never
+#: got an answer (timeout), -1 an unreachable host; ``content_length``
+#: is ``WebResponse.content_length``; ``headers`` indexes the batch's
+#: distinct header dicts (``get_many``: 0, no headers).
+RESPONSE_SCHEMA = pa.schema([
+    ("code", pa.int32()), ("body", pa.binary()),
+    ("content_type", pa.string()), ("content_length", pa.int64()),
+    ("caption", pa.string()), ("headers", pa.int32())])
 
 
 def _resp(code: int, body: str | bytes = b"", ct: str = "text/html", **headers) -> WebResponse:

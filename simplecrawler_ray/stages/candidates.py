@@ -16,7 +16,11 @@ kernels do the per-row work.  ``explode_discovered`` flattens the
 ``discovered`` lists with list kernels.  ``CandidateProcessor``
 dictionary-encodes a row key (the candidate when it is absolute, else
 candidate + NUL + referrer) and looks each distinct key up in a
-``CanonStore``; only a miss runs ``process_url``.  The canonical columns
+``CanonStore``.  A miss on an href the resolve step emitted fills its
+row from the part boundaries that step left in
+``discovery.HREF_SPANS`` (``urlnorm.canon_from_spans``: no second
+parse); any other miss (a redirect target, a seed, a relative key)
+runs ``process_url``.  The canonical columns
 are then ``take``s of the store's Arrow arrays by row id.  Worker-side,
 the store is kept per crawl config (``canon_store``), so it outlives
 robots rebroadcasts and spans a whole crawl.
@@ -31,11 +35,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..robots import RobotsRules, robots_allowed
+from ..robots import RobotsRules, can_refuse, robots_allowed
 from ..sources.web import url_hash64
 from ..conditions import eval_condition
-from ..discovery import _SCHEME_RE
-from ..urlnorm import CanonOpts, Uri, domain_valid, process_url
+from ..discovery import _SCHEME_RE, HREF_SPANS
+from ..urlnorm import CanonOpts, Uri, canon_from_spans, domain_valid, process_url
 from ..schemas import frontier_row_defaults
 
 CANDIDATE_SCHEMA = pa.schema(
@@ -280,7 +284,10 @@ class CandidateProcessor:
         self.cfg = cfg
         self.canon = canon_opts(cfg)
         robots = ray.get(robots_ref) if isinstance(robots_ref, ray.ObjectRef) else robots_ref
-        self.robots: dict[str, RobotsRules] = robots or {}
+        # only the entries that can refuse a path: with none (every
+        # measured crawl), ``robots_allowed`` returns before it builds a key
+        self.robots: dict[str, RobotsRules] = {
+            k: r for k, r in (robots or {}).items() if can_refuse(r)}
         self.fetch_conditions = cfg.get("fetch_conditions") or []
         self.store = store if store is not None else CanonStore(self.canon)
         self._domain: dict[str, bool] = {}
@@ -309,15 +316,24 @@ class CandidateProcessor:
                     misses, cands.take(first).to_pylist(),
                     refs.take(first).to_pylist(),
                     absolute.take(first).to_pylist()):
-                base = bases.get(ref)
-                if base is None:
-                    base = bases[ref] = Uri.parse(ref)
-                row = process_url(cand, base, opts=self.canon, referrer_str=ref)
-                if row is None:
+                # a link the resolve step emitted fills its row from that
+                # parse; any other candidate (a redirect target, a seed, a
+                # relative key) goes through process_url
+                spans = HREF_SPANS.get(cand) if is_abs else None
+                if spans is not None:
+                    fields = canon_from_spans(cand, spans, self.canon)
+                else:
+                    base = bases.get(ref)
+                    if base is None:
+                        base = bases[ref] = Uri.parse(ref)
+                    row = process_url(cand, base, opts=self.canon,
+                                      referrer_str=ref)
+                    fields = row and (row.url, row.protocol, row.host,
+                                      row.port, row.path, row.uri_path)
+                if fields is None:
                     rid = -1  # urijs choke — silently dropped (queueURL:1497-1500)
                 else:
-                    canon = (row.url, url_hash64(row.url), row.protocol,
-                             row.host, row.port, row.path, row.uri_path)
+                    canon = (fields[0], url_hash64(fields[0])) + fields[1:]
                     if is_abs:
                         rid = store.rows + len(kept_rows)
                         kept_rows.append(canon)

@@ -27,6 +27,7 @@ Status dispatch parity (src/crawler.ts:1800-2007):
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 import zlib
@@ -39,6 +40,7 @@ import ray
 
 from ..cookies import CookieJar
 from ..discovery import clean_expand_resources, discover_resources
+from ..sources.web import RESPONSE_SCHEMA, url_hash64
 from ..schemas import (
     FRONTIER_SCHEMA,
     STATUS_DOWNLOADED,
@@ -52,6 +54,7 @@ from ..schemas import (
 )
 
 _CHARSET_META_RE = re.compile(r"<meta[^>]*charset\s*=\s*[\"']?([\w-]*)", re.I)
+_CHARSET_HEADER_RE = re.compile(r"charset=[\"']?([^;\s\"']+)", re.I)
 
 DEFAULT_SUPPORTED_MIME = [
     re.compile(r"^text/", re.I),
@@ -79,8 +82,7 @@ def decode_body(body: bytes, content_type: str = "") -> str:
     # charset token only: trailing parameters ("; boundary=x"), quotes
     # and case previously rode along, failed the codec lookup, and
     # silently mis-decoded the body as utf-8
-    hm = re.search(r"charset=[\"']?([^;\s\"']+)", content_type,
-                   re.IGNORECASE)
+    hm = _CHARSET_HEADER_RE.search(content_type)
     header_cs = hm.group(1) if hm else None
     encoding = header_cs or (m.group(1) if m else None) or "utf-8"
     try:
@@ -190,14 +192,23 @@ class Fetcher:
       discovered (list<string> cleaned absolute URLs, per-doc deduped),
       mime_supported (bool), phash (``phash_fetched`` only)
 
-    A web with ``get_many(urls, paths)`` (``CorpusWeb``) answers the
-    whole batch in one call and is sent no request headers; any other
-    web is asked per row through ``get(url, headers)``, sequentially or
-    on ``fetch_threads`` threads.  With ``phash_fetched`` the batch's
-    image payloads decode and hash in one ``phash_blobs`` call.  Link
-    discovery likewise extracts every parsed row's links in one
-    ``discover_resources`` call, then resolves each row's against its
-    url.
+    The batch's responses are one ``RESPONSE_SCHEMA`` table.  A web
+    with ``get_many(urls, paths, hashes)`` (``CorpusWeb``) answers the
+    whole batch with it in one call and is sent no request headers; any
+    other web is asked per row through ``get(url, headers)``,
+    sequentially or on ``fetch_threads`` threads, and one gather loop
+    puts the answers into the table (and their ``Set-Cookie`` into the
+    jar).  Every output column is then derived from the table's columns
+    with numpy masks and Arrow kernels: mime support and the charset
+    verdict once per distinct content type, the ``state_headers`` JSON
+    once per distinct (header set, content type).  Python runs per row
+    only where the reference does: download conditions, decompression
+    of rows with a ``Content-Encoding``, and charset decoding of bodies
+    that are not UTF-8 text as they are.  With ``phash_fetched`` the
+    batch's image payloads decode and hash in one ``phash_blobs`` call.
+    Link discovery extracts every parsed row's links in one
+    ``discover_resources`` call over the text column, then resolves
+    each row's against its url.
     """
 
     def __init__(self, web_ref, config_ref, cache_ref=None):
@@ -210,6 +221,7 @@ class Fetcher:
         self.jar = _WORKER_CACHE.setdefault(jar_key, CookieJar())
         self.cache = (ray.get(cache_ref) if isinstance(cache_ref, ray.ObjectRef) else cache_ref) or {}
         self._headers_json_cache: dict = {}
+        self._ct_info: dict = {}
         self.supported_mime = [
             re.compile(p, re.I) if isinstance(p, str) and p.startswith("^") else p
             for p in cfg.get("supported_mime_types") or DEFAULT_SUPPORTED_MIME
@@ -268,246 +280,374 @@ class Fetcher:
         headers.update({k.lower(): v for k, v in (cfg.get("custom_headers") or {}).items()})
         return headers
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _gather(self, resps) -> tuple[pa.Table, list[dict], list[int]]:
+        """Per-row responses -> a ``RESPONSE_SCHEMA`` table, the batch's
+        distinct header dicts, and the rows whose ``Set-Cookie`` the jar
+        refused.  Cookies are taken as each response arrives, so a
+        sequential batch's later requests carry them."""
+        codes, bodies, cts, lengths, captions, hids = [], [], [], [], [], []
+        sets: dict[tuple, int] = {(): 0}
+        header_sets: list[dict] = [{}]
+        cookie_errors: list[int] = []
+        for i, resp in enumerate(resps):
+            if resp is None:
+                codes.append(None)
+                bodies.append(b"")
+                cts.append("")
+                lengths.append(0)
+                captions.append(None)
+                hids.append(0)
+                continue
+            codes.append(resp.code)
+            bodies.append(resp.body)
+            cts.append(resp.content_type or "")
+            lengths.append(resp.content_length)
+            captions.append(resp.caption)
+            h = resp.headers
+            if not h:
+                hids.append(0)
+                continue
+            key = tuple((k, str(v)) for k, v in h.items())
+            hid = sets.get(key)
+            if hid is None:
+                hid = sets[key] = len(header_sets)
+                header_sets.append(h)
+            hids.append(hid)
+            if (self.accept_cookies and resp.code != -1 and "Set-Cookie" in h
+                    and self.jar.add_from_headers(h["Set-Cookie"])):
+                cookie_errors.append(i)
+        table = pa.table([codes, bodies, cts, lengths, captions, hids],
+                         schema=RESPONSE_SCHEMA)
+        return table, header_sets, cookie_errors
+
+    def _responses(self, batch: pa.Table) -> tuple[pa.Table, list[dict], list[int]]:
+        """The batch's responses: one ``get_many`` call, or each row's
+        ``get`` (sequential, or on ``fetch_threads`` threads, whose
+        requests all carry the jar as of batch start)."""
+        get_many = getattr(self.web, "get_many", None)
+        if get_many is not None:
+            hashes = (batch.column("url_hash").to_numpy()
+                      if "url_hash" in batch.column_names else
+                      np.array([url_hash64(u) for u in
+                                batch.column("url").to_pylist()], np.uint64))
+            return (get_many(batch.column("url").combine_chunks(),
+                             batch.column("path").combine_chunks(), hashes),
+                    [{}], [])
         n = batch.num_rows
         urls = batch.column("url").to_pylist()
         hosts = batch.column("host").to_pylist()
         paths = batch.column("path").to_pylist()
         referrers = (batch.column("referrer").to_pylist()
                      if "referrer" in batch.column_names else [""] * n)
-
-        status = [STATUS_SPOOLED] * n
-        fetched = [False] * n
-        codes = [0] * n
-        content_types = [""] * n
-        content_lengths = [0] * n
-        actual_sizes = [0] * n
-        sent_incorrect = [False] * n
-        headers_json = [""] * n
-        bodies: list[Optional[bytes]] = [None] * n
-        captions: list[Optional[str]] = [None] * n
-        image_ids: list[Optional[str]] = [None] * n
-        dispositions = [""] * n
-        error_flags = [""] * n   # side events (cookieerror, gziperror)
-        phashes: list[Optional[int]] = [None] * n
-        locations = [""] * n
-        discovered: list[list[str]] = [[] for _ in range(n)]
-        mime_ok = [False] * n
-        latency = [0] * n
-        phash_rows: list[int] = []  # image rows, hashed at batch end
-        images: list[bytes] = []
-        parse_rows: list[int] = []  # rows whose text is parsed at batch end
-        texts: list[str] = []
-
-        prefetched = None
-        get_many = getattr(self.web, "get_many", None)
-        if get_many is not None:
-            prefetched = get_many(urls, paths)
-        elif self.fetch_threads > 1:
+        reqs = ((u, self._request_headers(u, h, p, r))
+                for u, h, p, r in zip(urls, hosts, paths, referrers))
+        if self.fetch_threads > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(max_workers=self.fetch_threads)
-            reqs = [(u, self._request_headers(u, hosts[i], paths[i], referrers[i]))
-                    for i, u in enumerate(urls)]
-            prefetched = list(self._pool.map(lambda p: self.web.get(p[0], p[1]),
-                                             reqs))
+            return self._gather(list(self._pool.map(
+                lambda r: self.web.get(*r), list(reqs))))
+        return self._gather(self.web.get(*r) for r in reqs)
 
-        for i, url in enumerate(urls):
-            resp = (prefetched[i] if prefetched is not None else self.web.get(
-                url, self._request_headers(url, hosts[i], paths[i], referrers[i])))
-            if resp is None:  # route never responds => timeout
-                status[i] = STATUS_TIMEOUT
-                fetched[i] = True
-                dispositions[i] = "fetchtimeout"
-                continue
-            if resp.code == -1:  # unreachable host => client error, code 600
-                status[i] = STATUS_FAILED
-                fetched[i] = True
-                codes[i] = 600
-                dispositions[i] = "fetchclienterror"
-                continue
+    def _per_content_type(self, enc: pa.DictionaryArray):
+        """Per row of the dictionary-encoded content types, from one
+        check per distinct type: whether its mime type is supported,
+        whether its body decodes as UTF-8 by the header (no charset, or
+        one that names UTF-8), and whether it names a charset at all."""
+        info = []
+        for c in enc.dictionary.to_pylist():
+            ci = self._ct_info.get(c)
+            if ci is None:
+                hm = _CHARSET_HEADER_RE.search(c)
+                try:
+                    plain = hm is None or codecs.lookup(hm.group(1)).name == "utf-8"
+                except LookupError:
+                    plain = True  # decode_body falls back to utf-8
+                ci = (mime_type_supported(c, self.supported_mime), plain,
+                      hm is not None)
+                if len(self._ct_info) > 4096:
+                    self._ct_info.clear()
+                self._ct_info[c] = ci
+            info.append(ci)
+        per_row = np.array(info, bool).reshape(-1, 3)[enc.indices.to_numpy()]
+        return per_row[:, 0], per_row[:, 1], per_row[:, 2]
 
-            codes[i] = resp.code
-            ct = resp.content_type or ""
-            content_types[i] = ct
-            content_lengths[i] = resp.content_length
-            # headers repeat across a synthetic/real site (same server
-            # config) — cache the serialized JSON per distinct
-            # (headers, ct, length) instead of re-dumping per row
-            hkey = (tuple((k, str(v)) for k, v in resp.headers.items())
-                    if resp.headers else (), ct, resp.content_length)
-            hj = self._headers_json_cache.get(hkey)
-            if hj is None:
-                hj = json.dumps(
-                    {**{k.lower(): str(v) for k, v in resp.headers.items()},
-                     "content-type": ct,
-                     "content-length": str(resp.content_length)})
+    def _headers_json(self, header_sets: list[dict], hid: np.ndarray,
+                      enc: pa.DictionaryArray, length: pa.Array) -> pa.Array:
+        """Each row's ``state_headers`` JSON: the response headers
+        (lower-cased keys) plus content-type and content-length.  Built
+        once per distinct (header set, content type) with a hole for the
+        length, which Arrow fills per row."""
+        cts = enc.dictionary.to_pylist()
+        key = hid.astype(np.int64) * len(cts) + enc.indices.to_numpy()
+        if len(key) and (key == key[0]).all():
+            pairs, inverse = key[:1], None
+        else:
+            pairs, inverse = np.unique(key, return_inverse=True)
+        heads, tails = [], []
+        for p in pairs.tolist():
+            h, c = header_sets[p // len(cts)], cts[p % len(cts)]
+            hkey = (tuple((k, str(v)) for k, v in h.items()), c)
+            ht = self._headers_json_cache.get(hkey)
+            if ht is None:
+                doc = json.dumps({**{k.lower(): str(v) for k, v in h.items()},
+                                  "content-type": c, "content-length": ""})
+                head, tail = doc.split(_LENGTH_HOLE)
+                ht = (head + _LENGTH_HOLE[:-1], '"' + tail)
                 if len(self._headers_json_cache) > 4096:
                     self._headers_json_cache.clear()
-                self._headers_json_cache[hkey] = hj
-            headers_json[i] = hj
-            latency[i] = 1  # synthetic web: nominal 1ms latency
+                self._headers_json_cache[hkey] = ht
+            heads.append(ht[0])
+            tails.append(ht[1])
+        if inverse is None:
+            heads, tails = heads[0], tails[0]
+        else:
+            inverse = pa.array(inverse.reshape(-1))
+            heads = pa.array(heads, pa.string()).take(inverse)
+            tails = pa.array(tails, pa.string()).take(inverse)
+        return pc.binary_join_element_wise(heads, length.cast(pa.string()),
+                                           tails, "")
 
-            if self.accept_cookies and "Set-Cookie" in resp.headers:
-                errs = self.jar.add_from_headers(resp.headers["Set-Cookie"])
-                if errs:
-                    error_flags[i] = "cookieerror"
+    def _conditions(self, batch: pa.Table, resp: pa.Table, header_sets: list[dict],
+                    hid: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Download conditions on ``rows`` (2xx, not oversize): the rows a
+        condition vetoed and the rows where one raised."""
+        from ..conditions import eval_condition
 
-            if resp.content_length > self.max_resource_size:
-                # oversize: fetched, status NOT updated (stays spooled)
-                fetched[i] = True
-                dispositions[i] = "fetchdataerror"
-                continue
+        n = batch.num_rows
+        vetoed, errored = np.zeros(n, bool), np.zeros(n, bool)
+        cols = batch.select(["url", "host", "path"]).take(rows).to_pydict()
+        rcols = resp.select(["code", "content_type", "content_length"]).take(
+            rows).to_pydict()
+        for k, i in enumerate(rows.tolist()):
+            code, ct = rcols["code"][k], rcols["content_type"][k]
+            # two-arg conditions get the response dict as the second
+            # argument — the reference's (queueItem, response) shape
+            # (src/crawler.ts:1180-1211)
+            response_item = {"code": code, "content_type": ct,
+                             "headers": dict(header_sets[hid[i]]),
+                             "content_length": rcols["content_length"][k]}
+            item = {"url": cols["url"][k], "host": cols["host"][k],
+                    "path": cols["path"][k], "code": code, "content_type": ct}
+            for cond in self.download_conditions:
+                try:
+                    if not eval_condition(cond, item, response_item):
+                        vetoed[i] = True
+                        break
+                except Exception:
+                    errored[i] = True
+                    break
+        return vetoed, errored
 
-            if 200 <= resp.code < 300:
-                vetoed = False
-                errored = False
-                if self.download_conditions:
-                    from ..conditions import eval_condition
+    @staticmethod
+    def _texts(body: pa.Array, enc: pa.DictionaryArray, rows: np.ndarray,
+               plain: np.ndarray, header_cs: np.ndarray,
+               decoded: dict[int, bytes]) -> pa.Array:
+        """The body text of each ``rows`` row (decodeBuffer), null
+        elsewhere: Arrow reads a body that is UTF-8 as it is; a charset
+        (in the header, or a ``<meta>`` in the first 512 bytes) and a
+        decompressed body decode per row."""
+        fast = rows & plain
+        fast[list(decoded)] = False
+        check = fast & ~header_cs
+        if check.any():
+            # no charset in the header: a <meta> charset would decide
+            head = body if check.all() else body.take(np.flatnonzero(check))
+            meta = pc.match_substring(pc.binary_slice(head, 0, 512), "<meta",
+                                      ignore_case=True)
+            fast[np.flatnonzero(check)[meta.to_numpy(zero_copy_only=False)
+                                       ]] = False
+        try:
+            text = (body if fast.all() else body.take(np.flatnonzero(fast))
+                    ).cast(pa.string())
+        except pa.ArrowInvalid:  # not UTF-8 after all: decode per row
+            fast[:] = False
+            text = pa.array([], pa.string())
+        if not fast.all():
+            slow = np.flatnonzero(rows & ~fast)
+            cts = enc.dictionary.take(enc.indices.take(slow)).to_pylist()
+            text = _spread(len(rows), np.concatenate(
+                [np.flatnonzero(fast), slow]), pa.concat_arrays([text, pa.array(
+                    [decode_body(decoded.get(i, b), c) for i, b, c in zip(
+                        slow.tolist(), body.take(slow).to_pylist(), cts)],
+                    pa.string())]))
+        return text
 
-                    # two-arg conditions get the response dict as the
-                    # second argument — the reference's
-                    # (queueItem, response) shape (src/crawler.ts:1180-1211)
-                    response_item = {"code": resp.code, "content_type": ct,
-                                     "headers": dict(resp.headers),
-                                     "content_length": resp.content_length}
-                    for cond in self.download_conditions:
-                        try:
-                            if not eval_condition(
-                                    cond,
-                                    {"url": url, "host": hosts[i],
-                                     "path": paths[i], "code": resp.code,
-                                     "content_type": ct},
-                                    response_item):
-                                vetoed = True
-                                break
-                        except Exception:
-                            errored = True
-                            break
-                if errored:
-                    # reference leaves the item dangling (async.every returns
-                    # false, no queue update); terminal here so the BSP round
-                    # loop can complete — documented divergence
-                    fetched[i] = True
-                    dispositions[i] = "downloadconditionerror"
-                    continue
-                if vetoed:
-                    status[i] = STATUS_DOWNLOADPREVENTED
-                    fetched[i] = True
-                    dispositions[i] = "downloadprevented"
-                    continue
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        resp, header_sets, cookie_errors = self._responses(batch)
+        code = resp.column("code")
+        timeout = (code.is_null().to_numpy() if code.null_count
+                   else np.zeros(n, bool))
+        code = (code.fill_null(0) if code.null_count else code).to_numpy()
+        hid = resp.column("headers").to_numpy()
+        body = resp.column("body").combine_chunks()
+        body_len = pc.binary_length(body).to_numpy(zero_copy_only=False)
+        length = resp.column("content_length")
+        clen = length.to_numpy()
+        caption = resp.column("caption").combine_chunks()
+        has_caption = (caption.is_valid().to_numpy(zero_copy_only=False)
+                       if caption.null_count < n else np.zeros(n, bool))
+        ct = resp.column("content_type").combine_chunks()
+        ct_enc = pc.dictionary_encode(ct)
+        mime, plain, header_cs = self._per_content_type(ct_enc)
+        ce_of = [h.get("Content-Encoding", "") for h in header_sets]
+        loc_of = [h.get("Location") or "" for h in header_sets]
 
-                status[i] = STATUS_HEADERS
-                mime_supported = mime_type_supported(ct, self.supported_mime)
-                mime_ok[i] = mime_supported
-                if not (self.download_unsupported or mime_supported):
-                    fetched[i] = True  # body discarded, status stays headers
-                    continue
+        answered = ~timeout & (code != -1)
+        over = answered & (clen > self.max_resource_size)
+        ok = answered & ~over
+        success = ok & (code >= 200) & (code < 300)
+        vetoed = errored = np.zeros(n, bool)
+        if self.download_conditions and success.any():
+            vetoed, errored = self._conditions(batch, resp, header_sets, hid,
+                                               np.flatnonzero(success))
+        headers_stage = success & ~vetoed & ~errored
+        skip = headers_stage & ~(self.download_unsupported | mime)
+        reach = headers_stage & ~skip  # the body is read
+        body_over = reach & (body_len > self.max_resource_size)
+        done = reach & ~body_over
+        redirect = (ok & (code >= 300) & (code < 400) & (code != 304)
+                    & np.array([bool(x) for x in loc_of])[hid])
+        outcome = np.full(n, len(_OUTCOMES) - 1, np.int8)
+        for k, rows in reversed(list(enumerate(
+                [timeout, ~timeout & (code == -1), over, errored, vetoed,
+                 skip, body_over, done, ok & (code == 304), redirect,
+                 ok & (code == 404), ok & (code == 410)]))):
+            outcome[rows] = k
 
-                body = resp.body
-                actual_sizes[i] = len(body)
-                sent_incorrect[i] = len(body) != resp.content_length
-                if len(body) > self.max_resource_size:
-                    fetched[i] = True
-                    dispositions[i] = "fetchdataerror"
-                    continue
-
+        # per row only where the reference works per row: decompression
+        flags = np.zeros(n, np.int8)
+        flags[cookie_errors] = 1
+        decoded: dict[int, bytes] = {}
+        ce_rows = (np.flatnonzero(done & np.array([bool(c) for c in ce_of])[hid])
+                   if len(ce_of) > 1 else ())
+        if len(ce_rows):
+            for i, b in zip(ce_rows.tolist(), body.take(ce_rows).to_pylist()):
                 data, gzip_err = decompress_body(
-                    body, resp.headers.get("Content-Encoding", ""),
-                    max_size=self.max_resource_size)
+                    b, ce_of[hid[i]], max_size=self.max_resource_size)
                 if gzip_err:
-                    error_flags[i] = (error_flags[i] + ",gziperror").lstrip(",")
+                    flags[i] |= 2
+                decoded[i] = data
 
-                status[i] = STATUS_DOWNLOADED
-                fetched[i] = True
-                dispositions[i] = "fetchcomplete"
-                if self.store_body:
-                    bodies[i] = body
-                if resp.caption is not None:
-                    # image+caption page (corpus model): caption is the
-                    # parse target; body is the image payload
-                    text = resp.caption
-                    mime_supported = True
-                    mime_ok[i] = True
-                    if self.phash_fetched and body:
-                        phash_rows.append(i)
-                        images.append(body)
-                else:
-                    text = decode_body(data, ct)
-                captions[i] = text
-                image_ids[i] = url
-                if self.discover_enabled and mime_supported:
-                    parse_rows.append(i)
-                    texts.append(text)
-            elif resp.code == 304:
-                fetched[i] = True  # status stays spooled (crawler.ts:1905-1926)
-                dispositions[i] = "notmodified"
-            elif 300 <= resp.code < 400 and resp.headers.get("Location"):
-                status[i] = STATUS_REDIRECTED
-                fetched[i] = True
-                locations[i] = resp.headers["Location"]
-                dispositions[i] = "fetchredirect"
-            elif resp.code in (404, 410):
-                status[i] = STATUS_NOTFOUND
-                fetched[i] = True
-                dispositions[i] = "fetch404" if resp.code == 404 else "fetch410"
-            else:
-                status[i] = STATUS_FAILED
-                fetched[i] = True
-                dispositions[i] = "fetcherror"
+        text_rows = done & ~has_caption
+        text = (self._texts(body, ct_enc, text_rows, plain, header_cs, decoded)
+                if text_rows.any() else pa.nulls(n, pa.string()))
+        text = _where(done & has_caption, caption, text)
 
-        if phash_rows:
+        phashes = pa.nulls(n, pa.int64())
+        img_rows = np.flatnonzero(done & has_caption & (body_len > 0))
+        if self.phash_fetched and len(img_rows):
             from ..functions.imagecodec import phash_blobs
 
             # the whole batch's images decode and hash at once; a blob
             # that does not decode leaves its row's phash null
-            for i, h in zip(phash_rows, phash_blobs(images)):
-                phashes[i] = h
+            phashes = _spread(n, img_rows, pa.array(phash_blobs(
+                body.take(img_rows).to_pylist()), pa.int64()))
 
-        if parse_rows:
+        mime_ok = (headers_stage & mime) | (done & has_caption)
+        url = batch.column("url").combine_chunks()
+        parse = done & mime_ok & self.discover_enabled
+        if parse.any():
             # the whole batch's links are extracted at once, then each
             # row's are resolved against its own url
+            every = parse.all()
+            rows = np.flatnonzero(parse)
             raws = discover_resources(
-                texts,
+                text if every else text.take(rows),
                 parse_html_comments=self.parse_html_comments,
                 parse_script_tags=self.parse_script_tags,
                 respect_robots_txt=self.respect_robots_txt,
             )
-            for i, raw in zip(parse_rows, raws):
-                url = urls[i]
-                proto = url.split(":", 1)[0] if ":" in url else "http"
-                discovered[i] = clean_expand_resources(raw, url, proto)
+            links: list[str] = []
+            counts = np.zeros(n + 1, np.int32)
+            for i, u, raw in zip(rows.tolist(), (url if every else url.take(
+                    rows)).to_pylist(), raws):
+                proto = u.split(":", 1)[0] if ":" in u else "http"
+                found = clean_expand_resources(raw, u, proto)
+                counts[i + 1] = len(found)
+                links.extend(found)
+            discovered = pa.ListArray.from_arrays(
+                pa.array(np.cumsum(counts, dtype=np.int32)),
+                pa.array(links, pa.string()))
+        else:
+            discovered = pa.ListArray.from_arrays(
+                pa.array(np.zeros(n + 1, np.int32)), pa.array([], pa.string()))
 
-        out = batch.drop_columns(
-            [c for c in ("fetched", "status", "state_request_latency_ms",
-                         "state_request_time_ms", "state_download_time_ms",
-                         "state_content_length", "state_content_type", "state_code",
-                         "state_headers", "state_actual_data_size",
-                         "state_sent_incorrect_size") if c in batch.column_names]
-        )
+        outcome = pa.array(outcome)
+        latency = pa.array(answered.astype(np.int32))
         cols = {
-            "fetched": pa.array(fetched, pa.bool_()),
-            "status": pa.array(status, pa.string()),
-            "state_request_latency_ms": pa.array(latency, pa.int32()),
-            "state_request_time_ms": pa.array(latency, pa.int32()),
-            "state_download_time_ms": pa.array([1 if b else 0 for b in fetched], pa.int32()),
-            "state_content_length": pa.array(content_lengths, pa.int64()),
-            "state_content_type": pa.array(content_types, pa.string()),
-            "state_code": pa.array(codes, pa.int16()),
-            "state_headers": pa.array(headers_json, pa.string()),
-            "state_actual_data_size": pa.array(actual_sizes, pa.int64()),
-            "state_sent_incorrect_size": pa.array(sent_incorrect, pa.bool_()),
-            "body": pa.array(bodies, pa.binary()),
-            "caption": pa.array(captions, pa.string()),
-            "image_id": pa.array(image_ids, pa.string()),
-            "disposition": pa.array(dispositions, pa.string()),
-            "error_flags": pa.array(error_flags, pa.string()),
-            "location": pa.array(locations, pa.string()),
-            "discovered": pa.array(discovered, pa.list_(pa.string())),
-            "mime_supported": pa.array(mime_ok, pa.bool_()),
-            "phash": pa.array(phashes, pa.int64()),
+            "fetched": pa.array(np.ones(n, bool)),
+            "status": _STATUS.take(outcome),
+            "state_request_latency_ms": latency,
+            "state_request_time_ms": latency,
+            "state_download_time_ms": pa.array(np.ones(n, np.int32)),
+            "state_content_length": pa.array(np.where(answered, clen, 0)),
+            "state_content_type": _where(answered, ct, pa.scalar("")),
+            "state_code": pa.array(np.where(code == -1, 600, code).astype(np.int16)),
+            "state_headers": _where(answered, self._headers_json(
+                header_sets, hid, ct_enc, length), pa.scalar("")),
+            "state_actual_data_size": pa.array(np.where(reach, body_len, 0).astype(np.int64)),
+            "state_sent_incorrect_size": pa.array(reach & (body_len != clen)),
+            "body": (_where(done, body, pa.scalar(None, pa.binary()))
+                     if self.store_body else pa.nulls(n, pa.binary())),
+            "caption": text,
+            "image_id": _where(done, url, pa.scalar(None, pa.string())),
+            "disposition": _DISPOSITION.take(outcome),
+            "error_flags": (_FLAGS.take(pa.array(flags)) if flags.any()
+                            else pa.repeat(pa.scalar(""), n)),
+            "location": _where(redirect, pa.array(loc_of, pa.string()).take(hid)
+                               if redirect.any() else None, pa.scalar("")),
+            "discovered": discovered,
+            "mime_supported": pa.array(mime_ok),
+            "phash": phashes,
         }
-        for name, arr in cols.items():
-            out = out.append_column(name, arr)
-        return out
+        kept = [c for c in batch.column_names if c not in cols]
+        return pa.Table.from_arrays(
+            [batch.column(c) for c in kept] + list(cols.values()),
+            names=kept + list(cols))
+
+
+#: (disposition, status) of each fetch outcome, by precedence
+#: (src/crawler.ts:1800-2007); the last is the fallthrough
+_OUTCOMES = [
+    ("fetchtimeout", STATUS_TIMEOUT),
+    ("fetchclienterror", STATUS_FAILED),       # unreachable: code 600
+    ("fetchdataerror", STATUS_SPOOLED),        # oversize by header
+    ("downloadconditionerror", STATUS_SPOOLED),
+    ("downloadprevented", STATUS_DOWNLOADPREVENTED),
+    ("", STATUS_HEADERS),                      # unsupported mime, body dropped
+    ("fetchdataerror", STATUS_HEADERS),        # oversize body
+    ("fetchcomplete", STATUS_DOWNLOADED),
+    ("notmodified", STATUS_SPOOLED),
+    ("fetchredirect", STATUS_REDIRECTED),
+    ("fetch404", STATUS_NOTFOUND),
+    ("fetch410", STATUS_NOTFOUND),
+    ("fetcherror", STATUS_FAILED),
+]
+_DISPOSITION = pa.array([d for d, _ in _OUTCOMES], pa.string())
+_STATUS = pa.array([s for _, s in _OUTCOMES], pa.string())
+_FLAGS = pa.array(["", "cookieerror", "gziperror", "cookieerror,gziperror"],
+                  pa.string())
+#: the content-length member of a headers JSON built with "" as its value
+_LENGTH_HOLE = '"content-length": ""'
+
+
+def _where(mask: np.ndarray, a, b) -> pa.Array:
+    """``a`` where ``mask``, ``b`` elsewhere (arrays or scalars); a
+    uniform mask picks one side without a kernel."""
+    if not mask.any():
+        pick = b
+    elif mask.all():
+        pick = a
+    else:
+        return pc.if_else(pa.array(mask), a, b)
+    return pa.repeat(pick, len(mask)) if isinstance(pick, pa.Scalar) else pick
+
+
+def _spread(n: int, rows: np.ndarray, values: pa.Array) -> pa.Array:
+    """A length-``n`` array holding ``values`` at ``rows``, null elsewhere."""
+    pick = np.full(n, len(values), np.int64)
+    pick[rows] = np.arange(len(values))
+    return pa.concat_arrays([values, pa.nulls(1, values.type)]).take(pick)

@@ -112,8 +112,11 @@ class SeenTable:
 
     def _lookup(self, fp: np.ndarray, b1: np.ndarray,
                 b2: np.ndarray) -> np.ndarray:
-        t, f = self.table, fp[:, None]
-        hit = (t[b1] == f).any(axis=1) | (t[b2] == f).any(axis=1)
+        t = self.table
+        hit = (t[b1] == fp[:, None]).any(axis=1)
+        # placement tries b1 first: b2 is read only for keys not in b1
+        miss = np.flatnonzero(~hit)
+        hit[miss] = (t[b2[miss]] == fp[miss, None]).any(axis=1)
         if self.stash:
             sfps = np.fromiter(self.stash, dtype=fp.dtype,
                                count=len(self.stash))

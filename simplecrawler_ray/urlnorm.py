@@ -539,16 +539,8 @@ def process_url(url: str, referrer_url: "str|Uri" = "",
                 new.query = _to_iso8859(new.query)
     except (ValueError, UnicodeDecodeError):
         return None
-    try:
-        # a malformed port ("http://h:8o80/") must be a None return like
-        # every other unparseable URL, not a ValueError escaping into
-        # robots/candidate processing
-        port = int(new.port) if new.port else 0
-    except ValueError:
-        return None
-    if not 0 <= port <= 65535:
-        # out-of-range ports are invalid URLs; letting one through
-        # crashes the whole candidate batch at the int32 Arrow cast
+    port = _port(new.port)
+    if port is None:
         return None
     return UrlRow(
         url=new.href(),
@@ -560,6 +552,72 @@ def process_url(url: str, referrer_url: "str|Uri" = "",
         depth=referrer_depth + 1,
         referrer=referrer_str,
     )
+
+
+def _port(port: Optional[str]) -> Optional[int]:
+    """A URI's port as a number (0: none), None when it is not one.  A
+    malformed port ("http://h:8o80/") must be a None return like every
+    other unparseable URL, not a ValueError escaping into robots or
+    candidate processing; an out-of-range one would crash the whole
+    candidate batch at the int32 Arrow cast."""
+    try:
+        n = int(port) if port else 0
+    except ValueError:
+        return None
+    return n if 0 <= n <= 65535 else None
+
+
+def href_spans(u: Uri, href: str) -> Optional[tuple]:
+    """Where ``href`` (``u.href()`` of a normalized absolute URI) holds
+    its parts: ``(scheme end, host start, host end, path start, path
+    end)``.  None when re-parsing the href could move them (no host)."""
+    if not (u.protocol and u.hostname) or u.urn or u.fragment:
+        return None
+    host = len(u.protocol) + 3
+    if u.username:
+        host += len(u.username) + 1 + (len(u.password) + 1 if u.password else 0)
+    host_end = host + len(u.hostname)
+    path = host_end + (len(u.port) + 1 if u.port else 0)
+    return (len(u.protocol), host, host_end, path,
+            len(href) - (len(u.query) + 1 if u.query else 0))
+
+
+_DEFAULT_OPTS = CanonOpts()
+
+
+def canon_from_spans(href: str, spans: tuple,
+                     opts: CanonOpts | None = None) -> Optional[tuple]:
+    """``process_url(href, opts=opts)``'s ``(url, protocol, host, port,
+    path, uri_path)`` for an href the resolve step built and parsed
+    (``href_spans``), without parsing it again: read off the href under
+    the default options; otherwise the options apply to its parts, in
+    ``process_url``'s order."""
+    scheme, host, host_end, path, path_end = spans
+    if opts is None or opts == _DEFAULT_OPTS:
+        port = _port(href[host_end + 1:path])
+        return None if port is None else (
+            href, href[:scheme], href[host:host_end], port, href[path:],
+            href[path:path_end])
+    user, _, password = href[scheme + 3:max(host - 1, scheme + 3)].partition(":")
+    u = Uri(href[:scheme], user or None, password or None,
+            href[host:host_end], href[host_end + 1:path] or None,
+            href[path:path_end], href[path_end + 1:] or None)
+    if opts.strip_querystring:
+        u.query = None
+    if opts.sort_query_parameters and u.query is not None:
+        data = parse_query(u.query)
+        u.query = build_query({k: data[k] for k in sorted(data)}) or None
+    if opts.strip_www_domain and _RE_WWW.match(u.href()):
+        u = Uri.parse(u.href().replace("www.", "", 1))
+    u.normalize()
+    if opts.url_encoding == "iso8859":
+        u.path = _to_iso8859(u.path)
+        if u.query:
+            u.query = _to_iso8859(u.query)
+    port = _port(u.port)
+    return None if port is None else (
+        u.href(), u.protocol or "http", u.hostname or "", port, u.resource(),
+        u.path)
 
 
 # --- predicates ------------------------------------------------------------

@@ -141,6 +141,50 @@ def test_robots_recheck_keys_each_distinct_host_scheme_once():
     assert counters["fetchstart"] == 4
 
 
+def test_all_allowed_robots_snapshot_builds_no_host_key(monkeypatch):
+    """A robots snapshot in which no host has rules (both benchmark webs
+    serve a bare ``Disallow:``) is decided once, when the batch's
+    candidate processor is built: a batch, with candidate discovery on,
+    then builds no ``host:port`` key for its queued rows or its
+    candidates.  One host with a rule brings the key back."""
+    import pyarrow as pa
+
+    from simplecrawler_ray import robots
+    from simplecrawler_ray.robots import RobotsRules
+    from simplecrawler_ray.schemas import FRONTIER_SCHEMA
+    from simplecrawler_ray.stages.turbo import turbo_round_udf
+    from simplecrawler_ray.urlnorm import process_url
+
+    calls = []
+    real = robots.robots_keys
+    monkeypatch.setattr(robots, "robots_keys",
+                        lambda *a: calls.append(a) or real(*a))
+    sw = ScaleWeb(n_pages=40, n_hosts=4, out_degree=3)
+    eng = CrawlEngine(sw, sw.url_of(0), seen_shards=1,
+                      filter_by_domain=False)
+    eng.seen.shutdown()
+    url = process_url(sw.url_of(0))
+    wave = pa.Table.from_pylist(
+        [dict(seq=0, url=url.url, host=url.host, port=url.port,
+              protocol=url.protocol, path=url.path, depth=0, fetched=False,
+              status="queued")], schema=FRONTIER_SCHEMA)
+    allowed = {f"host{h}.test:": RobotsRules.parse(
+        f"http://host{h}.test/robots.txt", "User-agent: *\nDisallow:\n")
+        for h in range(4)}
+    allowed["host3.test:"] = RobotsRules("http://host3.test/robots.txt")
+    rows, _, terminal = turbo_round_udf(
+        wave, web_ref=sw, cfg_ref=eng.cfg, robots_ref=allowed,
+        seen_shards=None, round_no=0, sink_dir=None)
+    assert terminal.column("status").to_pylist() == ["downloaded"]
+    assert rows.num_rows == 3
+    assert calls == []
+    ruled = dict(allowed, **{"host0.test:": RobotsRules.parse(
+        "http://host0.test/robots.txt", "User-agent: *\nDisallow: /x\n")})
+    turbo_round_udf(wave, web_ref=sw, cfg_ref=eng.cfg, robots_ref=ruled,
+                    seen_shards=None, round_no=0, sink_dir=None)
+    assert len(calls) == 2
+
+
 def test_robots_matcher_matches_is_allowed():
     """``robots_allowed`` over host/port/path columns equals
     ``RobotsRules.is_allowed(url)`` row by row, on random tables (null

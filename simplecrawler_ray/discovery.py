@@ -15,9 +15,10 @@ Rust-regex pass each over the whole batch (polars, imported on first
 use; the Fetcher hands the texts over as an Arrow column); the rest run
 per text where their literal occurs.  ``clean_expand_resources`` runs
 per document.  Each absolute href it emits from a fresh parse leaves
-that parse's part boundaries in ``HREF_SPANS``, so the candidate
-stage's ``CanonStore`` builds the href's canonical row from them
-instead of parsing the href again.
+that parse's part boundaries in ``HREF_SPANS`` (emptied with the
+resolve cache, under one bound), so the candidate stage's
+``CanonStore`` builds the href's canonical row from them instead of
+parsing the href again.
 """
 
 from __future__ import annotations
@@ -253,8 +254,7 @@ def clean_expand_resources(
             _cache_abs(key, url)
         spans = href_spans(u, url)
         if spans is not None:
-            if len(HREF_SPANS) > _CACHE_BOUND:
-                HREF_SPANS.clear()
+            _make_room(HREF_SPANS)
             HREF_SPANS[url] = spans
         if url not in seen:
             seen.add(url)
@@ -272,13 +272,20 @@ _UNSET = object()
 
 #: each absolute href the resolve step emitted -> ``urlnorm.href_spans``
 #: of its parse, so the candidate stage builds the href's canonical row
-#: without parsing it again (``urlnorm.canon_from_spans``); bounded like
-#: the resolve cache
+#: without parsing it again (``urlnorm.canon_from_spans``)
 HREF_SPANS: dict[str, tuple] = {}
 _CACHE_BOUND = 500_000
 
 
-def _cache_abs(key, value) -> None:
-    if len(_ABS_CLEAN_CACHE) > _CACHE_BOUND:
+def _make_room(cache: dict) -> None:
+    """Empty the resolve cache and ``HREF_SPANS`` together once either
+    passes the bound: one lifetime, so an href the resolve cache answers
+    still has its spans when its batch reaches the candidate stage."""
+    if len(cache) > _CACHE_BOUND:
         _ABS_CLEAN_CACHE.clear()
+        HREF_SPANS.clear()
+
+
+def _cache_abs(key, value) -> None:
+    _make_room(_ABS_CLEAN_CACHE)
     _ABS_CLEAN_CACHE[key] = value

@@ -147,7 +147,6 @@ class _BucketedCorpus:
 
 
 def _indexed(t: pa.Table) -> _Indexed:
-    t = t.combine_chunks()  # a take from one chunk, not one per file
     h = np.fromiter((url_hash64(u) for u in t.column("image_id").to_pylist()),
                     np.uint64, count=t.num_rows)
     order = np.argsort(h, kind="stable")
@@ -176,7 +175,10 @@ class CorpusReader(_BucketedCorpus):
         # write_parquet only creates dirs for NON-EMPTY partitions:
         # a URL hashing to an empty bucket is a miss (404), not a
         # FileNotFoundError out of the fetch task
-        found = _indexed(pq.read_table(path)) if os.path.isdir(path) else None
+        # one chunk (write_parquet writes a file per block): a take
+        # then copies from one array, not one per file
+        found = (_indexed(pq.read_table(path).combine_chunks())
+                 if os.path.isdir(path) else None)
         self._cache[b] = found
         while len(self._cache) > self.max_cached:
             self._cache.popitem(last=False)
@@ -209,7 +211,9 @@ class BroadcastCorpus(_BucketedCorpus):
         for b in range(n_buckets):
             path = os.path.join(corpus_dir, f"bucket={b}")
             if os.path.isdir(path):
-                refs[b] = ray.put(pq.read_table(path))
+                # combined here, once, so workers map one chunk
+                # zero-copy instead of combining into their own heaps
+                refs[b] = ray.put(pq.read_table(path).combine_chunks())
         return cls(refs, n_buckets)
 
     def _bucket(self, b: int) -> Optional[_Indexed]:

@@ -19,8 +19,9 @@ candidate + NUL + referrer) and looks each distinct key up in a
 ``CanonStore``.  A miss on an href the resolve step emitted fills its
 row from the part boundaries that step left in
 ``discovery.HREF_SPANS`` (``urlnorm.canon_from_spans``: no second
-parse); any other miss (a redirect target, a seed, a relative key)
-runs ``process_url``.  The canonical columns
+parse) when the crawl keeps the default ``CanonOpts``; any other miss
+(other options, a redirect target, a seed, a relative key) runs
+``process_url``.  The canonical columns
 are then ``take``s of the store's Arrow arrays by row id.  Worker-side,
 the store is kept per crawl config (``canon_store``), so it outlives
 robots rebroadcasts and spans a whole crawl.
@@ -290,6 +291,9 @@ class CandidateProcessor:
             k: r for k, r in (robots or {}).items() if can_refuse(r)}
         self.fetch_conditions = cfg.get("fetch_conditions") or []
         self.store = store if store is not None else CanonStore(self.canon)
+        # the resolve step's parts give the row under the default options
+        # only; with any other, every miss runs process_url
+        self._spans = HREF_SPANS if self.canon == CanonOpts() else {}
         self._domain: dict[str, bool] = {}
 
     def _row_ids(self, batch: pa.Table) -> tuple[np.ndarray, pa.Table]:
@@ -319,9 +323,9 @@ class CandidateProcessor:
                 # a link the resolve step emitted fills its row from that
                 # parse; any other candidate (a redirect target, a seed, a
                 # relative key) goes through process_url
-                spans = HREF_SPANS.get(cand) if is_abs else None
+                spans = self._spans.get(cand) if is_abs else None
                 if spans is not None:
-                    fields = canon_from_spans(cand, spans, self.canon)
+                    fields = canon_from_spans(cand, spans)
                 else:
                     base = bases.get(ref)
                     if base is None:

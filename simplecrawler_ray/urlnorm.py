@@ -582,42 +582,16 @@ def href_spans(u: Uri, href: str) -> Optional[tuple]:
             len(href) - (len(u.query) + 1 if u.query else 0))
 
 
-_DEFAULT_OPTS = CanonOpts()
-
-
-def canon_from_spans(href: str, spans: tuple,
-                     opts: CanonOpts | None = None) -> Optional[tuple]:
-    """``process_url(href, opts=opts)``'s ``(url, protocol, host, port,
-    path, uri_path)`` for an href the resolve step built and parsed
-    (``href_spans``), without parsing it again: read off the href under
-    the default options; otherwise the options apply to its parts, in
-    ``process_url``'s order."""
+def canon_from_spans(href: str, spans: tuple) -> Optional[tuple]:
+    """``process_url(href)``'s ``(url, protocol, host, port, path,
+    uri_path)`` under the default ``CanonOpts``, for an href the resolve
+    step built and parsed (``href_spans``): read off the href, without
+    parsing it again.  Other options go through ``process_url``."""
     scheme, host, host_end, path, path_end = spans
-    if opts is None or opts == _DEFAULT_OPTS:
-        port = _port(href[host_end + 1:path])
-        return None if port is None else (
-            href, href[:scheme], href[host:host_end], port, href[path:],
-            href[path:path_end])
-    user, _, password = href[scheme + 3:max(host - 1, scheme + 3)].partition(":")
-    u = Uri(href[:scheme], user or None, password or None,
-            href[host:host_end], href[host_end + 1:path] or None,
-            href[path:path_end], href[path_end + 1:] or None)
-    if opts.strip_querystring:
-        u.query = None
-    if opts.sort_query_parameters and u.query is not None:
-        data = parse_query(u.query)
-        u.query = build_query({k: data[k] for k in sorted(data)}) or None
-    if opts.strip_www_domain and _RE_WWW.match(u.href()):
-        u = Uri.parse(u.href().replace("www.", "", 1))
-    u.normalize()
-    if opts.url_encoding == "iso8859":
-        u.path = _to_iso8859(u.path)
-        if u.query:
-            u.query = _to_iso8859(u.query)
-    port = _port(u.port)
+    port = _port(href[host_end + 1:path])
     return None if port is None else (
-        u.href(), u.protocol or "http", u.hostname or "", port, u.resource(),
-        u.path)
+        href, href[:scheme], href[host:host_end], port, href[path:],
+        href[path:path_end])
 
 
 # --- predicates ------------------------------------------------------------

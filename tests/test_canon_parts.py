@@ -1,7 +1,7 @@
 """Each new link is parsed once: the candidate stage builds a discovered
-href's canonical row from the resolve step's parse (``HREF_SPANS``),
-and that row must equal ``process_url`` of the href, under every
-``CanonOpts`` combination."""
+href's canonical row from the resolve step's parse (``HREF_SPANS``)
+under the default options, and under every ``CanonOpts`` combination
+the row the store builds must equal ``process_url`` of the href."""
 
 import itertools
 
@@ -67,16 +67,34 @@ def _expected(href: str, referrer: str, opts: CanonOpts):
                     row.uri_path)
 
 
+def _cfg(opts: CanonOpts) -> dict:
+    return {"strip_querystring": opts.strip_querystring,
+            "sort_query_parameters": opts.sort_query_parameters,
+            "strip_www_domain": opts.strip_www_domain,
+            "url_encoding": opts.url_encoding, "filter_by_domain": False}
+
+
 def _check(raws: list[str], referrer: str, protocol) -> int:
+    """The resolve step's hrefs of ``raws``: their spans read the default
+    row, and under every option set the processor's rows (a fresh store,
+    so every href is a miss) equal ``process_url``'s."""
+    hrefs = clean_expand_resources(raws, referrer, protocol)
     checked = 0
-    for href in clean_expand_resources(raws, referrer, protocol):
+    for href in hrefs:
         spans = discovery.HREF_SPANS.get(href)
-        if spans is None:
-            continue
-        checked += 1
-        for opts in _OPTS:
-            assert canon_from_spans(href, spans, opts) == _expected(
-                href, referrer, opts), (href, opts)
+        if spans is not None:
+            checked += 1
+            assert canon_from_spans(href, spans) == _expected(
+                href, referrer, CanonOpts()), href
+    if not hrefs:
+        return checked
+    raw = candidate_table([dict(candidate=h, referrer_url=referrer, pos=i)
+                           for i, h in enumerate(hrefs)])
+    cols = ["url", "protocol", "host", "port", "path", "uri_path"]
+    for opts in _OPTS:
+        got = CandidateProcessor(_cfg(opts), {})(raw).select(cols).to_pylist()
+        want = [w for w in (_expected(h, referrer, opts) for h in hrefs) if w]
+        assert [tuple(r[c] for c in cols) for r in got] == want, (hrefs, opts)
     return checked
 
 
@@ -88,7 +106,7 @@ def test_canon_from_resolved_parts_matches_process_url():
     @given(st.lists(_urls(), min_size=1, max_size=6),
            st.sampled_from(["http://ref.com/a/b?c=d", "https://www.r.org/",
                             "http://u@h:81/x/../y", ""]))
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def drawn(raws, referrer):
         discovery._ABS_CLEAN_CACHE.clear()
         discovery.HREF_SPANS.clear()
@@ -100,8 +118,10 @@ def test_canon_from_resolved_parts_matches_process_url():
 
 def test_store_rows_come_from_resolved_parts(monkeypatch):
     """A CanonStore miss on a discovered href fills its row from the
-    resolve step's parse: no ``process_url``, and the same candidate rows
-    as a store that runs ``process_url`` on every miss."""
+    resolve step's parse under the default options (no ``process_url``);
+    under any other options every miss runs ``process_url``.  Either way
+    the candidate rows equal those of a store that runs ``process_url``
+    on every miss."""
     doc = ("<a href='http://WWW.a.com:80/x/../y?b=2&a=1'>"
            "<a href='https://u:p@b.org/%7Ez/'><a href='/rel/p'>"
            "<a href='//c.net'>")
@@ -112,20 +132,31 @@ def test_store_rows_come_from_resolved_parts(monkeypatch):
     raw = candidate_table([dict(candidate=h, referrer_url=referrer, pos=i)
                            for i, h in enumerate(hrefs)])
     for opts in _OPTS:
-        cfg = {"strip_querystring": opts.strip_querystring,
-               "sort_query_parameters": opts.sort_query_parameters,
-               "strip_www_domain": opts.strip_www_domain,
-               "url_encoding": opts.url_encoding, "filter_by_domain": False}
         calls = []
         real = candidates.process_url
         monkeypatch.setattr(candidates, "process_url",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
-        got = CandidateProcessor(cfg, {})(raw)
-        assert calls == []
+        got = CandidateProcessor(_cfg(opts), {})(raw)
+        assert len(calls) == (0 if opts == CanonOpts() else len(hrefs)), opts
         monkeypatch.setattr(candidates, "HREF_SPANS", {})
-        want = CandidateProcessor(cfg, {})(raw)
-        assert len(calls) == len(hrefs)
+        want = CandidateProcessor(_cfg(opts), {})(raw)
         monkeypatch.undo()
         assert got.equals(want), opts
     assert pa.compute.sum(pa.compute.equal(
         got.column("reject_reason"), "")).as_py() == len(hrefs)
+
+
+def test_href_spans_share_the_resolve_cache_lifetime(monkeypatch):
+    """``HREF_SPANS`` and the resolve cache are emptied together under one
+    bound, so every href the resolve cache answers still has its spans."""
+    monkeypatch.setattr(discovery, "_CACHE_BOUND", 5)
+    discovery._ABS_CLEAN_CACHE.clear()
+    discovery.HREF_SPANS.clear()
+    for k in range(40):
+        # absolute raws fill both; relative ones only HREF_SPANS
+        raws = ["http://a%d.com/x" % k, "/rel/%d" % k, "/rel2/%d" % k]
+        clean_expand_resources(raws, "http://ref.com/", "http")
+        hrefs = [v for v in discovery._ABS_CLEAN_CACHE.values() if v]
+        assert all(h in discovery.HREF_SPANS for h in hrefs)
+        assert len(discovery.HREF_SPANS) <= 6
+        assert len(discovery._ABS_CLEAN_CACHE) <= 6

@@ -254,7 +254,7 @@ def clean_expand_resources(
             _cache_abs(key, url)
         spans = href_spans(u, url)
         if spans is not None:
-            _make_room(HREF_SPANS)
+            _make_room()
             HREF_SPANS[url] = spans
         if url not in seen:
             seen.add(url)
@@ -277,15 +277,15 @@ HREF_SPANS: dict[str, tuple] = {}
 _CACHE_BOUND = 500_000
 
 
-def _make_room(cache: dict) -> None:
+def _make_room() -> None:
     """Empty the resolve cache and ``HREF_SPANS`` together once either
     passes the bound: one lifetime, so an href the resolve cache answers
     still has its spans when its batch reaches the candidate stage."""
-    if len(cache) > _CACHE_BOUND:
+    if len(_ABS_CLEAN_CACHE) > _CACHE_BOUND or len(HREF_SPANS) > _CACHE_BOUND:
         _ABS_CLEAN_CACHE.clear()
         HREF_SPANS.clear()
 
 
 def _cache_abs(key, value) -> None:
-    _make_room(_ABS_CLEAN_CACHE)
+    _make_room()
     _ABS_CLEAN_CACHE[key] = value

@@ -8,18 +8,21 @@ queued frontier, fetch robots.txt for the wave's new hosts, run the
 wave step (``_wave``), checkpoint.  The wave step sends one plain Ray
 task per batch, at most ``_task_cpus()`` in flight (``_task_window``),
 and every task runs the same per-batch pipeline (``stages/turbo.py``):
-robots check of its rows, fetch+parse, explode, redirects, canonicalize
--> domain/robots/depth/condition filters.  The loops differ only in how
-a batch's kept candidates are admitted, and in where its terminal rows
-go.
+robots check of its rows, fetch+parse, sink the terminal rows,
+explode, redirects, canonicalize -> domain/robots/depth/condition
+filters.  Every terminal row of either loop is written by its batch
+task to the engine's parquet sink, ``round=NNNNN/part-BBBBB.parquet``
+(``_sink``; the reference's on-disk cache, src/cache-backend-fs.ts),
+and read back from there (``CrawlResult``, ``sink_dataset``).
+
+The loops differ only in how a batch's kept candidates are admitted.
 ``run()``'s go back to the driver, which admits a round's candidates
 (global dedup via sharded seen-set actors) in ``(parent_seq, pos)``
 order, stamps ``seq`` in that order and unions the survivors into the
 frontier: under one host + unlimited budget the wave order reproduces
 the reference's FIFO crawl order (seq == QueueItem.id insertion order,
 src/queue.ts:113).  ``run_turbo()``'s are admitted first-wins at the
-seen shards inside the task, which also sinks the fetched rows to
-parquet.
+seen shards inside the task.
 
 Scale design notes (100 TB / 10^10-URL target):
 * fetch+parse co-located: bodies never cross stage boundaries;
@@ -27,14 +30,15 @@ Scale design notes (100 TB / 10^10-URL target):
 * frontier: queued rows live in the object store as host-bucketed
   parts, each one Arrow IPC buffer (`_DatasetFrontier`, ``_pack``),
   and wave batches travel packed too; the driver holds one ``Part``
-  record per part (ref, row count, seq range, part-file location),
-  plus ``run()``'s per-batch refs of terminal blocks — payloads live
-  in the object store / parquet checkpoints;
+  record per part (ref, row count, seq range, part-file location) —
+  payloads live in the object store, the sink and the parquet
+  checkpoints;
 * per-round checkpoint, one format for both loops, each byte written
   once: write-once parquet part files (batch tasks write their own
   admitted rows), a seen base + url_hash delta, and a per-round
   manifest in metrics.json (replaces freeze/defrost,
-  src/queue.ts:268-313), read back by ``resume``.
+  src/queue.ts:268-313), read back by ``resume``.  The terminal rows
+  are in the sink, never in the checkpoint.
 
 Event callbacks (§2.10) are replaced by metric counters + a per-row
 ``disposition`` column; user fetch/download conditions are plain
@@ -45,16 +49,19 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pds
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from ..queue_api import _flatten_comparator, _patch_row
 from ..robots import RobotsRules, _fetch_and_parse, robots_keys
 from ..schemas import FRONTIER_SCHEMA
 from ..stages.candidates import (
@@ -65,15 +72,15 @@ from ..stages.candidates import (
     candidates_to_frontier_rows,
 )
 from ..stages import turbo as _turbo
-from ..stages.fetch import _normalize_fetched
+from ..stages.fetch import FETCHED_SCHEMA, _normalize_fetched
 from ..state.seen import SeenSet
 from ..urlnorm import process_url
 
 
 def _pack(t: pa.Table) -> pa.Buffer:
     """Rows as one Arrow IPC stream buffer: the wire format of every
-    frontier crossing (see ``_DatasetFrontier``) and of ``run()``'s
-    terminal blocks.  Writes only a sliced table's own range."""
+    frontier crossing (see ``_DatasetFrontier``).  Writes only a sliced
+    table's own range."""
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, t.schema) as w:
         w.write_table(t)
@@ -94,23 +101,16 @@ def _process_candidates(raw: pa.Table, refs: list) -> pa.Table:
 
 
 @ray.remote
-def _write_checkpoint(parts_dir: str, files: list, *parts) -> list:
+def _write_checkpoint(path: str, *parts) -> tuple:
     """Worker-side write of a round's checkpoint rows that no batch task
-    wrote: ``files`` lists ``(file name, n_parts)``, ``parts`` the files'
-    ``_pack``ed parts in that order, as top-level arguments so Ray
-    resolves them before the task starts (no blocking ``ray.get`` in the
-    worker; payloads never transit the driver).  Each file holds its
-    parts concatenated in order.  Returns ``(rows, bytes)`` per file."""
-    parts = [_unpack(p) for p in parts]
-    out, k = [], 0
-    for name, n in files:
-        chunk, k = parts[k:k + n], k + n
-        tables = [t for t in chunk if t.num_rows] or list(chunk[:1])
-        t = pa.concat_tables(tables, promote_options="default")
-        path = os.path.join(parts_dir, name)
-        pq.write_table(t, path, store_schema=False)
-        out.append((t.num_rows, os.path.getsize(path)))
-    return out
+    wrote: the ``_pack``ed ``parts``, concatenated in order, to the file
+    ``path``.  The parts are top-level arguments so Ray resolves them
+    before the task starts (no blocking ``ray.get`` in the worker;
+    payloads never transit the driver).  Returns ``(rows, bytes)``."""
+    t = pa.concat_tables([_unpack(p) for p in parts],
+                         promote_options="default")
+    pq.write_table(t, path, store_schema=False)
+    return t.num_rows, os.path.getsize(path)
 
 
 def _host_bucket(host: str, n_buckets: int) -> int:
@@ -186,19 +186,20 @@ def _split_by_bucket(t: pa.Table, n_buckets: int) -> dict:
     return {int(b): t.filter(pa.array(assign == b)) for b in np.unique(assign)}
 
 
-def _drop_uncommitted_rounds(sink_dir: Optional[str], round_no: int) -> None:
-    """Delete ``sink_dir/round=NNNNN/`` for every NNNNN >= ``round_no``:
-    rounds no checkpoint committed.  A crashed round's parts would
-    otherwise survive next to its rerun's (whose batch count may
-    differ) and hold its URLs twice."""
+def _drop_uncommitted_rounds(sink_dirs: set, round_no: int) -> None:
+    """Delete ``round=NNNNN/`` for every NNNNN >= ``round_no`` in each
+    existing directory of ``sink_dirs``: rounds no checkpoint committed.
+    A crashed round's parts would otherwise survive next to its rerun's
+    (whose batch count may differ) and hold its URLs twice."""
     import shutil
 
-    if not sink_dir or not os.path.isdir(sink_dir):
-        return
-    for d in os.listdir(sink_dir):
-        name, _, num = d.partition("=")
-        if name == "round" and num.isdigit() and int(num) >= round_no:
-            shutil.rmtree(os.path.join(sink_dir, d))
+    for sink_dir in sink_dirs:
+        if not sink_dir or not os.path.isdir(sink_dir):
+            continue
+        for d in os.listdir(sink_dir):
+            name, _, num = d.partition("=")
+            if name == "round" and num.isdigit() and int(num) >= round_no:
+                shutil.rmtree(os.path.join(sink_dir, d))
 
 
 def _prune_checkpoint(ckpt: str, manifest: dict) -> None:
@@ -209,7 +210,7 @@ def _prune_checkpoint(ckpt: str, manifest: dict) -> None:
     ``_drop_uncommitted_rounds``)."""
     import shutil
 
-    keep = set(manifest["files"]) | set(manifest["terminal"])
+    keep = set(manifest["files"])
     parts_dir = os.path.join(ckpt, "parts")
     for f in os.listdir(parts_dir) if os.path.isdir(parts_dir) else ():
         if f not in keep:
@@ -227,15 +228,15 @@ def _crawl_batch(batch: pa.Buffer, kw: dict, n_buckets: int,
     """One batch (``_pack``ed rows) of either loop, one task:
     ``turbo_round_udf`` (looked up through its module at call time, so a
     wrapper installed there sees every call) with the fetch-complete
-    ``hook``, if any.  Run with ``num_returns = 1 + n_buckets``, it
+    ``hook``, if any.  It writes the batch's terminal rows to the sink
+    part ``kw["sink_dir"]/round=NNNNN/part-<batch>.parquet``; nothing
+    of them is returned.  Run with ``num_returns = 1 + n_buckets``, it
     returns ``(meta, *blocks)``, every return OWNED BY THE DRIVER: a
     worker-side ``ray.put`` would leave it owned by a transient worker,
     and an idle-worker reap would lose it with OwnerDiedError.
 
-    Without seen shards (``run()``, ``n_buckets`` 1) ``meta`` is
-    ``(counters, kept candidates)`` and the one block is the batch's
-    normalized terminal rows, ``_pack``ed, which the driver keeps as a
-    terminal ref and never pulls.
+    Without seen shards (``run()``, ``n_buckets`` 0) ``meta`` is
+    ``(counters, kept candidates)`` and there are no blocks.
 
     With them (``run_turbo()``) the admitted rows are split by host
     bucket.  With ``part_file``
@@ -248,10 +249,10 @@ def _crawl_batch(batch: pa.Buffer, kw: dict, n_buckets: int,
     part crosses Ray as one IPC buffer (some 70 µs to write, serialize
     and read) instead of through Ray's ``pa.Table`` reducer (about 1 ms
     per 22-column part; see ``_DatasetFrontier``)."""
-    rows, counters, terminal = _turbo.turbo_round_udf(_unpack(batch),
-                                                      hook=hook, **kw)
+    rows, counters, _ = _turbo.turbo_round_udf(_unpack(batch), hook=hook,
+                                               **kw)
     if kw["seen_shards"] is None:
-        return (counters, rows), _pack(_normalize_fetched(terminal))
+        return counters, rows
     split = _split_by_bucket(rows, n_buckets)
     name, nbytes = None, 0
     if part_file and split:
@@ -266,24 +267,6 @@ def _crawl_batch(batch: pa.Buffer, kw: dict, n_buckets: int,
     return ((counters, nbytes, parts),
             *(_pack(split[b]) if b in split else None
               for b in range(n_buckets)))
-
-
-def _patch_row(t: pa.Table, idx: int, flat: dict) -> tuple[pa.Table, dict]:
-    """Rewrite one row of an Arrow table: zero-copy slices around a
-    patched single-row table (no ``to_pylist`` of whole columns —
-    round-3 verdict #4)."""
-    row_t = t.slice(idx, 1)
-    for col, val in flat.items():
-        fi = row_t.schema.get_field_index(col)
-        row_t = row_t.set_column(
-            fi, col, pa.array([val], t.schema.field(col).type))
-    out = pa.concat_tables([t.slice(0, idx), row_t, t.slice(idx + 1)])
-    # each patch adds ~2 chunk boundaries; bound the fragmentation so
-    # N successive updates stay O(1) chunks amortized instead of O(N)
-    if out.column(0).num_chunks > 16:
-        out = out.combine_chunks()
-    row = {c: row_t.column(c)[0].as_py() for c in row_t.column_names}
-    return out, row
 
 
 @ray.remote(num_returns=3)
@@ -554,12 +537,10 @@ class CrawlEngine:
         self.next_seq = 0
         self.round_no = 0
         self.first_url: Optional[str] = None  # see redirect_candidates
-        self._sink_dir: Optional[str] = None  # run_turbo's sink
+        self._sink_dir: Optional[str] = None  # see _sink
+        self._tmp_sink = None              # run()'s sink without a checkpoint
         self._frontier = _DatasetFrontier()
-        self.terminal_refs: list = []      # run()'s packed terminal blocks
         # checkpoint state (see _checkpoint)
-        self._ckpt_terminal = 0            # terminal_refs already checkpointed
-        self._terminal_files: list[str] = []  # their part files, in order
         self._ckpt_seq = 0                 # next_seq at the last commit
         self._round_new = None             # wave rows admitted since then
         self._files: dict[str, tuple] = {}  # frontier part file ->
@@ -675,8 +656,6 @@ class CrawlEngine:
         block holding ``seq`` is rewritten WORKER-side
         (`_update_frontier_block`) and its ref swapped — rows stay in
         the object store."""
-        from ..queue_api import _flatten_comparator
-
         flat = _flatten_comparator(updates)
         schema_cols = {f.name for f in FRONTIER_SCHEMA}
         for col in flat:
@@ -955,33 +934,52 @@ class CrawlEngine:
         self._checkpoint()
         return True
 
+    def _sink(self) -> str:
+        """The directory every batch sinks its terminal rows to:
+        ``run_turbo``'s ``sink_dir``; otherwise ``<checkpoint_dir>/sink``,
+        where a resume finds the committed rounds, or, without a
+        checkpoint, a temporary directory the engine owns, removed by
+        ``CrawlResult.shutdown()`` or when the engine is collected."""
+        if self._sink_dir is None:
+            if self.cfg["checkpoint_dir"]:
+                self._sink_dir = os.path.join(self.cfg["checkpoint_dir"],
+                                              "sink")
+            else:
+                self._tmp_sink = tempfile.TemporaryDirectory(
+                    prefix="crawl-sink-")
+                self._sink_dir = self._tmp_sink.name
+        return self._sink_dir
+
     def _wave(self, wave: pa.Table, at_shards: bool) -> None:
         """The wave step of both loops: one ``_crawl_batch`` task per
-        batch through the task window.  Each task's first return is read
-        as it completes, so ``timings["merge"]`` never covers the wait
-        for tasks; the outcomes are applied in batch order, so nothing
-        depends on completion order.  Only the admission differs:
+        batch through the task window, each sinking its terminal rows
+        (``_sink``).  Each task's first return is read as it completes,
+        so ``timings["merge"]`` never covers the wait for tasks; the
+        outcomes, and the round's sink lineage (one part per batch,
+        one row per fetched or refused row), are applied in batch
+        order, so nothing depends on completion order.  Only the
+        admission differs:
 
         * ``at_shards`` (``run_turbo()``): the batches admitted
-          first-wins at the seen shards and sank their terminal rows;
-          the driver adopts their bucket parts and part files.
-        * otherwise (``run()``): the driver keeps each terminal block as
-          a terminal ref and admits the round's kept candidates in
-          ``(parent_seq, pos)`` order (``_admit_candidates``).  The rows
-          a batch's robots check refused stay out of ``fetch_order``."""
+          first-wins at the seen shards; the driver adopts their bucket
+          parts and part files.
+        * otherwise (``run()``): the driver admits the round's kept
+          candidates in ``(parent_seq, pos)`` order
+          (``_admit_candidates``).  The rows a batch's robots check
+          refused stay out of ``fetch_order``."""
         ckpt = self.cfg["checkpoint_dir"]
         if at_shards:
             shards, nb = self.seen.shards, self._frontier.n_buckets
             parts_dir = os.path.join(ckpt, "parts") if ckpt else None
         else:
-            shards, nb, parts_dir = None, 1, None
+            shards, nb, parts_dir = None, 0, None
         kw = dict(web_ref=self._web_broadcast(),
                   cfg_ref=self._broadcast("cfg", self.cfg),
                   robots_ref=self._broadcast("robots", self.robots_cache),
                   cache_ref=(self._broadcast("cache", self.cache_index)
                              if self.use_cache else None),
                   seen_shards=shards, round_no=self.round_no,
-                  sink_dir=self._sink_dir, first_url=self.first_url)
+                  sink_dir=self._sink(), first_url=self.first_url)
         bs = self.cfg["batch_size"]
         batches = [wave.slice(o, bs) for o in range(0, wave.num_rows, bs)]
         task = _crawl_batch.options(num_returns=1 + nb)
@@ -991,8 +989,9 @@ class CrawlEngine:
             part_file = (os.path.join(
                 parts_dir, f"r{self.round_no:05d}-b{i:05d}.parquet")
                 if parts_dir else None)
-            refs[i] = task.remote(_pack(batches[i]), dict(kw, batch_no=i), nb,
-                                  part_file, self._batch_hook_ref)
+            out = task.remote(_pack(batches[i]), dict(kw, batch_no=i), nb,
+                              part_file, self._batch_hook_ref)
+            refs[i] = out if nb else [out]
             return refs[i][0]
 
         for i, ref in self._task_window(len(batches), submit):
@@ -1000,10 +999,13 @@ class CrawlEngine:
                 metas[i] = ray.get(ref)
         with self._timed("merge"):
             refused = [meta[0].pop(_turbo.REFUSED_KEY, []) for meta in metas]
+            self._lineage = [{"file": f"part-{i:05d}.parquet",
+                              "rows": meta[0].get("fetchstart", 0) + len(r)}
+                             for i, (meta, r) in enumerate(zip(metas, refused))]
             for meta in metas:
                 self._batch_counters(meta[0])
             if at_shards:
-                self._adopt_parts(refs, metas, refused)
+                self._adopt_parts(refs, metas)
                 return
             if self.cfg["track_fetch_order"]:
                 gone = [s for r in refused for s in r]
@@ -1011,18 +1013,15 @@ class CrawlEngine:
                     wave = wave.filter(pc.invert(pc.is_in(
                         wave.column("seq"), pa.array(gone, pa.int64()))))
                 self.fetch_order.extend(wave.column("url").to_pylist())
-            # the terminal blocks stay in the object store
-            self.terminal_refs.extend(r[1] for r in refs)
             kept = [meta[1] for meta in metas if meta[1].num_rows]
             if kept:
                 self._admit_candidates(pa.concat_tables(kept))
 
-    def _adopt_parts(self, refs: list, metas: list, refused: list) -> None:
+    def _adopt_parts(self, refs: list, metas: list) -> None:
         """A turbo wave's outcome on the driver: each batch's part file
         and bucket parts, in batch order, so the frontier layout does
-        not depend on completion order, and the round's sink lineage
-        (``refused``: each batch's refused seqs)."""
-        for r, (c, nbytes, parts) in zip(refs, metas):
+        not depend on completion order."""
+        for r, (_, nbytes, parts) in zip(refs, metas):
             if nbytes:
                 # every part of a batch lives in its one part file
                 rows = sum(p.rows for p in parts.values())
@@ -1032,12 +1031,6 @@ class CrawlEngine:
                 self._round_ckpt["part_bytes"] += nbytes
             for b, p in parts.items():
                 self._frontier.buckets[b].append(p._replace(ref=r[1 + b]))
-        if self._sink_dir:
-            # a batch sinks one row per fetched or refused row
-            self._lineage = [{"file": f"part-{i:05d}.parquet",
-                              "rows": c.get("fetchstart", 0) + len(r)}
-                             for i, ((c, _, _), r) in enumerate(
-                                 zip(metas, refused))]
 
     def _batch_counters(self, counters: dict) -> None:
         """Count a batch's events after applying its first-request
@@ -1121,16 +1114,15 @@ class CrawlEngine:
           what no batch wrote: the live parts without a location (seeds,
           manual, sitemap and ``run()`` admits, cut remainders, updated
           rows) and the wave rows the driver admitted since the last
-          commit, into ONE ``r<round>-queued`` file, plus one
-          ``r<round>-fetched-<i>`` file per new terminal ref (``run()``'s
-          terminal blocks, one per batch; a turbo crawl's terminal rows
-          are in its sink).  Nothing new to write, no task.
+          commit, into ONE ``r<round>-queued`` file.  Nothing new to
+          write, no task.  The terminal rows are in the sink, which the
+          batches wrote (``_sink``).
         * ``state-round=NNNNN/metrics.json``, built in a ``.tmp`` dir
           and published by one atomic rename, is the commit: the round
-          meta, the sink lineage, a per-round ``checkpoint`` record and
-          the ``parts`` manifest — each live part's ``(bucket, file,
-          offset, rows, seq range)``, the terminal files, the seen base
-          and the delta files.
+          meta, the round's sink lineage, a per-round ``checkpoint``
+          record and the ``parts`` manifest — each live part's
+          ``(bucket, file, offset, rows, seq range)``, the seen base and
+          the delta files.
         * The seen set is a base (``seen-r<round>/``, one snapshot per
           shard, written by the shard actors) plus a delta: every part
           file written since the base, which holds the ``url_hash`` of
@@ -1153,7 +1145,6 @@ class CrawlEngine:
                 "files": self._files,
                 "live": [[b, p.file, p.offset, p.rows, p.seq_min, p.seq_max]
                          for b, ps in enumerate(fr.buckets) for p in ps],
-                "terminal": self._terminal_files,
                 "base": self._base, "delta": delta}
             rec["live_parts"] = len(manifest["live"])
             record = {"round": self.round_no, "next_seq": self.next_seq,
@@ -1162,8 +1153,7 @@ class CrawlEngine:
                       "seen_shards": self.cfg["seen_shards"],
                       "seen_backend": self.cfg["seen_backend"],
                       "host": self.cfg["host"],
-                      "lineage": ({f"round={self.round_no:05d}": self._lineage}
-                                  if self._sink_dir else None),
+                      "lineage": {f"round={self.round_no:05d}": self._lineage},
                       "checkpoint": rec}
             rdir = os.path.join(ckpt, f"state-round={self.round_no:05d}")
             tmp = rdir + ".tmp"
@@ -1180,7 +1170,6 @@ class CrawlEngine:
                 os.replace(prev + ".tmp", prev)
             self._prev_state = (rdir, record)
             _prune_checkpoint(ckpt, manifest)
-            self._ckpt_terminal = len(self.terminal_refs)
             self._ckpt_seq = self.next_seq
             self._round_new, self._lineage = None, []
             self._round_ckpt = {"part_rows": 0, "part_bytes": 0}
@@ -1188,40 +1177,27 @@ class CrawlEngine:
     def _write_new_parts(self, ckpt: str, tag: str, rec: dict) -> None:
         """The commit's one write task, if any: the live parts without a
         location and the wave rows the driver admitted since the last
-        commit into ``<tag>-queued.parquet`` (the parts get their
-        locations), and each new terminal ref into its own
-        ``<tag>-fetched-<i>.parquet``.  Adds to ``rec``."""
+        commit, into ``<tag>-queued.parquet``; the parts get their
+        locations.  Adds to ``rec``."""
         buckets = self._frontier.buckets
         fresh = [(b, i) for b, ps in enumerate(buckets)
                  for i, p in enumerate(ps) if p.file is None]
         tables = [buckets[b][i].ref for b, i in fresh]
         if self._round_new is not None and self._round_new.num_rows:
             tables.append(_pack(self._round_new))
-        names = [f"{tag}-fetched-{k:05d}.parquet"
-                 for k in range(self._ckpt_terminal, len(self.terminal_refs))]
-        files = [(n, 1) for n in names]
-        if tables:
-            files.insert(0, (f"{tag}-queued.parquet", len(tables)))
-        rec["terminal_rows"] = 0
-        if not files:
+        if not tables:
             return
-        parts_dir = os.path.join(ckpt, "parts")
-        os.makedirs(parts_dir, exist_ok=True)
-        written = ray.get(_write_checkpoint.remote(
-            parts_dir, files, *tables,
-            *self.terminal_refs[self._ckpt_terminal:]))
-        if tables:
-            (rows, nbytes), written = written[0], written[1:]
-            self._files[files[0][0]] = (self.round_no, rows, nbytes)
-            rec["part_rows"] += rows
-            rec["part_bytes"] += nbytes
-            off = 0
-            for b, i in fresh:
-                p = buckets[b][i]
-                buckets[b][i] = p._replace(file=files[0][0], offset=off)
-                off += p.rows
-        rec["terminal_rows"] = sum(r for r, _ in written)
-        self._terminal_files += names
+        name = f"{tag}-queued.parquet"
+        os.makedirs(os.path.join(ckpt, "parts"), exist_ok=True)
+        rows, nbytes = ray.get(_write_checkpoint.remote(
+            os.path.join(ckpt, "parts", name), *tables))
+        self._files[name] = (self.round_no, rows, nbytes)
+        rec["part_rows"] += rows
+        rec["part_bytes"] += nbytes
+        off = 0
+        for b, i in fresh:
+            buckets[b][i] = buckets[b][i]._replace(file=name, offset=off)
+            off += buckets[b][i].rows
 
     def _seen_delta(self, ckpt: str, tag: str, rec: dict) -> list:
         """The part files whose ``url_hash`` re-adds what the seen base
@@ -1254,23 +1230,26 @@ class CrawlEngine:
         sink rounds the commit does not name (a crashed round's), then
         restores the round/seq meta, the queued frontier (each live
         part read back from its file slice, keeping its location, so it
-        is not written again), the terminal rows, and the seen set: the
-        base, if there is one, plus ``seen.add`` of every delta file's
-        ``url_hash``.  A base that cannot be loaded (another shard count
-        or backend) raises: resuming with a seen set that forgets URLs
-        would fetch them twice.  ``sink_dir`` is only cleaned, never
-        read."""
+        is not written again) and the seen set: the base, if there is
+        one, plus ``seen.add`` of every delta file's ``url_hash``.  A base
+        that cannot be loaded (another shard count or backend) raises:
+        resuming with a seen set that forgets URLs would fetch them
+        twice.  The terminal rows stay where the batches sank them and
+        are not read here: the sink of ``run()`` is
+        ``<checkpoint_dir>/sink`` (``_sink``), the default ``sink_dir``;
+        pass a ``run_turbo`` crawl's ``sink_dir`` so its uncommitted
+        rounds are dropped too."""
         # a crash between makedirs(tmp) and the atomic os.replace leaves
         # a half-written "*.tmp" dir — never treat it as a checkpoint
         states = sorted(d for d in os.listdir(checkpoint_dir)
                         if d.startswith("state-round=")
                         and not d.endswith(".tmp"))
         if not states:
-            _prune_checkpoint(checkpoint_dir, {"files": {}, "terminal": [],
-                                               "base": None})
-            _drop_uncommitted_rounds(sink_dir, 0)
-            return cls(web, initial_url, checkpoint_dir=checkpoint_dir,
-                       **options)
+            _prune_checkpoint(checkpoint_dir, {"files": {}, "base": None})
+            eng = cls(web, initial_url, checkpoint_dir=checkpoint_dir,
+                      **options)
+            _drop_uncommitted_rounds({sink_dir, eng._sink()}, 0)
+            return eng
         last = os.path.join(checkpoint_dir, states[-1])
         with open(os.path.join(last, "metrics.json")) as f:
             meta = json.load(f)
@@ -1290,7 +1269,7 @@ class CrawlEngine:
         _prune_checkpoint(checkpoint_dir, man)
         eng = cls(web, initial_url, checkpoint_dir=checkpoint_dir, **options)
         eng.round_no = meta["round"] + 1
-        _drop_uncommitted_rounds(sink_dir, eng.round_no)
+        _drop_uncommitted_rounds({sink_dir, eng._sink()}, eng.round_no)
         eng.next_seq = eng._ckpt_seq = meta["next_seq"]
         # an older record has no first_url: its resume drops only a seed
         # redirect chain that was still open
@@ -1312,12 +1291,6 @@ class CrawlEngine:
                 ray.put(_pack(part(name).slice(off, n))), n, smin, smax, name,
                 off))
         eng._files = {f: tuple(v) for f, v in man["files"].items()}
-        eng._terminal_files = list(man["terminal"])
-        eng.terminal_refs = [
-            ray.put(_pack(pq.read_table(os.path.join(parts_dir, f))))
-            for f in eng._terminal_files]
-        eng._ckpt_terminal = len(eng.terminal_refs)
-
         eng._base = base
         if base is not None:
             try:
@@ -1334,7 +1307,14 @@ class CrawlEngine:
         return eng
 
 
+#: the sink's one hive key, ``round=NNNNN/``: the fetch round of its rows
+_SINK_KEY = pa.field("round", pa.int32())
+
+
 class CrawlResult:
+    """A crawl's outcome: its counters and fetch order, and its terminal
+    rows, read back from the engine's sink (``CrawlEngine._sink``)."""
+
     def __init__(self, engine: CrawlEngine):
         self.engine = engine
         self.metrics = engine.metrics
@@ -1342,21 +1322,24 @@ class CrawlResult:
         self.robots_errors = engine.robots_errors
 
     def fetched_table(self) -> pa.Table:
-        refs = self.engine.terminal_refs
-        if not refs:
-            return FRONTIER_SCHEMA.empty_table()
-        t = pa.concat_tables([_unpack(b) for b in ray.get(refs)],
-                             promote_options="default")
+        """Every terminal row, fetched or refused by robots, in seq
+        order, with the fetched columns (``FETCHED_SCHEMA``); ``round``
+        is the fetch round, the sink's directory key."""
+        sink = self.engine._sink_dir
+        if not sink or not os.path.isdir(sink):
+            return FETCHED_SCHEMA.empty_table()
+        t = pq.read_table(sink, partitioning=pds.partitioning(
+            pa.schema([_SINK_KEY]), flavor="hive"))
+        if not t.num_rows:
+            return FETCHED_SCHEMA.empty_table()
+        t = _normalize_fetched(t)
         return t.take(pc.sort_indices(t, sort_keys=[("seq", "ascending")]))
 
     def frontier_table(self) -> pa.Table:
         """Full queue state: terminal + still-queued rows, seq order."""
-        term = self.fetched_table()
-        cols = [c for c in term.column_names if c in FRONTIER_SCHEMA.names]
-        term = term.select(cols)
-        qt = self.engine.queued_table()
-        q = qt.select(cols) if qt.num_rows else None
-        t = pa.concat_tables([term, q]) if q is not None else term
+        cols = FRONTIER_SCHEMA.names
+        t = pa.concat_tables([self.fetched_table().select(cols),
+                              self.engine.queued_table().select(cols)])
         return t.take(pc.sort_indices(t, sort_keys=[("seq", "ascending")]))
 
     def downloaded_urls(self) -> list[str]:
@@ -1378,14 +1361,13 @@ class CrawlResult:
         parts.append(disp_rows.select(["seq", "url", "event", "round"]))
         # error flags: "a,b" -> one row per flag, exploded via the Arrow
         # list kernels (split -> flatten + parent_indices), no row loop
-        if "error_flags" in t.column_names:
-            flags = pc.coalesce(t.column("error_flags"), "")
-            lists = pc.split_pattern(flags, ",")
-            flat = pc.list_flatten(lists)
-            sel = base.take(pc.list_parent_indices(lists))
-            flag_rows = sel.append_column("event", flat).filter(
-                pc.not_equal(flat, ""))
-            parts.append(flag_rows.select(["seq", "url", "event", "round"]))
+        flags = pc.coalesce(t.column("error_flags"), "")
+        lists = pc.split_pattern(flags, ",")
+        flat = pc.list_flatten(lists)
+        sel = base.take(pc.list_parent_indices(lists))
+        flag_rows = sel.append_column("event", flat).filter(
+            pc.not_equal(flat, ""))
+        parts.append(flag_rows.select(["seq", "url", "event", "round"]))
         out = pa.concat_tables(parts)
         out = out.take(pc.sort_indices(out, sort_keys=[("seq", "ascending")]))
         return pa.table({
@@ -1396,11 +1378,15 @@ class CrawlResult:
         })
 
     def shutdown(self):
+        """Stop the seen-set actors and remove a temporary sink."""
         self.engine.seen.shutdown()
+        if self.engine._tmp_sink is not None:
+            self.engine._tmp_sink.cleanup()
+            self.engine._tmp_sink = None
 
 
 def sink_dataset(sink_dir: str, dedup: bool = False) -> "rd.Dataset":
-    """Read a turbo crawl's terminal rows back as a Dataset: its fetched
+    """Read a crawl's terminal rows back as a Dataset: its fetched
     rows and the rows its robots check refused (status ``disallowed``,
     null payload).  Rows are at-least-once across resume boundaries; pass ``dedup=True`` to keep
     one row per url (the highest fetch round wins: ``round`` is the
@@ -1409,7 +1395,7 @@ def sink_dataset(sink_dir: str, dedup: bool = False) -> "rd.Dataset":
     from ray.data.datasource import Partitioning
 
     ds = rd.read_parquet(sink_dir, partitioning=Partitioning(
-        "hive", field_types={"round": int}))
+        "hive", field_types={_SINK_KEY.name: int}))
     if not dedup:
         return ds
 

@@ -55,8 +55,6 @@ def _update_block_at(block, local_idx: int, flat: dict):
 
     if isinstance(block, pd.DataFrame):
         block = pa.Table.from_pandas(block, preserve_index=False)
-    from .pipelines.crawl import _patch_row
-
     return _patch_row(block, local_idx, flat)
 
 
@@ -100,6 +98,24 @@ def _flatten_comparator(comparator: dict) -> dict[str, Any]:
         else:
             flat[k] = v
     return flat
+
+
+def _patch_row(t: pa.Table, idx: int, flat: dict) -> tuple[pa.Table, dict]:
+    """Rewrite one row of an Arrow table: zero-copy slices around a
+    patched single-row table (no ``to_pylist`` of whole columns —
+    round-3 verdict #4)."""
+    row_t = t.slice(idx, 1)
+    for col, val in flat.items():
+        fi = row_t.schema.get_field_index(col)
+        row_t = row_t.set_column(
+            fi, col, pa.array([val], t.schema.field(col).type))
+    out = pa.concat_tables([t.slice(0, idx), row_t, t.slice(idx + 1)])
+    # each patch adds ~2 chunk boundaries; bound the fragmentation so
+    # N successive updates stay O(1) chunks amortized instead of O(N)
+    if out.column(0).num_chunks > 16:
+        out = out.combine_chunks()
+    row = {c: row_t.column(c)[0].as_py() for c in row_t.column_names}
+    return out, row
 
 
 def _deep_match(query: dict, obj) -> bool:
@@ -253,8 +269,6 @@ class FrontierQueue:
                 raise KeyError(f"unknown column {col!r}")
         # zero-copy slice patch (shared _patch_row) — the earlier
         # per-updated-column to_pylist was O(n_rows) per update
-        from .pipelines.crawl import _patch_row
-
         self._data, row = _patch_row(t, index, flat)
         return row
 

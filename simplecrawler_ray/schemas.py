@@ -69,16 +69,6 @@ CORPUS_SCHEMA = pa.schema(
     ]
 )
 
-# fetched: frontier columns + payload (replaces cache + fetchcomplete payloads)
-FETCHED_EXTRA_FIELDS = [
-    ("body", pa.binary()),
-    ("caption", pa.string()),
-    ("image_id", pa.string()),
-    ("partition_id", pa.int32()),
-]
-FETCHED_SCHEMA = pa.schema(FRONTIER_FIELDS + FETCHED_EXTRA_FIELDS)
-
-
 def frontier_row_defaults() -> dict:
     """Default state_* values for a freshly queued row."""
     return {

@@ -1,20 +1,19 @@
-"""Fetched-output sinks (the FS-mirror cache analogue, S5/S6).
+"""Path cleaning for a file mirror of fetched pages (S5).
 
 The reference mirrors fetched bodies to disk files whose paths mimic
 the site structure (src/cache-backend-fs.ts:142-207) with an index
-JSON.  Distributed analogue: the fetched dataset written as parquet
-partitioned by host — one directory per host, resumable, no index file
-needed (parquet IS the index).  ``sanitise_path`` ports the
-path-cleaning column transform (src/cache-backend-fs.ts:20-69) for
-deployments that do want file mirroring.
+JSON.  This engine's analogue is the parquet sink every crawl batch
+writes (``round=NNNNN/part-BBBBB.parquet``, ``stages/turbo.py``): one
+file per batch, resumable, no index file needed (parquet IS the
+index).  ``sanitise_path`` ports the path-cleaning transform
+(src/cache-backend-fs.ts:20-69) for deployments that do want file
+mirroring.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-
-import pyarrow as pa
 
 
 def sanitise_path(path: str, content_type: str = "") -> str:
@@ -39,28 +38,3 @@ def sanitise_path(path: str, content_type: str = "") -> str:
             if m:
                 s += "." + m.group(2)
     return s
-
-
-def add_cache_path_column(batch: pa.Table) -> pa.Table:
-    """Column transform: fetched rows -> mirror-file path."""
-    cts = batch.column("state_content_type").to_pylist()
-    qs = batch.column("path").to_pylist()
-    out = []
-    for full, ct in zip(qs, cts):
-        # "path" carries path+query (urijs resource()); use it so the
-        # querystring is hashed like the reference
-        out.append(sanitise_path(full, ct or ""))
-    return batch.append_column("cache_path", pa.array(out, pa.string()))
-
-
-def write_fetched(ds, out_dir: str, partition_by_host: bool = True) -> None:
-    """Write the fetched dataset as (optionally host-partitioned) parquet.
-
-    One directory per host => a rerun can skip finished hosts; never one
-    giant file (resumable-output rule)."""
-    ds = ds.map_batches(add_cache_path_column, batch_format="pyarrow",
-                        zero_copy_batch=True)
-    if partition_by_host:
-        ds.write_parquet(out_dir, partition_cols=["host"])
-    else:
-        ds.write_parquet(out_dir)

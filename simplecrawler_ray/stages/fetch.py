@@ -165,15 +165,15 @@ _PAYLOAD = [("body", pa.binary()), ("caption", pa.string()),
             ("error_flags", pa.string()), ("location", pa.string()),
             ("mime_supported", pa.bool_())]
 
-# canonical column order for stored fetched tables ("discovered" is
-# transient — consumed by the candidate stage, not stored)
-_FETCHED_ORDER = ([f.name for f in FRONTIER_SCHEMA]
-                  + [name for name, _ in _PAYLOAD] + ["phash"])
+#: the stored fetched table, its columns in canonical order
+#: ("discovered" is transient — consumed by the candidate stage, not
+#: stored)
+FETCHED_SCHEMA = pa.schema(list(FRONTIER_SCHEMA) + _PAYLOAD
+                           + [("phash", pa.int64())])
 
 
 def _normalize_fetched(t: pa.Table) -> pa.Table:
-    cols = [c for c in _FETCHED_ORDER if c in t.column_names]
-    return t.select(cols)
+    return t.select([c for c in FETCHED_SCHEMA.names if c in t.column_names])
 
 
 def _ref_key(ref) -> str:

@@ -6,16 +6,20 @@ task per batch of queued frontier rows calls ``turbo_round_udf``
   robots check of the queued rows (``robots.robots_allowed`` against
   the round's rules snapshot; refused rows become ``disallowed``
   records, crawler.ts:1296-1335) -> fetch the rest -> sink the
-  terminal rows (``sink_dir`` only) -> event counters -> explode +
-  redirect re-queue (Arrow list kernels) -> fetch-complete hook and
-  304 cache entries (only when given) -> canonicalize each distinct
-  link once (the worker's store for this crawl config,
-  ``candidates.canon_store``) -> domain/robots/depth/condition filters
-  -> admit
+  terminal rows -> event counters -> explode + redirect re-queue
+  (Arrow list kernels) -> fetch-complete hook and 304 cache entries
+  (only when given) -> canonicalize each distinct link once (the
+  worker's store for this crawl config, ``candidates.canon_store``)
+  -> domain/robots/depth/condition filters -> admit
 The batch's event counters (no metrics actor, no per-batch RPC — see
 A8 / crawler.ts event counters) ride back with its rows.  Its terminal
 rows, each URL's final record, are the fetched rows plus the refused
-ones: every terminal row of either loop comes from a batch task.
+ones.  Every terminal row of either loop is written DIRECTLY from the
+worker to the engine's parquet sink, and only there.  The sink part is
+named by the batch's index within the round
+(``round=NNNNN/part-<batch:05d>.parquet``), so a Ray retry of a batch
+overwrites its part instead of adding duplicate rows; the directory
+key is the fetch round, so the rows carry no ``round`` column.
 
 The admission is the only step in which the loops differ:
 
@@ -27,12 +31,7 @@ The admission is the only step in which the loops differ:
   hash-stamped ``(round+1) << 42 | (url_hash & MASK)``: monotone ACROSS
   rounds (BFS order preserved), arbitrary within a round, and
   duplicate-candidate ties go to whichever task reaches the shard
-  first.  Its terminal rows are written DIRECTLY to the parquet sink
-  from the worker.  The sink part is named by the batch's index within
-  the round (``round=NNNNN/part-<batch:05d>.parquet``), so a Ray retry
-  of a batch overwrites its part instead of adding duplicate rows; the
-  directory key is the fetch round, so the rows carry no ``round``
-  column.
+  first.
 
 Both handle the first request (the seed and the redirect chain that
 starts at it, ``candidates.redirect_candidates``) alike: its redirect
@@ -78,8 +77,7 @@ REFUSED_KEY = "refused"
 def _disallowed_rows(rows: pa.Table) -> pa.Table:
     """Terminal records for queued rows the robots check refused: status
     ``disallowed``, ``fetched`` set, null payloads — laid out like
-    fetched rows, so the sink, the checkpoint and ``resume`` treat both
-    alike."""
+    fetched rows, so the sink and its readers treat both alike."""
     n = rows.num_rows
     t = rows.set_column(rows.schema.get_field_index("status"), "status",
                         pa.array([STATUS_DISALLOWED] * n))
@@ -99,7 +97,9 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
     kept candidates for the driver to admit; the batch's counters (with
     its ``FIRST_KEY``, ``HOOK_KEY``, ``CACHE_KEY`` and ``REFUSED_KEY``
     entries); and its terminal rows, the fetched rows followed by the
-    ones the robots check refused."""
+    ones the robots check refused, as written to ``sink_dir``.  The
+    engine's task (``_crawl_batch``) returns no terminal row: the sink
+    is their one destination."""
     # the fetcher does not read robots: a new robots snapshot rebuilds
     # only the candidate processor (which keeps the config's store)
     fetcher = worker_fetcher(web_ref, cfg_ref, cache_ref)
@@ -118,7 +118,8 @@ def turbo_round_udf(batch: pa.Table, *, web_ref, cfg_ref, robots_ref,
     terminal = fetched if refused is None else pa.concat_tables(
         [fetched, refused], promote_options="default")
 
-    # sink the terminal rows from the worker (resumable per-round layout)
+    # sink the terminal rows from the worker (resumable per-round
+    # layout); the engine always passes a sink, in-process callers may not
     if sink_dir:
         rdir = os.path.join(sink_dir, f"round={round_no:05d}")
         os.makedirs(rdir, exist_ok=True)

@@ -113,10 +113,11 @@ def test_resume_from_every_round(tmp_path, monkeypatch, loop, frontier):
 @pytest.mark.parametrize("loop", ["run", "turbo"])
 def test_checkpoint_disk_is_bounded(tmp_path, monkeypatch, loop):
     """After each commit the checkpoint holds at most the live frontier's
-    part files, the terminal parts, two bases' worth of bytes (the base
-    and the replay-only delta, which never outgrows it) and the round's
-    new parts; one base, one resumable manifest (the last), and no part
-    file the manifest does not name."""
+    part files, two bases' worth of bytes (the base and the replay-only
+    delta, which never outgrows it) and the round's new parts; one base,
+    one resumable manifest (the last), and no part file the manifest
+    does not name.  The terminal rows are in the sink, outside this
+    bound."""
     sw = ScaleWeb(n_pages=80, n_hosts=4, out_degree=3)
     ck, sink = str(tmp_path / "ck"), str(tmp_path / "sink")
     eng = CrawlEngine(sw, sw.url_of(0), checkpoint_dir=ck, max_wave_rows=6,
@@ -132,19 +133,18 @@ def test_checkpoint_disk_is_bounded(tmp_path, monkeypatch, loop):
         man = _meta(states[-1])["parts"]
         parts_dir = os.path.join(ck, "parts")
         on_disk = set(os.listdir(parts_dir)) if os.path.isdir(parts_dir) else set()
-        assert on_disk == set(man["files"]) | set(man["terminal"])
+        assert on_disk == set(man["files"])
         bases = glob.glob(os.path.join(ck, "seen-r*"))
         assert [os.path.basename(b) for b in bases] == (
             [man["base"]["dir"]] if man["base"] else [])
         size = {f: _bytes(os.path.join(parts_dir, f)) for f in on_disk}
         live = sum(size[f] for f in {p[1] for p in man["live"]})
-        terminal = sum(size[f] for f in man["terminal"])
         new = sum(n for f, n in size.items()
                   if f.startswith(f"r{self.round_no:05d}-"))
         base = max(self.seen.memory_bytes(),
                    _bytes(bases[0]) if bases else 0)
         data = sum(size.values()) + sum(_bytes(b) for b in bases)
-        assert data <= live + terminal + 2 * base + new
+        assert data <= live + 2 * base + new
         checked.append(data)
 
     monkeypatch.setattr(CrawlEngine, "_checkpoint", check)
@@ -209,6 +209,49 @@ def test_resume_drops_uncommitted_parts(tmp_path):
     t = sink_dataset(sink).to_pandas()
     assert len(t) == t["url"].nunique() == 60
     assert eng2.metrics["queueadd"] == want_queueadd
+
+
+def test_run_resume_reads_the_committed_sink(tmp_path, monkeypatch):
+    """run()'s terminal rows stay in its sink, ``<checkpoint_dir>/sink``:
+    a crawl stopped after round 1, with a round planted past the commit
+    (a crashed round's parts), resumes to the uninterrupted crawl's
+    fetched rows.  ``resume`` drops the planted round and puts no
+    terminal row into the object store."""
+    import pyarrow as pa
+
+    sw = ScaleWeb(n_pages=36, n_hosts=4, out_degree=3)
+    cols = ["seq", "url", "status", "depth", "round"]
+    ref = CrawlEngine(sw, sw.url_of(0), **OPTS)
+    want = ref.run(max_rounds=60).fetched_table().select(cols).to_pylist()
+    ref.seen.shutdown()
+
+    ck = str(tmp_path / "ck")
+    eng = CrawlEngine(sw, sw.url_of(0), checkpoint_dir=ck, **OPTS)
+    eng.run(max_rounds=2)
+    eng.seen.shutdown()
+    sink = os.path.join(ck, "sink")
+    assert sorted(os.listdir(sink)) == ["round=00000", "round=00001"]
+    planted = os.path.join(sink, "round=00002")
+    shutil.copytree(os.path.join(sink, "round=00000"), planted)
+
+    real_put, bad = ray.put, []
+
+    def put(value, *a, **kw):
+        if isinstance(value, pa.Table) or (
+                isinstance(value, pa.Buffer) and set(
+                    _unpack(value).column("status").to_pylist()) - {"queued"}):
+            bad.append(value)
+        return real_put(value, *a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(ray, "put", put)
+        eng2 = CrawlEngine.resume(sw, sw.url_of(0), ck, **OPTS)
+    assert bad == []
+    assert not os.path.exists(planted)
+    got = eng2.run(max_rounds=60).fetched_table().select(cols).to_pylist()
+    eng2.seen.shutdown()
+    assert len(want) == 36
+    assert got == want
 
 
 def test_resume_refuses_a_base_it_cannot_load(tmp_path):
@@ -281,8 +324,8 @@ def test_turbo_batch_retry_overwrites_its_checkpoint_part(tmp_path):
 def test_part_files_read_back_equal(tmp_path):
     """Part files are written without the stored Arrow schema (it is
     most of a small part's footer), yet each kind — a turbo batch's
-    ``b`` part, a ``queued`` part, a ``fetched`` part — reads back equal
-    to the rows written, schema included."""
+    ``b`` part, a ``queued`` part — reads back equal to the rows
+    written, schema included."""
     sw = ScaleWeb(n_pages=40, n_hosts=4, out_degree=3)
     kinds = set()
     for loop in ("turbo", "run"):
@@ -294,17 +337,15 @@ def test_part_files_read_back_equal(tmp_path):
             eng.run(max_rounds=1)
         else:
             eng.run_turbo(str(tmp_path / "sink"), max_rounds=1)
-        # frontier parts and terminal refs are packed
+        # frontier parts are packed
         written = [(p.file, p.offset, p.rows, _unpack(ray.get(p.ref)))
                    for ps in eng._frontier.buckets for p in ps]
-        written += [(f, 0, None, _unpack(ray.get(r))) for f, r in zip(
-            eng._terminal_files, eng.terminal_refs)]
         for name, off, n, rows in written:
             path = os.path.join(ck, "parts", name)
             assert b"ARROW:schema" not in (pq.read_metadata(path).metadata
                                            or {})
             assert pq.read_table(path).slice(off, n).equals(
                 rows, check_metadata=True)
-            kinds.add(re.match(r"r\d+-(b|queued|fetched)", name).group(1))
+            kinds.add(re.match(r"r\d+-(b|queued)", name).group(1))
         eng.seen.shutdown()
-    assert kinds == {"b", "queued", "fetched"}
+    assert kinds == {"b", "queued"}

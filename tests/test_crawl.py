@@ -825,6 +825,90 @@ def test_loops_count_the_same_events(tmp_path):
     assert m1["cookieerror"] == 1 and m1["discoverycomplete"] == 6
 
 
+def test_loops_sink_the_same_terminal_rows(tmp_path):
+    """Every terminal row of either loop is written by its batch task to
+    the engine's sink, one ``round=NNNNN/part-BBBBB.parquet`` per batch:
+    on the ConformanceWeb crawl with ``127.0.0.1:3001/disallowed``
+    enqueued, run()'s sink and run_turbo()'s hold the same
+    ``(url, status, disposition, state_code)`` rows, and run()'s
+    ``fetched_table()`` is its sink read back with plain pyarrow."""
+    import glob
+    import re
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    cols = ["url", "status", "disposition", "state_code"]
+
+    def sunk(sink):
+        parts = glob.glob(os.path.join(sink, "**", "*.parquet"),
+                          recursive=True)
+        assert parts and all(re.fullmatch(
+            r"round=\d{5}/part-\d{5}\.parquet", os.path.relpath(p, sink))
+            for p in parts)
+        return pq.read_table(sink)
+
+    dis = "http://127.0.0.1:3001/disallowed"
+    eng = CrawlEngine(ConformanceWeb(), SEED, seen_shards=2)
+    eng.enqueue(dis)
+    res = eng.run(max_rounds=40)
+    t, on_disk = res.fetched_table(), sunk(eng._sink_dir)
+    res.shutdown()
+    eng2 = CrawlEngine(ConformanceWeb(), SEED, seen_shards=2, batch_size=8)
+    eng2.enqueue(dis)
+    eng2.run_turbo(str(tmp_path / "sink"), max_rounds=40)
+    eng2.seen.shutdown()
+    turbo = sunk(str(tmp_path / "sink"))
+    assert sorted(map(tuple, on_disk.select(cols).to_pylist())) == sorted(
+        map(tuple, turbo.select(cols).to_pylist()))
+    assert "disallowed" in on_disk.column("status").to_pylist()
+    back = on_disk.select(t.column_names)
+    back = back.take(pc.sort_indices(back, sort_keys=[("seq", "ascending")]))
+    # plain pyarrow reads the hive key as a dictionary
+    back = back.set_column(back.schema.get_field_index("round"), "round",
+                           back.column("round").cast(pa.int32()))
+    assert t.num_rows == eng.metrics["fetchstart"] + 1
+    assert t.equals(back)
+
+
+def test_empty_result_reads_as_empty_fetched_table(web):
+    """A crawl that fetched nothing reads as empty tables with the
+    fetched columns: ``run(max_rounds=0)`` leaves the seed queued, so
+    ``frontier_table()`` holds only it, and ``events_table()`` is empty
+    instead of raising."""
+    from simplecrawler_ray.pipelines.crawl import CrawlResult
+
+    eng, full = run(web, SEED)
+    names = full.fetched_table().column_names
+    full.shutdown()
+    eng = CrawlEngine(web, SEED, seen_shards=1)
+    untouched = CrawlResult(eng)
+    assert untouched.frontier_table().num_rows == 0
+    res = eng.run(max_rounds=0)
+    t = res.fetched_table()
+    assert t.num_rows == 0 and t.column_names == names
+    assert res.events_table().num_rows == 0
+    assert res.events_table().column_names == ["seq", "url", "event",
+                                               "round"]
+    assert res.frontier_table().column("status").to_pylist() == ["queued"]
+    assert res.downloaded_urls() == []
+    res.shutdown()
+
+
+def test_run_temporary_sink_goes_with_shutdown(web):
+    """Without a checkpoint, run() sinks to a temporary directory the
+    engine owns; ``CrawlResult.shutdown()`` removes it."""
+    import glob
+
+    eng, res = run(web, SEED)
+    sink = eng._sink_dir
+    assert glob.glob(os.path.join(sink, "round=*", "part-*.parquet"))
+    assert len(res.downloaded_urls()) == 6
+    res.shutdown()
+    assert not os.path.exists(sink)
+
+
 def test_crawl_path_starts_no_ray_data_execution(web, monkeypatch):
     """No crawl path runs a Ray Data ``map_batches``: a ConformanceWeb
     run(), the 6,000-row run() crawl and a seed_frontier call all pass
@@ -1394,12 +1478,12 @@ def test_every_bucket_ref_is_a_packed_part(tmp_path):
     """The store invariant: after ``seed_frontier``, a turbo round under a
     ``max_wave_rows`` cut, one under a ``host_budget_per_round`` cut,
     ``update_queued`` and ``resume``, every bucket ref points to packed
-    rows that match its ``Part``, and every terminal ref (``run()``'s)
-    to packed terminal rows."""
-    import pyarrow.compute as pc
-    import ray
+    rows that match its ``Part``; ``run()``'s terminal rows are in its
+    sink, not in the object store."""
+    import glob
 
-    from simplecrawler_ray.pipelines.crawl import _unpack
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
 
     sw = ScaleWeb(n_pages=120, n_hosts=6, out_degree=3)
     ck, sink = str(tmp_path / "ck"), str(tmp_path / "sink")
@@ -1429,9 +1513,8 @@ def test_every_bucket_ref_is_a_packed_part(tmp_path):
     assert sorted(eng2.queued_table().column("seq").to_pylist()) == sorted(
         queued.column("seq").to_pylist())
     eng2.seen.shutdown()
-    # terminal refs: none in a turbo crawl; run()'s unpack to its
-    # terminal rows, before and after a resume
-    assert eng.terminal_refs == eng2.terminal_refs == []
+    # run()'s terminal rows are in its sink, one part per batch, before
+    # and after a resume
     ck3 = str(tmp_path / "ck3")
     eng3 = CrawlEngine(sw, sw.url_of(0), checkpoint_dir=ck3, **opts)
     eng3.run(max_rounds=2)
@@ -1439,7 +1522,9 @@ def test_every_bucket_ref_is_a_packed_part(tmp_path):
     eng4 = CrawlEngine.resume(sw, sw.url_of(0), ck3, **opts)
     eng4.seen.shutdown()
     for e in (eng3, eng4):
-        rows = [_unpack(b).num_rows for b in ray.get(e.terminal_refs)]
+        assert e._sink_dir == os.path.join(ck3, "sink")
+        rows = [pq.read_metadata(f).num_rows for f in glob.glob(
+            os.path.join(e._sink_dir, "round=*", "part-*.parquet"))]
         assert len(rows) > 1 and min(rows) > 0
         assert sum(rows) == eng3.metrics["fetchstart"]
 
@@ -1731,8 +1816,8 @@ def test_turbo_disallowed_rows_survive_resume(web, tmp_path):
 def test_turbo_all_disallowed_round_is_checkpointed(web, tmp_path):
     """A turbo round whose whole wave the robots check refuses still
     writes its checkpoint; the refused row is its batch's terminal
-    record, in the sink part, and the checkpoint holds no terminal
-    part."""
+    record, in the sink part, and the checkpoint names no terminal
+    file."""
     import glob
     import os
 
@@ -1747,8 +1832,7 @@ def test_turbo_all_disallowed_round_is_checkpointed(web, tmp_path):
     assert "fetchstart" not in eng.metrics
     states = sorted(glob.glob(os.path.join(ck, "state-round=*")))
     assert [os.path.basename(d) for d in states] == ["state-round=00000"]
-    assert _last_manifest(ck)["terminal"] == []
-    assert glob.glob(os.path.join(ck, "parts", "*-fetched-*.parquet")) == []
+    assert set(_last_manifest(ck)) == {"files", "live", "base", "delta"}
     part = os.path.join(sink, "round=00000", "part-00000.parquet")
     rows = pq.read_table(part).to_pylist()
     assert [(r["url"], r["status"], r["fetched"], r["body"]) for r in rows] == [
@@ -1759,8 +1843,7 @@ def test_turbo_all_disallowed_round_is_checkpointed(web, tmp_path):
 def test_refused_rows_come_from_their_batch(loop, tmp_path, monkeypatch):
     """A queued row its host's robots rules refuse is checked in the
     batch that would fetch it: its one ``disallowed`` record goes where
-    that batch's fetched rows go (``run()``'s terminal block, whose
-    checkpoint ``fetched-*`` file holds it; ``run_turbo``'s sink part),
+    that batch's fetched rows go (the sink part of either loop),
     it is counted once in ``fetchdisallowed`` by both loops, and it is
     not in ``fetch_order``.  The driver ``ray.put``s no row table during
     the crawl, and no packed part with a ``disallowed`` row."""
@@ -1789,14 +1872,11 @@ def test_refused_rows_come_from_their_batch(loop, tmp_path, monkeypatch):
     eng.enqueue(dis)
     if loop == "run":
         t = eng.run(max_rounds=40).fetched_table()
-        files = glob.glob(os.path.join(ck, "parts", "*-fetched-*.parquet"))
-        on_disk = pa.concat_tables([pq.read_table(f) for f in files],
-                                   promote_options="default")
+        on_disk = pq.read_table(os.path.join(ck, "sink"))
     else:
         sink = str(tmp_path / "sink")
         eng.run_turbo(sink, max_rounds=40)
         t = on_disk = pq.read_table(sink)
-        assert _last_manifest(ck)["terminal"] == []
     eng.seen.shutdown()
     monkeypatch.undo()
     assert bad == []
@@ -1920,10 +2000,10 @@ def test_task_cpus_budget():
 
 def test_turbo_checkpoint_is_one_write_task(web, tmp_path, monkeypatch):
     """Each ``_checkpoint()`` writes the rows no batch task wrote (the
-    round's ``queued`` file and its ``fetched-*`` terminal files) with at
-    most ONE ``_write_checkpoint`` task, in both loops, and with none
-    when nothing new is queued: a ``run_turbo`` crawl needs the task
-    only for its round-0 seed."""
+    round's ``queued`` file) with at most ONE ``_write_checkpoint`` task,
+    in both loops, and with none when nothing new is queued: a
+    ``run_turbo`` crawl needs the task only for its round-0 seed.  The
+    terminal rows are in the sink, one part per batch."""
     import glob
 
     from simplecrawler_ray.pipelines import crawl as crawl_mod
@@ -1956,14 +2036,16 @@ def test_turbo_checkpoint_is_one_write_task(web, tmp_path, monkeypatch):
     states = glob.glob(os.path.join(ck, "state-round=*"))
     assert len(states) == len(checkpoints) > 2
     assert checkpoints == [1] + [0] * (len(checkpoints) - 1)
-    # run(): fetched-* terminal parts and queued parts in the same task
+    # run(): the driver's admits, one task in the rounds that admitted
     ck2 = str(tmp_path / "ck2")
     checkpoints.clear()
     eng, res = run(web, SEED, checkpoint_dir=ck2)
     eng.seen.shutdown()
-    assert checkpoints and checkpoints == [1] * len(checkpoints)
-    fetched = glob.glob(os.path.join(ck2, "parts", "*-fetched-*.parquet"))
-    assert len(fetched) == len(eng.terminal_refs)
+    assert checkpoints and max(checkpoints) == 1
+    assert all(f.endswith("-queued.parquet")
+               for f in os.listdir(os.path.join(ck2, "parts")))
+    assert len(glob.glob(os.path.join(ck2, "sink", "round=*", "*.parquet"))) \
+        == len(checkpoints)
 
 
 def test_turbo_batch_error_surfaces(tmp_path):
@@ -2076,10 +2158,9 @@ def test_turbo_window_starts_no_spare_workers(tmp_path):
     multi-round ``run_turbo`` crawls and three ``run()`` crawls after a
     warm one starts no new Ray worker process, and its batches never run
     more at once than ``_task_cpus()`` allows (intervals from the web's
-    per-get log, grouped by sink part, or for ``run()`` by the
-    checkpoint's ``parts/*-fetched-*`` file: one per batch).  Without the
-    window, a batch blocked in the seen-shard RPC hands its CPU to a
-    queued one on a new worker."""
+    per-get log, grouped by sink part: one per batch, in both loops).
+    Without the window, a batch blocked in the seen-shard RPC hands its
+    CPU to a queued one on a new worker."""
     import glob
     import json
     import subprocess
@@ -2104,13 +2185,8 @@ def test_turbo_window_starts_no_spare_workers(tmp_path):
         assert r["window"] == 1
         assert r["new_workers"] == [], (tag, r)
         # every get of the crawl, mapped to its (round, batch) part
-        if tag.startswith("r"):
-            sink = str(work / tag / "ck")
-            parts = glob.glob(os.path.join(sink, "parts",
-                                           "*-fetched-*.parquet"))
-        else:
-            sink = str(work / tag / "sink")
-            parts = glob.glob(os.path.join(sink, "round=*", "*.parquet"))
+        sink = str(work / tag / ("ck/sink" if tag.startswith("r") else "sink"))
+        parts = glob.glob(os.path.join(sink, "round=*", "*.parquet"))
         part_of = {}
         for p in parts:
             for u in pq.read_table(p, columns=["url"]).column("url").to_pylist():
